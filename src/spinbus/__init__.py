@@ -26,17 +26,12 @@ from .error_model import (
 )
 from .mapper import (
     STRATEGIES,
+    STRATEGY_FLAGS,
     GateOp,
-    LayoutState,
     Schedule,
     ShuttleOp,
     Violation,
-    map_baseline,
-    map_min_return,
-    map_parallel,
     map_strategy,
-    map_swap_return,
-    map_tunable_velocity,
     schedule_from_json,
     schedule_to_json,
     validate_schedule,

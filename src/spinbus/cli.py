@@ -21,7 +21,7 @@ from .benchgen import FAMILIES, BenchmarkSpec, generate
 from .circuit import Circuit, decompose, slice_circuit
 from .error_model import ErrorModelParams
 from .mapper import STRATEGIES, map_strategy, schedule_to_json, validate_schedule
-from .metrics import compare, reports_to_csv, reports_to_json, summarize
+from .metrics import compare, mean_std, reports_to_csv, reports_to_json, summarize
 from .placement import (
     Placement,
     build_interaction_graph,
@@ -117,14 +117,14 @@ def _merge_config(cmd: str, given: dict) -> argparse.Namespace:
 
 
 def _build_arch(n: int, path: str | None) -> ArchitectureSpec:
-    if path is None:
-        return ArchitectureSpec(n_sites=n)
-    cfg = _load_json_file(path, "architecture config")
-    cfg.setdefault("n_sites", n)
     try:
+        if path is None:
+            return ArchitectureSpec(n_sites=n)
+        cfg = _load_json_file(path, "architecture config")
+        cfg.setdefault("n_sites", n)
         arch = ArchitectureSpec.from_config(cfg)
     except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad architecture config: {exc}") from exc
+        raise ConfigError(f"bad architecture: {exc}") from exc
     if arch.n_sites != n:
         raise ConfigError(
             f"architecture has {arch.n_sites} sites but the circuit needs {n}"
@@ -153,67 +153,81 @@ def _load_circuit(args: argparse.Namespace) -> Circuit:
         return parse_qasm(text)
     if args.n is None:
         raise ConfigError("--gen needs --n")
+    spec = _benchmark_spec(
+        family=args.gen,
+        n=int(args.n),
+        seed=args.seed,
+        qaoa_rounds=args.qaoa_rounds,
+        depth=None if args.depth is None else int(args.depth),
+    )
+    return generate(spec)
+
+
+def _benchmark_spec(**fields) -> BenchmarkSpec:
     try:
-        spec = BenchmarkSpec(
-            family=args.gen,
-            n=int(args.n),
-            seed=args.seed,
-            qaoa_rounds=args.qaoa_rounds,
-            depth=None if args.depth is None else int(args.depth),
-        )
+        return BenchmarkSpec(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return generate(spec)
 
 
 def _placements(
     mode: str, sliced, n: int, seed: int, runs: int
-) -> list[tuple[str, Placement]]:
+) -> list[tuple[str, int | None, Placement]]:
+    """``(mode, seed, placement)`` rows; seed is None except for random."""
     if mode == "spectral":
-        return [("spectral", spectral_placement(build_interaction_graph(sliced)))]
+        return [("spectral", None, spectral_placement(build_interaction_graph(sliced)))]
     if mode == "identity":
-        return [("identity", Placement.identity(n))]
+        return [("identity", None, Placement.identity(n))]
     if mode == "random":
         if runs < 1:
             raise ConfigError("--runs must be >= 1")
         return [
-            (f"random_s{seed + i}", random_placement(n, seed + i)) for i in range(runs)
+            ("random", seed + i, random_placement(n, seed + i)) for i in range(runs)
         ]
     raise ConfigError(f"unknown placement mode {mode!r}")
 
 
-def _compile_one(strategy, sliced, arch, placement, errp, measure_duration):
-    schedule = map_strategy(strategy, sliced, arch, placement, errp, measure_duration)
-    violations = validate_schedule(schedule, arch)
-    if violations:
-        lines = "; ".join(f"[{v.rule}] {v.message}" for v in violations[:5])
-        raise ValidationFailure(
-            f"{strategy}: schedule failed validation ({len(violations)} issues): {lines}"
-        )
-    return schedule
+def _run_matrix(cases, modes, strategies, args, errp, measure_duration=None):
+    """Map, validate and summarize every case x placement x strategy.
 
-
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((x - mean) ** 2 for x in values) / n
-    return mean, var**0.5
+    A case is ``(tag, sliced, arch)``. Yields ``(tag, mode, seed, strategy,
+    schedule, report)`` lazily and drops its own reference to each schedule
+    before mapping the next, so a consumer that drops it too keeps at most
+    one schedule alive (the peak memory of a long compile).
+    """
+    for tag, sliced, arch in cases:
+        placements = [
+            row
+            for mode in modes
+            for row in _placements(mode, sliced, arch.n_sites, args.seed, args.runs)
+        ]
+        for mode, seed, placement in placements:
+            for strategy in strategies:
+                schedule = map_strategy(
+                    strategy, sliced, arch, placement, errp, measure_duration
+                )
+                violations = validate_schedule(schedule, arch)
+                if violations:
+                    lines = "; ".join(f"[{v.rule}] {v.message}" for v in violations[:5])
+                    raise ValidationFailure(
+                        f"{strategy}: schedule failed validation "
+                        f"({len(violations)} issues): {lines}"
+                    )
+                yield tag, mode, seed, strategy, schedule, summarize(schedule)
+                del schedule  # not held while the next one is mapped
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
     if args.strategy not in ("all",) + STRATEGIES:
         raise ConfigError(f"unknown strategy {args.strategy!r}")
     circuit = _load_circuit(args)
-    native = decompose(circuit)
-    sliced = slice_circuit(native)
-    n = circuit.num_qubits
-    arch = _build_arch(n, args.arch_config)
+    sliced = slice_circuit(decompose(circuit))
+    arch = _build_arch(circuit.num_qubits, args.arch_config)
     errp = _build_errp(args.error_config)
     measure_duration = (
         None if args.measure_duration is None else float(args.measure_duration) * 1e-9
     )
     strategies = list(STRATEGIES) if args.strategy == "all" else [args.strategy]
-    placements = _placements(args.placement, sliced, n, args.seed, args.runs)
     formats = {f.strip() for f in args.format.split(",")} - {""}
     if not formats or not formats <= {"json", "csv"}:
         raise ConfigError(f"--format wants json,csv subsets, got {args.format!r}")
@@ -221,19 +235,22 @@ def cmd_compile(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    per_placement: dict[str, list] = {}
     per_strategy: dict[str, list] = {s: [] for s in strategies}
-    for ptag, placement in placements:
-        reports = []
-        for strategy in strategies:
-            schedule = _compile_one(
-                strategy, sliced, arch, placement, errp, measure_duration
-            )
-            if "json" in formats:
-                path = out_dir / f"schedule_{strategy}__{ptag}.json"
-                path.write_text(schedule_to_json(schedule), encoding="utf-8")
-            report = summarize(schedule)
-            reports.append(report)
-            per_strategy[strategy].append(report)
+    cases = [(None, sliced, arch)]
+    matrix = _run_matrix(
+        cases, [args.placement], strategies, args, errp, measure_duration
+    )
+    for _, mode, seed, strategy, schedule, report in matrix:
+        ptag = mode if seed is None else f"{mode}_s{seed}"
+        if "json" in formats:
+            path = out_dir / f"schedule_{strategy}__{ptag}.json"
+            path.write_text(schedule_to_json(schedule), encoding="utf-8")
+        per_placement.setdefault(ptag, []).append(report)
+        per_strategy[strategy].append(report)
+        del schedule  # only one schedule alive at a time; see _run_matrix
+
+    for ptag, reports in per_placement.items():
         if "csv" in formats:
             (out_dir / f"reports__{ptag}.csv").write_text(
                 reports_to_csv(reports), encoding="utf-8"
@@ -258,12 +275,12 @@ def cmd_compile(args: argparse.Namespace) -> int:
         errors = [r.mean_error for r in reports]
         if len(reports) == 1:
             print(
-                f"{strategy}: placement={placements[0][0]} "
+                f"{strategy}: placement={next(iter(per_placement))} "
                 f"total_time_ns={times[0]:.3f} mean_dC={errors[0]:.6e}"
             )
         else:
-            t_mean, t_std = _mean_std(times)
-            e_mean, e_std = _mean_std(errors)
+            t_mean, t_std = mean_std(times)
+            e_mean, e_std = mean_std(errors)
             print(
                 f"{strategy}: placement={args.placement} runs={len(reports)} "
                 f"total_time_ns={t_mean:.3f}+-{t_std:.3f} "
@@ -282,108 +299,82 @@ def _parse_families(text: str) -> list[str]:
     return families
 
 
-def _family_pipeline(family: str, n: int, seed: int, qaoa_rounds: int):
-    circuit = generate(
-        BenchmarkSpec(family=family, n=n, seed=seed, qaoa_rounds=qaoa_rounds)
-    )
-    return slice_circuit(decompose(circuit))
+def _family_cases(families: list[str], sizes, args: argparse.Namespace):
+    """One case per size x family; the tag is (family, n, depth) as strings.
+
+    Every size is checked before the first circuit is built, so an
+    out-of-range size fails before anything is mapped.
+    """
+    archs = {n: _build_arch(n, args.arch_config) for n in sizes}
+    specs = [
+        _benchmark_spec(
+            family=family, n=n, seed=args.seed, qaoa_rounds=args.qaoa_rounds
+        )
+        for n in sizes
+        for family in families
+    ]
+    for spec in specs:
+        sliced = slice_circuit(decompose(generate(spec)))
+        yield (spec.family, str(spec.n), str(sliced.depth)), sliced, archs[spec.n]
+
+
+def _write_rows(out_dir: Path, name: str, header: str, rows: list[tuple]) -> None:
+    text = "\n".join([header] + [",".join(r) for r in sorted(rows)]) + "\n"
+    (out_dir / name).write_text(text, encoding="utf-8")
+    print(f"{name.split('.')[0]}: {len(rows)} rows -> {out_dir / name}")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    families = _parse_families(args.families)
-    if args.runs < 1:
-        raise ConfigError("--runs must be >= 1")
-    try:
-        arch = _build_arch(args.n, args.arch_config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cases = _family_cases(_parse_families(args.families), [args.n], args)
     errp = _build_errp(args.error_config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for family in families:
-        sliced = _family_pipeline(family, args.n, args.seed, args.qaoa_rounds)
-        graph = build_interaction_graph(sliced)
-        placements = [("spectral", "", spectral_placement(graph))]
-        placements += [
-            ("random", str(args.seed + i), random_placement(args.n, args.seed + i))
-            for i in range(args.runs)
-        ]
-        for strategy in STRATEGIES:
-            for pmode, pseed, placement in placements:
-                schedule = _compile_one(strategy, sliced, arch, placement, errp, None)
-                report = summarize(schedule)
-                rows.append(
-                    (
-                        family,
-                        strategy,
-                        pmode,
-                        pseed,
-                        repr(report.total_time * 1e9),
-                        repr(report.mean_error),
-                        repr(report.std_error),
-                    )
-                )
-    rows.sort()
-    text = "\n".join([BENCH_HEADER] + [",".join(r) for r in rows]) + "\n"
-    (out_dir / "bench.csv").write_text(text, encoding="utf-8")
-    print(f"bench: {len(rows)} rows -> {out_dir / 'bench.csv'}")
+    rows = [
+        (
+            tag[0],
+            strategy,
+            mode,
+            "" if seed is None else str(seed),
+            repr(report.total_time * 1e9),
+            repr(report.mean_error),
+            repr(report.std_error),
+        )
+        for tag, mode, seed, strategy, _, report in _run_matrix(
+            cases, ("spectral", "random"), STRATEGIES, args, errp
+        )
+    ]
+    _write_rows(out_dir, "bench.csv", BENCH_HEADER, rows)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     families = _parse_families(args.families)
-    if args.runs < 1:
-        raise ConfigError("--runs must be >= 1")
     if not (2 <= args.n_min <= args.n_max and args.n_step >= 1):
         raise ConfigError("need 2 <= n-min <= n-max and n-step >= 1")
+    sizes = range(args.n_min, args.n_max + 1, args.n_step)
+    cases = _family_cases(families, sizes, args)
     errp = _build_errp(args.error_config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    spectral, randoms = {}, {}
+    matrix = _run_matrix(cases, ("spectral", "random"), STRATEGIES, args, errp)
+    for tag, mode, _, strategy, _, report in matrix:
+        if mode == "spectral":
+            spectral[tag, strategy] = report
+        else:
+            randoms.setdefault((tag, strategy), []).append(report)
+
     rows = []
-    for n in range(args.n_min, args.n_max + 1, args.n_step):
-        arch = _build_arch(n, args.arch_config)
-        for family in families:
-            sliced = _family_pipeline(family, n, args.seed, args.qaoa_rounds)
-            graph = build_interaction_graph(sliced)
-            spectral = spectral_placement(graph)
-            randoms = [random_placement(n, args.seed + i) for i in range(args.runs)]
-            for strategy in STRATEGIES:
-                spectral_report = summarize(
-                    _compile_one(strategy, sliced, arch, spectral, errp, None)
-                )
-                rand_reports = [
-                    summarize(_compile_one(strategy, sliced, arch, p, errp, None))
-                    for p in randoms
-                ]
-                rand_time = sum(r.total_time for r in rand_reports) / len(rand_reports)
-                rand_err = sum(r.mean_error for r in rand_reports) / len(rand_reports)
-                time_ratio = (
-                    None
-                    if spectral_report.total_time == 0.0
-                    else rand_time / spectral_report.total_time
-                )
-                error_ratio = (
-                    None
-                    if spectral_report.mean_error == 0.0
-                    else rand_err / spectral_report.mean_error
-                )
-                rows.append(
-                    (
-                        family,
-                        str(n),
-                        str(sliced.depth),
-                        strategy,
-                        _fmt(time_ratio),
-                        _fmt(error_ratio),
-                    )
-                )
-    rows.sort()
-    text = "\n".join([SWEEP_HEADER] + [",".join(r) for r in rows]) + "\n"
-    (out_dir / "sweep.csv").write_text(text, encoding="utf-8")
-    print(f"sweep: {len(rows)} rows -> {out_dir / 'sweep.csv'}")
+    for (tag, strategy), base in spectral.items():
+        rand = randoms[tag, strategy]
+        rand_time = sum(r.total_time for r in rand) / len(rand)
+        rand_err = sum(r.mean_error for r in rand) / len(rand)
+        time_ratio = None if base.total_time == 0.0 else rand_time / base.total_time
+        error_ratio = None if base.mean_error == 0.0 else rand_err / base.mean_error
+        rows.append((*tag, strategy, _fmt(time_ratio), _fmt(error_ratio)))
+    _write_rows(out_dir, "sweep.csv", SWEEP_HEADER, rows)
     return 0
 
 

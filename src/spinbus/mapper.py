@@ -16,6 +16,10 @@ Five strategies, each an improvement on the last:
   swap_return       tunable_velocity plus future-aware assignment of the
                     two occupants of a zone to their two return sites
 
+``map_strategy`` is the one entry point. Baseline has its own mapper; the
+four slice strategies are rows of ``STRATEGY_FLAGS``, each a flag triple
+(dynamic_return, tunable, swap_returns) of the one slice mapper.
+
 Each slice episode has three globally barriered phases: all operands
 shuttle out together, all gates fire together, all operands return
 together. Phase duration is the maximum individual duration within it.
@@ -36,10 +40,17 @@ from .architecture import (
     shuttle_time,
 )
 from .circuit import Circuit, Gate, GateKind, SlicedCircuit
-from .error_model import ErrorModelParams, V_BRACKET, optimal_velocity, phase_error
+from .error_model import ErrorModelParams, optimal_velocity, phase_error
 from .placement import Placement
 
-STRATEGIES = ("baseline", "parallel", "min_return", "tunable_velocity", "swap_return")
+# the slice strategies: name -> (dynamic_return, tunable, swap_returns)
+STRATEGY_FLAGS = {
+    "parallel": (False, False, False),
+    "min_return": (True, False, False),
+    "tunable_velocity": (True, True, False),
+    "swap_return": (True, True, True),
+}
+STRATEGIES = ("baseline", *STRATEGY_FLAGS)
 
 _EPS_T = 1e-15  # seconds; schedule times are exact accumulations
 
@@ -76,40 +87,6 @@ class GateOp:
 
 
 @dataclass(frozen=True)
-class LayoutState:
-    """Where every virtual qubit sits; sites hold one qubit, zones two."""
-
-    assignment: tuple[Location, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        counts: dict[Location, int] = {}
-        for loc in self.assignment:
-            counts[loc] = counts.get(loc, 0) + 1
-        for loc, count in counts.items():
-            cap = 1 if loc.is_site else 2
-            if count > cap:
-                raise ValueError(f"{loc!r} holds {count} qubits (capacity {cap})")
-
-    @staticmethod
-    def from_sites(sites: list[int] | tuple[int, ...]) -> "LayoutState":
-        return LayoutState(tuple(Location.site(s) for s in sites))
-
-    def occupancy(self) -> dict[Location, tuple[int, ...]]:
-        inverse: dict[Location, list[int]] = {}
-        for q, loc in enumerate(self.assignment):
-            inverse.setdefault(loc, []).append(q)
-        return {loc: tuple(qs) for loc, qs in inverse.items()}
-
-    def zone_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for loc in self.assignment:
-            if not loc.is_site:
-                counts[loc.index] = counts.get(loc.index, 0) + 1
-        return counts
-
-
-@dataclass(frozen=True)
 class Schedule:
     """A validated plan: time-ordered ops plus accumulated per-qubit error."""
 
@@ -122,10 +99,6 @@ class Schedule:
     total_time: float
     per_qubit_error: tuple[float, ...]
     final_sites: tuple[int, ...]
-
-    @property
-    def final_layout(self) -> LayoutState:
-        return LayoutState.from_sites(self.final_sites)
 
     def shuttle_ops(self) -> list[ShuttleOp]:
         return [op for op in self.ops if isinstance(op, ShuttleOp)]
@@ -215,12 +188,30 @@ def _gate_duration(g: Gate, spec: ArchitectureSpec, measure_duration: float | No
     return spec.t_2q if g.is_two_qubit else spec.t_1q
 
 
-def map_baseline(
-    c: Circuit,
+def map_strategy(
+    strategy: str,
+    sc: SlicedCircuit,
     spec: ArchitectureSpec,
     placement: Placement,
     errp: ErrorModelParams,
     measure_duration: float | None = None,
+) -> Schedule:
+    """Map ``sc`` with the named strategy; baseline maps the flat gate list."""
+    if strategy == "baseline":
+        return _map_baseline(sc.circuit, spec, placement, errp, measure_duration)
+    if strategy not in STRATEGY_FLAGS:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return _map_sliced(
+        sc, spec, placement, errp, strategy, STRATEGY_FLAGS[strategy], measure_duration
+    )
+
+
+def _map_baseline(
+    c: Circuit,
+    spec: ArchitectureSpec,
+    placement: Placement,
+    errp: ErrorModelParams,
+    measure_duration: float | None,
 ) -> Schedule:
     """Strictly sequential mapping with a static layout.
 
@@ -255,103 +246,16 @@ def map_baseline(
     return b.finish(t, sites)
 
 
-def map_parallel(
-    sc: SlicedCircuit,
-    spec: ArchitectureSpec,
-    placement: Placement,
-    errp: ErrorModelParams,
-    measure_duration: float | None = None,
-) -> Schedule:
-    """Slice-parallel mapping, static layout, fixed velocity."""
-    return _map_sliced(
-        sc, spec, placement, errp,
-        strategy="parallel", dynamic_return=False, tunable=False, swap_returns=False,
-        measure_duration=measure_duration,
-    )
-
-
-def map_min_return(
-    sc: SlicedCircuit,
-    spec: ArchitectureSpec,
-    placement: Placement,
-    errp: ErrorModelParams,
-    measure_duration: float | None = None,
-) -> Schedule:
-    """Slice-parallel mapping with dynamic leftward returns, fixed velocity."""
-    return _map_sliced(
-        sc, spec, placement, errp,
-        strategy="min_return", dynamic_return=True, tunable=False, swap_returns=False,
-        measure_duration=measure_duration,
-    )
-
-
-def map_tunable_velocity(
-    sc: SlicedCircuit,
-    spec: ArchitectureSpec,
-    placement: Placement,
-    errp: ErrorModelParams,
-    measure_duration: float | None = None,
-    v_bracket: tuple[float, float] = V_BRACKET,
-) -> Schedule:
-    """min_return movements with per-phase dephasing-optimal velocities."""
-    return _map_sliced(
-        sc, spec, placement, errp,
-        strategy="tunable_velocity", dynamic_return=True, tunable=True,
-        swap_returns=False, measure_duration=measure_duration, v_bracket=v_bracket,
-    )
-
-
-def map_swap_return(
-    sc: SlicedCircuit,
-    spec: ArchitectureSpec,
-    placement: Placement,
-    errp: ErrorModelParams,
-    measure_duration: float | None = None,
-    v_bracket: tuple[float, float] = V_BRACKET,
-) -> Schedule:
-    """tunable_velocity plus future-aware two-occupant return assignment."""
-    return _map_sliced(
-        sc, spec, placement, errp,
-        strategy="swap_return", dynamic_return=True, tunable=True,
-        swap_returns=True, measure_duration=measure_duration, v_bracket=v_bracket,
-    )
-
-
-def map_strategy(
-    strategy: str,
-    sc: SlicedCircuit,
-    spec: ArchitectureSpec,
-    placement: Placement,
-    errp: ErrorModelParams,
-    measure_duration: float | None = None,
-) -> Schedule:
-    """Dispatch by strategy name; baseline maps the flat gate list."""
-    if strategy == "baseline":
-        return map_baseline(sc.circuit, spec, placement, errp, measure_duration)
-    table = {
-        "parallel": map_parallel,
-        "min_return": map_min_return,
-        "tunable_velocity": map_tunable_velocity,
-        "swap_return": map_swap_return,
-    }
-    if strategy not in table:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return table[strategy](sc, spec, placement, errp, measure_duration)
-
-
 def _map_sliced(
     sc: SlicedCircuit,
     spec: ArchitectureSpec,
     placement: Placement,
     errp: ErrorModelParams,
-    *,
     strategy: str,
-    dynamic_return: bool,
-    tunable: bool,
-    swap_returns: bool,
+    flags: tuple[bool, bool, bool],
     measure_duration: float | None = None,
-    v_bracket: tuple[float, float] = V_BRACKET,
 ) -> Schedule:
+    dynamic_return, tunable, swap_returns = flags
     c = sc.circuit
     _require_native(c)
     b = _Builder(strategy, c, spec, placement, errp)
@@ -377,7 +281,7 @@ def _map_sliced(
         if not tunable:
             return spec.default_velocity
         if max_dist not in vel_cache:
-            vel_cache[max_dist] = optimal_velocity(max_dist, errp, *v_bracket)
+            vel_cache[max_dist] = optimal_velocity(max_dist, errp)
         return vel_cache[max_dist]
 
     t = 0.0
@@ -429,10 +333,8 @@ def _map_sliced(
             distance(Location.zone(z), Location.site(s), spec) for _, z, s in returns
         )
         v_ret = phase_velocity(max_ret)
-        t_next = ret_start
         for q, z, s in sorted(returns):
-            dur = b.shuttle(q, Location.zone(z), Location.site(s), ret_start, v_ret)
-            t_next = max(t_next, ret_start + dur)
+            b.shuttle(q, Location.zone(z), Location.site(s), ret_start, v_ret)
             sites[q] = s
             site_taken[s] = q
         t = ret_start + shuttle_time(max_ret, v_ret)

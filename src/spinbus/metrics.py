@@ -31,7 +31,7 @@ class CompilationReport:
     n_gates_2q: int
 
 
-def _mean_std(values: tuple[float, ...]) -> tuple[float, float]:
+def mean_std(values: tuple[float, ...]) -> tuple[float, float]:
     n = len(values)
     if n == 0:
         return 0.0, 0.0
@@ -55,7 +55,7 @@ def summarize(s: Schedule) -> CompilationReport:
                 n_2q += 1
             else:
                 n_1q += 1
-    mean, std = _mean_std(s.per_qubit_error)
+    mean, std = mean_std(s.per_qubit_error)
     return CompilationReport(
         strategy=s.strategy,
         total_time=s.total_time,

@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbus.cli import BENCH_HEADER, COMPARE_HEADER, SWEEP_HEADER, main
 from spinbus.mapper import STRATEGIES
@@ -215,3 +221,30 @@ class TestSweep:
                 "--families", "graph_state", "--runs", 2, "--out", out,
             ) == 0
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+
+class TestQubitCountRange:
+    """Qubit counts outside the generators' [2, 64] are configuration errors."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.one_of(st.integers(-1000, 1), st.integers(65, 10**6)))
+    def test_out_of_range_n_exits_2(self, n):
+        # n-min = n-max = n, so no sweep size in range gets mapped first
+        for argv in (
+            ["bench", "--n", n],
+            ["sweep", "--n-min", n, "--n-max", n],
+            ["compile", "--gen", "ghz", "--n", n],
+        ):
+            err = io.StringIO()
+            with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+                code = run_cli(*argv, "--out", out)
+            assert code == 2, argv
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+
+    def test_one_qubit_qasm_exits_2(self, tmp_path, capsys):
+        qasm = tmp_path / "one.qasm"
+        qasm.write_text("qreg q[1]; h q[0];")
+        assert run_cli("compile", "--input", qasm, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,0 +1,73 @@
+"""Golden output bytes: the files the CLI writes, pinned across commits.
+
+The determinism tests elsewhere compare two runs of the same code; these
+compare against recorded SHA-256 digests, so a refactor that claims "same
+behaviour" is checked against the code it replaced. A change that alters
+any of these files on purpose re-records the digests here and says so in
+CHANGES.md.
+"""
+import hashlib
+
+import pytest
+
+from spinbus.cli import main
+
+RUNS = {
+    "bench": ["bench", "--n", 6, "--families", "ghz,qaoa,dj", "--runs", 2],
+    "sweep": [
+        "sweep", "--n-min", 4, "--n-max", 6, "--n-step", 2,
+        "--families", "ghz,qaoa,dj", "--runs", 2,
+    ],
+    "spectral": ["compile", "--gen", "qft", "--n", 8, "--strategy", "all"],
+    "random": [
+        "compile", "--gen", "qft", "--n", 8, "--strategy", "all",
+        "--placement", "random", "--runs", 2,
+    ],
+}
+
+GOLDEN = {
+    "bench": {
+        "bench.csv": "de8dbc4414fca436262269a6203432ca2695a32c9133033c561a68bda5ba9efc",
+    },
+    "sweep": {
+        "sweep.csv": "b2402f961d40bcc110365da00f246b8626324d22259352cbdc21443fba539e2b",
+    },
+    "spectral": {
+        "compare__spectral.csv": "0652cd6d1850c1ded8d27a9a754f7188094e01c903a9d72ab582d5eb39de2409",
+        "reports__spectral.csv": "9ea6d5fe934df2a536b7e84716432d7eee15a95889864baca38b3c8494cd7b39",
+        "reports__spectral.json": "10e97fffd181aa2d14766da2e3864fe986579e3260a83382df64c45d224056d2",
+        "schedule_baseline__spectral.json": "b46b12828902990c7c911416ad1243d5e874fc087d5de471e1fb55ce8a59fc42",
+        "schedule_min_return__spectral.json": "8cc0dd4241e043a5d1dec5761b7b543eb102d4636946a54e9964842e51559293",
+        "schedule_parallel__spectral.json": "9e484f0d6a540b31810129ae81f4ede73be21569a620e93069a71387d4c80249",
+        "schedule_swap_return__spectral.json": "bf42ef606abf1e3a79affb2c0996e36b689199ff7d8a5262d0b93facedf1435e",
+        "schedule_tunable_velocity__spectral.json": "626085f442420a83fed30e5ed1ca0056776e9ba6c14e28727b8ea702065f2138",
+    },
+    "random": {
+        "compare__random_s0.csv": "3c2a80e303241c0132dd19c84a9ba3395a9e2717d4a018df5fdac40edff0362c",
+        "compare__random_s1.csv": "c9a2357f7d1d2d3a0f697f2442af684bb54f516514606cde657873db1225b2a5",
+        "reports__random_s0.csv": "af25fc22d1902dba9b960586b9c87003255e89b72e65389111d246b3200983e2",
+        "reports__random_s0.json": "056d66e3a2d474b174d5c045c7fea40ad897b7af794110316276bf331b8c3303",
+        "reports__random_s1.csv": "1321263012c7df7bc24faabf19471d5fa8d8f692f940693eabc4815d973177fa",
+        "reports__random_s1.json": "d75a99b90edca2fd294ebacd6de7e6ba29a765cf54575a53973f36e9453c939c",
+        "schedule_baseline__random_s0.json": "510fbabce3f2f33df6521da551a34c5e0a8cb11626ab4ef892b1a6805d053817",
+        "schedule_baseline__random_s1.json": "b73c1f2f47cade4703254047098e8f641e6b67b8f2442d0bbc3291bf0ff13f58",
+        "schedule_min_return__random_s0.json": "88791174a4c45cbc3448b67b123094c027bbda99860ade8a180163fd202d91ce",
+        "schedule_min_return__random_s1.json": "d30cadbc6560a1cf26a2cc2fb78a0c23ba980cec48d0e7d6e37b799debdef370",
+        "schedule_parallel__random_s0.json": "00d43775aa341bda735b8e3a72135fe9b3a49e7c25f98594faa86969cd509637",
+        "schedule_parallel__random_s1.json": "2aaf309ec3e227d79ade81c2168cc9b70c0fa3048deb41d7d303d4d900276124",
+        "schedule_swap_return__random_s0.json": "bed0b012912d793553b123f684ddef56aa36eddb00e38d63d13f0ab1617b7a64",
+        "schedule_swap_return__random_s1.json": "9d175c1d2cfb84eb93b5787690996776fa3cf5ca328d1200c3e54a9ecc20a740",
+        "schedule_tunable_velocity__random_s0.json": "298433d12f79141c8e216d0eb7ecca521cb78b49e5fa9cbce800e6ada2d79911",
+        "schedule_tunable_velocity__random_s1.json": "170ca17af06949bf9bbb9472da76a643e6ec7d876cf559a09e51e4422026a026",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_output_bytes(tmp_path, run):
+    out = tmp_path / run
+    assert main([str(a) for a in RUNS[run] + ["--out", out]]) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+    }
+    assert digests == GOLDEN[run]

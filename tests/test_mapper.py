@@ -1,22 +1,23 @@
 import pytest
 
 from spinbus.architecture import ArchitectureSpec, Location, distance, position
-from spinbus.circuit import Circuit, Gate, GateKind, decompose, slice_circuit
+from spinbus.circuit import (
+    Circuit,
+    Gate,
+    GateKind,
+    SlicedCircuit,
+    decompose,
+    slice_circuit,
+)
 from spinbus.error_model import ErrorModelParams, optimal_velocity, phase_error
 from spinbus.benchgen import BenchmarkSpec, generate
 from spinbus.mapper import (
     GateOp,
-    LayoutState,
     Schedule,
     ShuttleOp,
     STRATEGIES,
     _map_sliced,
-    map_baseline,
-    map_min_return,
-    map_parallel,
     map_strategy,
-    map_swap_return,
-    map_tunable_velocity,
     schedule_from_json,
     schedule_to_json,
     validate_schedule,
@@ -190,8 +191,8 @@ class TestMinReturn:
             c = decompose(generate(BenchmarkSpec(family="random", n=8, seed=seed)))
             sc = slice_circuit(c)
             p = Placement.identity(8)
-            tm = map_min_return(sc, arch(8), p, errp).total_time
-            tp = map_parallel(sc, arch(8), p, errp).total_time
+            tm = map_strategy("min_return", sc, arch(8), p, errp).total_time
+            tp = map_strategy("parallel", sc, arch(8), p, errp).total_time
             wins += tm <= tp + 1e-15
         assert wins == 45
 
@@ -299,11 +300,10 @@ class TestSwapReturn:
             c = decompose(generate(BenchmarkSpec(family="random", n=8, seed=seed)))
             sc = slice_circuit(c)
             p = Placement.identity(8)
-            plain = summarize(map_min_return(sc, arch(8), p, errp))
+            plain = summarize(map_strategy("min_return", sc, arch(8), p, errp))
+            # (dynamic_return, tunable, swap_returns): swap_return at fixed velocity
             swapped = _map_sliced(
-                sc, arch(8), p, errp,
-                strategy="swap_return_fixed_v",
-                dynamic_return=True, tunable=False, swap_returns=True,
+                sc, arch(8), p, errp, "swap_return_fixed_v", (True, False, True)
             )
             assert validate_schedule(swapped, arch(8)) == []
             wins += summarize(swapped).mean_error <= plain.mean_error + 1e-18
@@ -360,12 +360,14 @@ class TestScheduleInvariants:
         assert fenced.total_time == pytest.approx(plain.total_time)
 
     def test_mapper_rejects_extended_basis(self, errp):
+        sc = SlicedCircuit(Circuit(2, (Gate(GateKind.CX, (0, 1)),)), ((0,),))
         with pytest.raises(ValueError):
-            map_baseline(Circuit(2, (Gate(GateKind.CX, (0, 1)),)), arch(2), Placement.identity(2), errp)
+            map_strategy("baseline", sc, arch(2), Placement.identity(2), errp)
 
     def test_size_mismatch_rejected(self, errp):
+        sc = SlicedCircuit(Circuit(2, ()), ())
         with pytest.raises(ValueError):
-            map_baseline(Circuit(2, ()), arch(4), Placement.identity(4), errp)
+            map_strategy("baseline", sc, arch(4), Placement.identity(4), errp)
 
 
 class TestSerialization:
@@ -493,22 +495,3 @@ class TestValidator:
         )
         rules = {v.rule for v in validate_schedule(gate_only, arch(2))}
         assert "a" in rules
-
-
-class TestLayoutState:
-    def test_capacity_enforced(self):
-        with pytest.raises(ValueError):
-            LayoutState((Location.site(0), Location.site(0)))
-        with pytest.raises(ValueError):
-            LayoutState((Location.zone(1), Location.zone(1), Location.zone(1)))
-        LayoutState((Location.zone(1), Location.zone(1)))  # two per zone is fine
-
-    def test_occupancy_and_counts(self):
-        layout = LayoutState((Location.zone(1), Location.zone(1), Location.site(0)))
-        assert layout.occupancy()[Location.zone(1)] == (0, 1)
-        assert layout.zone_counts() == {1: 2}
-
-    def test_final_layout_of_schedule(self, errp):
-        s = run("min_return", Circuit(4, (cz(0, 3),)), 4, errp)
-        layout = s.final_layout
-        assert all(loc.is_site for loc in layout.assignment)
