@@ -12,6 +12,7 @@ interface speaks um / ns / m/s.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,6 +72,8 @@ class ArchitectureSpec:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.zone_offset < self.site_pitch:
             raise ValueError(
                 f"zone_offset ({self.zone_offset}) must be smaller than "
@@ -99,6 +102,10 @@ class ArchitectureSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ArchitectureSpec":
+        """Inverse of ``to_config``; keys it does not write are rejected."""
+        unknown = sorted(set(cfg) - set(cls(n_sites=2).to_config()))
+        if unknown:
+            raise ValueError(f"unknown architecture keys {unknown}")
         return cls(
             n_sites=int(cfg["n_sites"]),
             site_pitch=float(cfg.get("site_pitch_um", 2.0)) * UM,

@@ -81,13 +81,17 @@ def _fmt(x: float | None) -> str:
 
 
 def _load_json_file(path: str, what: str) -> dict:
+    """The JSON object held in ``path``; anything else is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{what} must hold a JSON object")
+    return cfg
 
 
 def _merge_config(cmd: str, given: dict) -> argparse.Namespace:
@@ -95,8 +99,6 @@ def _merge_config(cmd: str, given: dict) -> argparse.Namespace:
     config_path = given.pop("config", None)
     if config_path:
         file_cfg = _load_json_file(config_path, "config file")
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
         for key, value in file_cfg.items():
             if key not in merged:
                 raise ConfigError(f"unknown config key {key!r} for {cmd}")
@@ -123,7 +125,7 @@ def _build_arch(n: int, path: str | None) -> ArchitectureSpec:
         cfg = _load_json_file(path, "architecture config")
         cfg.setdefault("n_sites", n)
         arch = ArchitectureSpec.from_config(cfg)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad architecture: {exc}") from exc
     if arch.n_sites != n:
         raise ConfigError(
@@ -137,7 +139,7 @@ def _build_errp(path: str | None) -> ErrorModelParams:
         return ErrorModelParams()
     try:
         return ErrorModelParams.from_config(_load_json_file(path, "error-model config"))
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad error-model config: {exc}") from exc
 
 

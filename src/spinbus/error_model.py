@@ -62,6 +62,10 @@ class ErrorModelParams:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "ErrorModelParams":
+        """Inverse of ``to_config``; keys it does not write are rejected."""
+        unknown = sorted(set(cfg) - set(cls().to_config()))
+        if unknown:
+            raise ValueError(f"unknown error-model keys {unknown}")
         return cls(
             l_c=float(cfg.get("l_c_nm", 100.0)) * 1e-9,
             t2_star=float(cfg.get("t2_star_us", 20.0)) * 1e-6,

@@ -442,6 +442,23 @@ def _assign_pair(
     return {qa: s_hi, qb: s_lo}
 
 
+def _covers(t0s: list[float], t1s: list[float], ascending: bool, op: GateOp) -> bool:
+    """Whether some stay [t0s[i], t1s[i]] holds the gate, to within _EPS_T.
+
+    When both bound lists ascend with no NaN (as in any chain whose moves
+    do not overlap), the stays that begin by the gate's start are a prefix,
+    and the last of them ends latest, so one bisection answers; otherwise
+    every stay is tried. Both ways give the same answer as trying them all.
+    """
+    start = op.start + _EPS_T
+    if ascending and start == start:
+        k = bisect.bisect_right(t0s, start)
+        return k > 0 and op.end <= t1s[k - 1] + _EPS_T
+    return any(
+        t0 <= start and op.end <= t1 + _EPS_T for t0, t1 in zip(t0s, t1s)
+    )
+
+
 def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     """Check the schedule validity rules; an empty list means valid.
 
@@ -453,6 +470,12 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     (f) stored per-qubit errors match a fold over the shuttle ops
     (g) total_time is the latest op end
     plus internal shuttle-op consistency (duration, delta_c, chaining).
+
+    The cost is near-linear in the op count: each shuttle's endpoints are
+    located once, and a gate looks up only its operands' stays at its zone,
+    by bisection when they are in time order. Rule (d) still compares every
+    pair of moves that overlap in time, so a phase of k simultaneous
+    shuttles costs k^2 float tests.
     """
     out: list[Violation] = []
     n = s.circuit.num_qubits
@@ -465,9 +488,14 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
         else:
             gates.append((idx, op))
 
-    # shuttle-op internal consistency
+    # shuttle-op internal consistency; position() range-checks both ends,
+    # and the positions are kept for rule (d)
+    ends: dict[int, tuple[float, float]] = {}
     for idx, op in shuttles:
-        dist = distance(op.src, op.dst, spec)
+        p0 = position(op.src, spec)
+        p1 = position(op.dst, spec)
+        ends[idx] = (p0, p1)
+        dist = abs(p0 - p1)  # distance(op.src, op.dst, spec)
         if dist == 0.0:
             out.append(Violation("op", idx, "zero-distance shuttle present"))
             continue
@@ -478,8 +506,10 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
         if op.delta_c != want_dc:
             out.append(Violation("op", idx, f"delta_c {op.delta_c} != {want_dc}"))
 
-    # per-qubit motion chains and presence timelines
+    # per-qubit motion chains and presence timelines; zone stays are also
+    # indexed by zone for rule (a)
     timelines: dict[int, list[tuple[Location, float, float]]] = {}
+    zone_stays: dict[int, dict[Location, list]] = {}
     if sorted(s.initial_sites) != list(range(n)):
         out.append(Violation("c", None, "initial placement is not a bijection"))
     by_qubit: dict[int, list[tuple[int, ShuttleOp]]] = {q: [] for q in range(n)}
@@ -507,6 +537,18 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
             arrived = op.end
         timeline.append((cur, arrived, float("inf")))
         timelines[q] = timeline
+        stays: dict[Location, list] = {}  # zone -> [t0s, t1s, both ascending]
+        for loc, t0, t1 in timeline:
+            if loc.kind is LocationKind.ZONE:
+                entry = stays.get(loc)
+                if entry is None:
+                    stays[loc] = [[t0], [t1], t0 == t0]
+                else:
+                    t0s, t1s, ascending = entry
+                    entry[2] = ascending and t0s[-1] <= t0 and t1s[-1] <= t1
+                    t0s.append(t0)
+                    t1s.append(t1)
+        zone_stays[q] = stays
 
     # (a) gate operands present at the zone for the full gate
     for idx, op in gates:
@@ -515,11 +557,8 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
             continue
         zone_loc = Location.zone(op.zone)
         for q in s.circuit.gates[op.gate_index].qubits:
-            ok = any(
-                loc == zone_loc and t0 <= op.start + _EPS_T and op.end <= t1 + _EPS_T
-                for loc, t0, t1 in timelines.get(q, [])
-            )
-            if not ok:
+            entry = zone_stays.get(q, {}).get(zone_loc)
+            if not (entry and _covers(*entry, op)):
                 out.append(
                     Violation("a", idx, f"qubit {q} not at {zone_loc!r} for gate interval")
                 )
@@ -541,7 +580,7 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     ):
         for index, evts in events.items():
             count = 0
-            for _, delta in sorted(evts, key=lambda e: (e[0], e[1])):
+            for _, delta in sorted(evts):
                 count += delta
                 if count > cap:
                     out.append(
@@ -549,32 +588,36 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
                     )
                     break
 
-    # (d) simultaneously moving qubits keep their spatial order
-    def pos_at(op: ShuttleOp, t: float) -> float:
-        p0 = position(op.src, spec)
-        p1 = position(op.dst, spec)
-        return p0 + (p1 - p0) * (t - op.start) / op.duration
-
+    # (d) simultaneously moving qubits keep their spatial order. A move is
+    # (end, qubit, start, duration, p0, p1 - p0), at p0 + (p1 - p0) *
+    # (t - start) / duration at time t; max/min are spelled out as
+    # conditionals that pick the same operand as the builtins.
     moving = sorted(shuttles, key=lambda pair: (pair[1].start, pair[0]))
-    active: list[tuple[int, ShuttleOp]] = []
+    active: list[tuple[float, int, float, float, float, float]] = []
     for idx, op in moving:
-        active = [(i, o) for i, o in active if o.end > op.start + _EPS_T]
-        for other_idx, other in active:
-            if other.qubit == op.qubit:
+        start = op.start
+        end = op.end
+        dur = op.duration
+        p0, p1 = ends[idx]
+        dp = p1 - p0
+        cutoff = start + _EPS_T
+        active = [m for m in active if m[0] > cutoff]
+        for o_end, o_qubit, o_start, o_dur, o_p0, o_dp in active:
+            if o_qubit == op.qubit:
                 continue
-            lo = max(op.start, other.start)
-            hi = min(op.end, other.end)
+            lo = o_start if o_start > start else start
+            hi = o_end if o_end < end else end
             if hi - lo <= _EPS_T:
                 continue
-            d0 = pos_at(op, lo) - pos_at(other, lo)
-            d1 = pos_at(op, hi) - pos_at(other, hi)
+            d0 = (p0 + dp * (lo - start) / dur) - (o_p0 + o_dp * (lo - o_start) / o_dur)
+            d1 = (p0 + dp * (hi - start) / dur) - (o_p0 + o_dp * (hi - o_start) / o_dur)
             if d0 * d1 < 0 and min(abs(d0), abs(d1)) > 1e-12:
                 out.append(
                     Violation(
-                        "d", idx, f"qubits {op.qubit} and {other.qubit} cross mid-flight"
+                        "d", idx, f"qubits {op.qubit} and {o_qubit} cross mid-flight"
                     )
                 )
-        active.append((idx, op))
+        active.append((end, op.qubit, start, dur, p0, dp))
 
     # (e) everything parked at the end, bijectively
     final: list[int | None] = [None] * n

@@ -66,6 +66,8 @@ class _Token:
     col: int
 
 
+_MAX_NESTING = 100  # of unary minus and parentheses in one angle expression
+
 _SYMBOLS = ("->", "(", ")", "[", "]", "{", "}", ",", ";", "+", "-", "*", "/", "==")
 
 
@@ -134,6 +136,14 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _literal(convert, tok: _Token, what: str):
+    """``convert(tok.text)``; a malformed literal is a syntax error."""
+    try:
+        return convert(tok.text)
+    except ValueError:
+        raise QasmSyntaxError(f"bad {what} {tok.text!r}", tok.line, tok.col) from None
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -141,6 +151,7 @@ class _Parser:
         self.qreg: tuple[str, int] | None = None
         self.creg: tuple[str, int] | None = None
         self.gates: list[Gate] = []
+        self.depth = 0  # unary minus and parentheses open in _factor
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -208,12 +219,7 @@ class _Parser:
         size_tok = self._next("num")
         self._next("]")
         self._next(";")
-        try:
-            size = int(size_tok.text)
-        except ValueError:
-            raise QasmSyntaxError(
-                f"bad register size {size_tok.text!r}", size_tok.line, size_tok.col
-            ) from None
+        size = _literal(int, size_tok, "register size")
         if size < 1:
             raise QasmSyntaxError("register size must be >= 1", size_tok.line, size_tok.col)
         return name, size
@@ -231,7 +237,7 @@ class _Parser:
             self._next("[")
             idx_tok = self._next("num")
             self._next("]")
-            idx = int(idx_tok.text)
+            idx = _literal(int, idx_tok, "qubit index")
             if not 0 <= idx < reg_size:
                 raise QasmSyntaxError(
                     f"qubit index {idx} out of range [0, {reg_size})",
@@ -291,7 +297,7 @@ class _Parser:
             self._next("[")
             idx_tok = self._next("num")
             self._next("]")
-            if not 0 <= int(idx_tok.text) < self.creg[1]:
+            if not 0 <= _literal(int, idx_tok, "bit index") < self.creg[1]:
                 raise QasmSyntaxError(
                     f"bit index {idx_tok.text} out of range", idx_tok.line, idx_tok.col
                 )
@@ -339,16 +345,22 @@ class _Parser:
 
     def _factor(self) -> float:
         tok = self._next()
-        if tok.kind == "-":
-            return -self._factor()
+        if tok.kind in ("-", "("):
+            # bounded, so deep nesting is a syntax error, not a RecursionError
+            if self.depth == _MAX_NESTING:
+                raise QasmSyntaxError("expression nested too deeply", tok.line, tok.col)
+            self.depth += 1
+            if tok.kind == "-":
+                value = -self._factor()
+            else:
+                value = self._expr()
+                self._next(")")
+            self.depth -= 1
+            return value
         if tok.kind == "num":
-            return float(tok.text)
+            return _literal(float, tok, "number")
         if tok.kind == "id" and tok.text == "pi":
             return math.pi
-        if tok.kind == "(":
-            value = self._expr()
-            self._next(")")
-            return value
         raise QasmSyntaxError(f"bad expression token {tok.text!r}", tok.line, tok.col)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -246,5 +247,78 @@ class TestQubitCountRange:
         qasm = tmp_path / "one.qasm"
         qasm.write_text("qreg q[1]; h q[0];")
         assert run_cli("compile", "--input", qasm, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestConfigFiles:
+    """Bad --arch-config / --error-config files exit 2 with one error line."""
+
+    def _run(self, tmp_path, capsys, option, text, qasm=None):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        source = ["--gen", "ghz", "--n", 4] if qasm is None else ["--input", qasm]
+        code = run_cli(
+            "compile", *source, "--strategy", "baseline", option, cfg,
+            "--out", tmp_path / "out",
+        )
+        err = capsys.readouterr().err
+        return code, err
+
+    @pytest.mark.parametrize("option", ["--arch-config", "--error-config"])
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", "3", '"x"', "null"])
+    def test_non_object_exits_2(self, tmp_path, capsys, option, text):
+        code, err = self._run(tmp_path, capsys, option, text)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "option, cfg",
+        [
+            ("--arch-config", {"velocity_mps": 5}),
+            ("--arch-config", {"n_sites": 4, "site_pitch": 2.0}),
+            ("--error-config", {"t2_star": 10.0}),
+            ("--error-config", {"l_c_nm": 100.0, "hbar": 1e-34}),
+        ],
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, option, cfg):
+        code, err = self._run(tmp_path, capsys, option, json.dumps(cfg))
+        assert code == 2
+        assert "unknown" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "option, text",
+        [
+            ("--arch-config", '{"default_velocity_mps": 1e400}'),
+            ("--arch-config", '{"site_pitch_um": 1e400}'),
+            ("--arch-config", '{"t_2q_ns": NaN}'),
+            ("--arch-config", '{"zone_offset_um": null}'),
+            pytest.param("--arch-config", '{"site_pitch_um": 1%s}' % ("0" * 400), id="huge-int"),
+            ("--arch-config", '{"n_sites": 1e400}'),
+            ("--error-config", '{"l_c_nm": [1]}'),
+            pytest.param("--error-config", '{"d_bar_nm": 1%s}' % ("0" * 400), id="huge-int-err"),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, option, text):
+        code, err = self._run(tmp_path, capsys, option, text)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_written_configs_are_read_back(self, tmp_path, capsys):
+        # the header of a schedule file is a valid --arch-config and
+        # --error-config, keys and all
+        out = tmp_path / "first"
+        assert run_cli("compile", "--gen", "ghz", "--n", 4, "--strategy", "baseline",
+                       "--out", out) == 0
+        doc = json.loads((out / "schedule_baseline__spectral.json").read_text())
+        for option, key in (("--arch-config", "arch"), ("--error-config", "error_params")):
+            code, _ = self._run(tmp_path, capsys, option, json.dumps(doc[key]))
+            assert code == 0
+
+    @pytest.mark.parametrize("literal", ["0.", ".1", "1e0"])
+    def test_malformed_qasm_index_exits_1(self, tmp_path, capsys, literal):
+        qasm = tmp_path / "bad.qasm"
+        qasm.write_text(f"qreg q[2]; h q[{literal}];")
+        assert run_cli("compile", "--input", qasm, "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,4 +1,9 @@
+import dataclasses
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbus.architecture import ArchitectureSpec, Location, distance, position
 from spinbus.circuit import (
@@ -23,7 +28,8 @@ from spinbus.mapper import (
     validate_schedule,
 )
 from spinbus.metrics import summarize
-from spinbus.placement import Placement
+from spinbus.placement import Placement, random_placement
+from validator_oracle import oracle_validate_schedule
 
 US = 1e-6
 NS = 1e-9
@@ -385,6 +391,19 @@ class TestSerialization:
             assert type(got) is type(want)
             assert got.start == pytest.approx(want.start, abs=1e-12)
 
+    def test_reload_with_non_default_parameters(self):
+        # from_config accepts exactly the keys to_config writes, so every
+        # schedule file loads back, whatever its parameters
+        spec = ArchitectureSpec(n_sites=4, site_pitch=3e-6, default_velocity=7.5, t_2q=60e-9)
+        errp = ErrorModelParams(l_c=50e-9, t2_star=10e-6)
+        sc = slice_circuit(Circuit(4, (cz(0, 3), h(1))))
+        for strategy in STRATEGIES:
+            s = map_strategy(strategy, sc, spec, Placement.identity(4), errp)
+            back = schedule_from_json(schedule_to_json(s), circuit=s.circuit)
+            assert back.arch == spec
+            assert back.error_params.t2_star == pytest.approx(errp.t2_star, rel=1e-15)
+            assert len(back.ops) == len(s.ops)
+
     def test_header_fields(self, errp):
         import json
 
@@ -495,3 +514,216 @@ class TestValidator:
         )
         rules = {v.rule for v in validate_schedule(gate_only, arch(2))}
         assert "a" in rules
+
+
+# Mutation corpus: valid schedules of every strategy, each broken in one of
+# the ways below. A mutation takes (schedule, i, j) with arbitrary
+# nonnegative i and j and reduces them modulo whatever it indexes.
+def _replace_op(s, k, **changes):
+    ops = list(s.ops)
+    ops[k] = dataclasses.replace(ops[k], **changes)
+    return dataclasses.replace(s, ops=tuple(ops))
+
+
+def _nth(s, kind, i):
+    """Index into ``s.ops`` of the (i mod count)-th op of ``kind``."""
+    picks = [k for k, op in enumerate(s.ops) if isinstance(op, kind)]
+    return picks[i % len(picks)]
+
+
+def _shift_start(s, i, j):
+    # shifts from 100 ns down to the validator's 1e-15 s tolerance
+    dt = (-1e-7, -1e-9, -1e-15, 1e-15, 1e-9, 1e-7)[j % 6]
+    k = i % len(s.ops)
+    return _replace_op(s, k, start=s.ops[k].start + dt)
+
+
+def _stretch(s, i, j):
+    # a longer or shorter op: late arrivals, early departures, long gates
+    k = i % len(s.ops)
+    return _replace_op(s, k, duration=s.ops[k].duration * (0.5, 2.0, 10.0)[j % 3])
+
+
+def _swap_destinations(s, i, j):
+    a, b = _nth(s, ShuttleOp, i), _nth(s, ShuttleOp, j)
+    s = _replace_op(s, a, dst=s.ops[b].dst)
+    return _replace_op(s, b, dst=s.ops[a].dst)
+
+
+def _drop(s, i, j):
+    # counted from the end, so i = 0 drops the last return shuttle
+    k = len(s.ops) - 1 - i % len(s.ops)
+    return dataclasses.replace(s, ops=s.ops[:k] + s.ops[k + 1 :])
+
+
+def _duplicate(s, i, j):
+    op = s.ops[i % len(s.ops)]
+    k = j % (len(s.ops) + 1)
+    return dataclasses.replace(s, ops=s.ops[:k] + (op,) + s.ops[k:])
+
+
+def _inject_crossing(s, i, j):
+    """After the last op, two parked qubits at least two sites apart swap
+    sides through each other's zones and come back the same way."""
+    n = s.circuit.num_qubits
+    qa = i % n
+    far = [q for q in range(n) if abs(s.final_sites[q] - s.final_sites[qa]) >= 2]
+    if not far:
+        return s
+    qb = far[j % len(far)]
+    sa, sb = s.final_sites[qa], s.final_sites[qb]
+    v = s.arch.default_velocity
+
+    def move(q, src, dst, start):
+        d = distance(src, dst, s.arch)
+        return ShuttleOp(q, src, dst, start, v, d / v, phase_error(v, d, s.error_params))
+
+    t0, t1 = s.total_time, s.total_time + 1e-6
+    added = (
+        move(qa, Location.site(sa), Location.zone(sb), t0),
+        move(qb, Location.site(sb), Location.zone(sa), t0),
+        move(qa, Location.zone(sb), Location.site(sa), t1),
+        move(qb, Location.zone(sa), Location.site(sb), t1),
+    )
+    return dataclasses.replace(s, ops=s.ops + added)
+
+
+def _bad_qubit(s, i, j):
+    n = s.circuit.num_qubits
+    return _replace_op(s, _nth(s, ShuttleOp, i), qubit=(n, n + 3, -1)[j % 3])
+
+
+def _bad_zone(s, i, j):
+    n = s.circuit.num_qubits
+    if j % 2:
+        return _replace_op(s, _nth(s, GateOp, i), zone=(n, -1)[j // 2 % 2])
+    # a shuttle into a zone that does not exist: both validators raise
+    return _replace_op(s, _nth(s, ShuttleOp, i), dst=Location.zone(n))
+
+
+def _bad_gate_index(s, i, j):
+    count = len(s.circuit.gates)
+    return _replace_op(s, _nth(s, GateOp, i), gate_index=(count, -1, count + 5)[j % 3])
+
+
+MUTATIONS = {
+    "shift_start": _shift_start,
+    "stretch": _stretch,
+    "swap_destinations": _swap_destinations,
+    "drop": _drop,
+    "duplicate": _duplicate,
+    "inject_crossing": _inject_crossing,
+    "bad_qubit": _bad_qubit,
+    "bad_zone": _bad_zone,
+    "bad_gate_index": _bad_gate_index,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_schedules():
+    """One valid schedule per strategy and circuit, random placement."""
+    out = []
+    for family in ("qaoa", "random"):
+        sc = slice_circuit(decompose(generate(BenchmarkSpec(family=family, n=6, seed=1))))
+        for strategy in STRATEGIES:
+            s = map_strategy(strategy, sc, arch(6), random_placement(6, 1), ErrorModelParams())
+            out.append(s)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _mutation_corpus():
+    """(label, schedule): every valid schedule, then each mutation applied
+    at three spread-out positions."""
+    corpus = []
+    for base in _valid_schedules():
+        corpus.append((base.strategy, base))
+        for name, mutate in MUTATIONS.items():
+            for i, j in ((0, 1), (37, 4), (101, 11)):
+                corpus.append((f"{base.strategy}/{name}/{i},{j}", mutate(base, i, j)))
+    return tuple(corpus)
+
+
+def _outcome(validate, s):
+    """The violation list, or the type of the exception raised instead."""
+    try:
+        return validate(s, s.arch)
+    except Exception as exc:  # the exception type is part of the contract
+        return type(exc)
+
+
+def _reloaded(s):
+    """``s`` read back through its JSON form, or None where the form cannot
+    be read back (an out-of-range location)."""
+    try:
+        return schedule_from_json(schedule_to_json(s), s.circuit)
+    except ValueError:
+        return None
+
+
+class TestValidatorMatchesOracle:
+    """The validator returns exactly the reference oracle's violations, in
+    order, or raises the oracle's exception type."""
+
+    def test_corpus(self):
+        for label, s in _mutation_corpus():
+            for schedule in (s, _reloaded(s)):
+                if schedule is None:
+                    continue
+                want = _outcome(oracle_validate_schedule, schedule)
+                assert _outcome(validate_schedule, schedule) == want, label
+
+    def test_corpus_breaks_every_rule(self):
+        # the corpus is only a check if the oracle finds each kind of fault
+        # in it, and raises on some of it
+        rules, raised = set(), 0
+        for _, s in _mutation_corpus():
+            got = _outcome(oracle_validate_schedule, s)
+            if isinstance(got, type):
+                raised += 1
+            else:
+                rules.update(v.rule for v in got)
+        assert rules >= {"op", "a", "c", "d", "e", "f", "g"}
+        assert raised > 0
+
+    def test_stays_out_of_time_order(self):
+        # qubit 0 reaches zone 0 three times; a slow second move arrives
+        # after the third, so its stays there are out of time order, and only
+        # the third covers the gate
+        site, zone = Location.site(0), Location.zone(0)
+        moves = [
+            (site, zone, 0.5, 0.5), (zone, site, 1.5, 0.1), (site, zone, 1.7, 8.3),
+            (zone, site, 2.0, 0.1), (site, zone, 2.2, 0.3), (zone, site, 5.0, 0.1),
+        ]
+        ops = [ShuttleOp(0, a, b, t * US, 10.0, d * US, 0.0) for a, b, t, d in moves]
+        s = Schedule(
+            strategy="handmade", circuit=Circuit(2, (h(0),)), arch=arch(2),
+            error_params=ErrorModelParams(), initial_sites=(0, 1),
+            ops=(*ops, GateOp(0, 0, 3.0 * US, 20 * NS)),
+            total_time=10 * US, per_qubit_error=(0.0, 0.0), final_sites=(0, 1),
+        )
+        want = oracle_validate_schedule(s, s.arch)
+        assert "a" not in {v.rule for v in want}
+        assert validate_schedule(s, s.arch) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.integers(0, 9),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(MUTATIONS)),
+                st.integers(0, 2**16),
+                st.integers(0, 2**16),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_random_mutations(self, base, steps):
+        s = _valid_schedules()[base]
+        for name, i, j in steps:
+            s = MUTATIONS[name](s, i, j)
+        for schedule in (s, _reloaded(s)):
+            if schedule is not None:
+                want = _outcome(oracle_validate_schedule, schedule)
+                assert _outcome(validate_schedule, schedule) == want

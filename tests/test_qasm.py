@@ -1,10 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
 from spinbus.circuit import Circuit, Gate, GateKind
 from spinbus.qasm import (
+    QasmError,
     QasmSyntaxError,
     UnsupportedConstructError,
     export_qasm,
@@ -143,3 +146,61 @@ def test_export_round_trip_generated(family):
     back = parse_qasm(export_qasm(c))
     assert back.num_qubits == c.num_qubits
     assert back.gates == c.gates
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "qreg q[2]; h q[0.];",
+        "qreg q[2]; h q[.1];",
+        "qreg q[2]; h q[1e0];",
+        "qreg q[2]; rz(0..3) q[0];",
+        "qreg q[2]; creg c[2]; measure q[0] -> c[0.5];",
+        "qreg q[\u00b2];",  # a digit to str.isdigit, not to int()
+    ],
+)
+def test_malformed_numeric_literal_is_syntax_error(text):
+    with pytest.raises(QasmSyntaxError) as info:
+        parse_qasm(text)
+    assert "bad " in str(info.value)
+
+
+def test_deep_nesting_is_syntax_error():
+    for opener in ("(", "-"):
+        closer = ")" if opener == "(" else ""
+        deep = "qreg q[1]; rz(" + opener * 3000 + "1" + closer * 3000 + ") q[0];"
+        with pytest.raises(QasmSyntaxError, match="nested too deeply"):
+            parse_qasm(deep)
+    # realistic nesting still parses
+    assert parse_qasm("qreg q[1]; rz(" + "(" * 50 + "-1" + ")" * 50 + ") q[0];").gates[0].angle == -1.0
+
+
+# numeric literals as the tokenizer reads them: digits and dots with an
+# optional exponent, plus a few that only look numeric
+_LITERALS = st.from_regex(r"[0-9.]{1,5}([eE][+-]?[0-9]{0,3})?", fullmatch=True) | st.sampled_from(
+    ["\u00b2", "\u0663", "1e999", "9" * 5000]
+)
+_STATEMENTS = st.one_of(
+    st.builds("h q[{}];".format, _LITERALS),
+    st.builds("rz({}) q[0];".format, _LITERALS),
+    st.builds("rx(-({})*pi/{}) q[1];".format, _LITERALS, _LITERALS),
+    st.builds("measure q[0] -> c[{}];".format, _LITERALS),
+    st.builds("cx q[{}],q[{}];".format, _LITERALS, _LITERALS),
+    st.text(alphabet="qch[](),;-+*/.0123456789eE pi->", max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=60),
+        st.lists(_STATEMENTS, max_size=6).map(
+            lambda body: "OPENQASM 2.0; qreg q[3]; creg c[3]; " + " ".join(body)
+        ),
+    )
+)
+def test_parse_raises_only_qasm_errors(text):
+    try:
+        parse_qasm(text)
+    except QasmError:
+        pass
