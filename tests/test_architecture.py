@@ -107,6 +107,8 @@ def test_config_round_trip(spec):
     }
     again = ArchitectureSpec.from_config(json.loads(json.dumps(cfg)))
     assert again == spec
+    custom = ArchitectureSpec(n_sites=5, site_pitch=3 * UM, default_velocity=7.5)
+    assert ArchitectureSpec.from_config(json.loads(json.dumps(custom.to_config()))) == custom
 
 
 @pytest.mark.parametrize("name", ["site_pitch", "zone_offset", "default_velocity", "t_1q", "t_2q"])
@@ -120,5 +122,3 @@ def test_non_finite_values_rejected(name):
 def test_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="velocity_mps"):
         ArchitectureSpec.from_config({"n_sites": 4, "velocity_mps": 5.0})
-    spec = ArchitectureSpec(n_sites=5, site_pitch=3 * UM, default_velocity=7.5)
-    assert ArchitectureSpec.from_config(json.loads(json.dumps(spec.to_config()))) == spec

@@ -304,17 +304,6 @@ class TestConfigFiles:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_written_configs_are_read_back(self, tmp_path, capsys):
-        # the header of a schedule file is a valid --arch-config and
-        # --error-config, keys and all
-        out = tmp_path / "first"
-        assert run_cli("compile", "--gen", "ghz", "--n", 4, "--strategy", "baseline",
-                       "--out", out) == 0
-        doc = json.loads((out / "schedule_baseline__spectral.json").read_text())
-        for option, key in (("--arch-config", "arch"), ("--error-config", "error_params")):
-            code, _ = self._run(tmp_path, capsys, option, json.dumps(doc[key]))
-            assert code == 0
-
     @pytest.mark.parametrize("literal", ["0.", ".1", "1e0"])
     def test_malformed_qasm_index_exits_1(self, tmp_path, capsys, literal):
         qasm = tmp_path / "bad.qasm"

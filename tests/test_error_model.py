@@ -96,14 +96,9 @@ def test_defaults_match_table_units(p):
     assert again.e_vs0 == pytest.approx(p.e_vs0, rel=1e-15)
 
 
-def test_from_config_rejects_unknown_keys(p):
+def test_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="t2_us"):
         ErrorModelParams.from_config({"t2_us": 10.0})
-    # every key to_config writes is read back
-    custom = ErrorModelParams(l_c=50e-9, t2_star=10e-6, d_bar=20e-9)
-    again = ErrorModelParams.from_config(custom.to_config())
-    for name in ("l_c", "t2_star", "l_dot", "e_vs0", "d_bar", "a_x"):
-        assert getattr(again, name) == pytest.approx(getattr(custom, name), rel=1e-15)
 
 
 class TestDerivative:
