@@ -106,8 +106,11 @@ class ArchitectureSpec:
         unknown = sorted(set(cfg) - set(cls(n_sites=2).to_config()))
         if unknown:
             raise ValueError(f"unknown architecture keys {unknown}")
+        n_sites = cfg["n_sites"]
+        if isinstance(n_sites, bool) or int(n_sites) != float(n_sites):
+            raise ValueError(f"n_sites must be a whole number, got {n_sites!r}")
         return cls(
-            n_sites=int(cfg["n_sites"]),
+            n_sites=int(n_sites),
             site_pitch=float(cfg.get("site_pitch_um", 2.0)) * UM,
             zone_offset=float(cfg.get("zone_offset_um", 1.0)) * UM,
             default_velocity=float(cfg.get("default_velocity_mps", 10.0)),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,34 +37,55 @@ BENCH_HEADER = "family,strategy,placement,seed,total_time_ns,mean_dC,std_dC"
 SWEEP_HEADER = "family,n,depth,strategy,time_ratio,error_ratio"
 COMPARE_HEADER = "strategy,time_ratio,error_ratio"
 
-_COMMON_DEFAULTS = {
-    "arch_config": None,
-    "error_config": None,
-    "out": "out",
-    "seed": 0,
-    "runs": 10,
-    "qaoa_rounds": 1,
+
+def _duration_ns(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"want a finite number of ns >= 0, got {text!r}")
+    return value
+
+
+# The one declaration of every option: key -> (default, type, choices, help).
+# It builds the subparsers, gives the defaults, names the keys a --config
+# file may hold (all but "config") and converts their values.
+_COMMON_OPTIONS = {
+    "arch_config": (None, str, None, "architecture JSON (um/ns units)"),
+    "error_config": (None, str, None, "error-model JSON (nm/us/ueV units)"),
+    "config": (None, str, None, "JSON config file; flags override it"),
+    "out": ("out", str, None, "output directory (default: out)"),
+    "seed": (0, int, None, None),
+    "runs": (10, int, None, "random-placement repetitions"),
+    "qaoa_rounds": (1, int, None, None),
 }
 
-DEFAULTS = {
+OPTIONS = {
     "compile": {
-        **_COMMON_DEFAULTS,
-        "input": None,
-        "gen": None,
-        "n": None,
-        "depth": None,
-        "strategy": "all",
-        "placement": "spectral",
-        "measure_duration": None,
-        "format": "json,csv",
+        **_COMMON_OPTIONS,
+        "input": (None, str, None, "OpenQASM 2.0 file"),
+        "gen": (None, str, FAMILIES, "generate a benchmark family"),
+        "n": (None, int, None, "qubit count for --gen"),
+        "depth": (None, int, None, "depth for --gen random"),
+        "strategy": ("all", str, ("all",) + STRATEGIES, None),
+        "placement": ("spectral", str, PLACEMENT_MODES, None),
+        "measure_duration": (
+            None, _duration_ns, None, "schedule MEASURE as a gate of this many ns"
+        ),
+        "format": ("json,csv", str, None, "comma-set of json,csv"),
     },
-    "bench": {**_COMMON_DEFAULTS, "n": 16, "families": ",".join(FAMILIES)},
+    "bench": {
+        **_COMMON_OPTIONS,
+        "n": (16, int, None, None),
+        "families": (",".join(FAMILIES), str, None, None),
+    },
     "sweep": {
-        **_COMMON_DEFAULTS,
-        "n_min": 10,
-        "n_max": 30,
-        "n_step": 5,
-        "families": ",".join(FAMILIES),
+        **_COMMON_OPTIONS,
+        "n_min": (10, int, None, None),
+        "n_max": (30, int, None, None),
+        "n_step": (5, int, None, None),
+        "families": (",".join(FAMILIES), str, None, None),
     },
 }
 
@@ -85,36 +107,41 @@ def _load_json_file(path: str, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path, bad UTF-8, huge int
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{what} must hold a JSON object")
     return cfg
 
 
+def _convert(key: str, value, option: tuple):
+    """A config-file value, converted and checked as argparse does the flag's
+    text; a list joins with commas where the option takes text."""
+    _, kind, choices, _ = option
+    if isinstance(value, list) and kind is str:
+        value = ",".join(map(str, value))
+    try:
+        value = kind(str(value))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+    if choices is not None and value not in choices:
+        raise ConfigError(f"bad value for {key!r}: {value!r}; pick from {choices}")
+    return value
+
+
 def _merge_config(cmd: str, given: dict) -> argparse.Namespace:
-    merged = dict(DEFAULTS[cmd])
-    config_path = given.pop("config", None)
-    if config_path:
-        file_cfg = _load_json_file(config_path, "config file")
-        for key, value in file_cfg.items():
-            if key not in merged:
+    """Defaults, then the --config file (JSON null leaves a key unset), then flags."""
+    options = OPTIONS[cmd]
+    merged = {key: option[0] for key, option in options.items()}
+    if given.get("config"):
+        for key, value in _load_json_file(given["config"], "config file").items():
+            if key not in options or key == "config":
                 raise ConfigError(f"unknown config key {key!r} for {cmd}")
-            merged[key] = value
+            if value is not None:
+                merged[key] = _convert(key, value, options[key])
     merged.update(given)
-    # coerce config-file scalars to the type the default implies
-    for key, default in DEFAULTS[cmd].items():
-        value = merged[key]
-        if value is None or default is None:
-            continue
-        if isinstance(value, list) and isinstance(default, str):
-            value = ",".join(str(v) for v in value)
-        try:
-            merged[key] = type(default)(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     return argparse.Namespace(cmd=cmd, **merged)
 
 
@@ -143,6 +170,14 @@ def _build_errp(path: str | None) -> ErrorModelParams:
         raise ConfigError(f"bad error-model config: {exc}") from exc
 
 
+def _out_dir(path: str) -> Path:
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create output directory {path!r}: {exc}") from exc
+    return Path(path)
+
+
 def _load_circuit(args: argparse.Namespace) -> Circuit:
     if bool(args.input) == bool(args.gen):
         raise ConfigError("exactly one of --input and --gen is required")
@@ -150,17 +185,17 @@ def _load_circuit(args: argparse.Namespace) -> Circuit:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read {args.input!r}: {exc}") from exc
         return parse_qasm(text)
     if args.n is None:
         raise ConfigError("--gen needs --n")
     spec = _benchmark_spec(
         family=args.gen,
-        n=int(args.n),
+        n=args.n,
         seed=args.seed,
         qaoa_rounds=args.qaoa_rounds,
-        depth=None if args.depth is None else int(args.depth),
+        depth=args.depth,
     )
     return generate(spec)
 
@@ -180,13 +215,9 @@ def _placements(
         return [("spectral", None, spectral_placement(build_interaction_graph(sliced)))]
     if mode == "identity":
         return [("identity", None, Placement.identity(n))]
-    if mode == "random":
-        if runs < 1:
-            raise ConfigError("--runs must be >= 1")
-        return [
-            ("random", seed + i, random_placement(n, seed + i)) for i in range(runs)
-        ]
-    raise ConfigError(f"unknown placement mode {mode!r}")
+    if runs < 1:
+        raise ConfigError("--runs must be >= 1")
+    return [("random", seed + i, random_placement(n, seed + i)) for i in range(runs)]
 
 
 def _run_matrix(cases, modes, strategies, args, errp, measure_duration=None):
@@ -220,22 +251,19 @@ def _run_matrix(cases, modes, strategies, args, errp, measure_duration=None):
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    if args.strategy not in ("all",) + STRATEGIES:
-        raise ConfigError(f"unknown strategy {args.strategy!r}")
     circuit = _load_circuit(args)
     sliced = slice_circuit(decompose(circuit))
     arch = _build_arch(circuit.num_qubits, args.arch_config)
     errp = _build_errp(args.error_config)
     measure_duration = (
-        None if args.measure_duration is None else float(args.measure_duration) * 1e-9
+        None if args.measure_duration is None else args.measure_duration * 1e-9
     )
     strategies = list(STRATEGIES) if args.strategy == "all" else [args.strategy]
     formats = {f.strip() for f in args.format.split(",")} - {""}
     if not formats or not formats <= {"json", "csv"}:
         raise ConfigError(f"--format wants json,csv subsets, got {args.format!r}")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     per_placement: dict[str, list] = {}
     per_strategy: dict[str, list] = {s: [] for s in strategies}
@@ -329,8 +357,7 @@ def _write_rows(out_dir: Path, name: str, header: str, rows: list[tuple]) -> Non
 def cmd_bench(args: argparse.Namespace) -> int:
     cases = _family_cases(_parse_families(args.families), [args.n], args)
     errp = _build_errp(args.error_config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     rows = [
         (
@@ -357,8 +384,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sizes = range(args.n_min, args.n_max + 1, args.n_step)
     cases = _family_cases(families, sizes, args)
     errp = _build_errp(args.error_config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     spectral, randoms = {}, {}
     matrix = _run_matrix(cases, ("spectral", "random"), STRATEGIES, args, errp)
@@ -380,7 +406,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {"compile": cmd_compile, "bench": cmd_bench, "sweep": cmd_sweep}
+_COMMANDS = {
+    "compile": (cmd_compile, "compile one circuit"),
+    "bench": (cmd_bench, "families x strategies x placements matrix"),
+    "sweep": (cmd_sweep, "placement-impact ratios over qubit counts"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -389,62 +419,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Compile quantum circuits onto a 1D spin-qubit shuttling bus.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--arch-config", help="architecture JSON (um/ns units)")
-        p.add_argument("--error-config", help="error-model JSON (nm/us/ueV units)")
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--runs", type=int, help="random-placement repetitions")
-        p.add_argument("--qaoa-rounds", type=int)
-
-    p_compile = sub.add_parser(
-        "compile", argument_default=argparse.SUPPRESS, help="compile one circuit"
-    )
-    common(p_compile)
-    p_compile.add_argument("--input", help="OpenQASM 2.0 file")
-    p_compile.add_argument("--gen", choices=FAMILIES, help="generate a benchmark family")
-    p_compile.add_argument("--n", type=int, help="qubit count for --gen")
-    p_compile.add_argument("--depth", type=int, help="depth for --gen random")
-    p_compile.add_argument("--strategy", choices=("all",) + STRATEGIES)
-    p_compile.add_argument("--placement", choices=PLACEMENT_MODES)
-    p_compile.add_argument(
-        "--measure-duration", type=float, help="schedule MEASURE as a gate of this many ns"
-    )
-    p_compile.add_argument("--format", help="comma-set of json,csv")
-
-    p_bench = sub.add_parser(
-        "bench",
-        argument_default=argparse.SUPPRESS,
-        help="families x strategies x placements matrix",
-    )
-    common(p_bench)
-    p_bench.add_argument("--n", type=int)
-    p_bench.add_argument("--families")
-
-    p_sweep = sub.add_parser(
-        "sweep",
-        argument_default=argparse.SUPPRESS,
-        help="placement-impact ratios over qubit counts",
-    )
-    common(p_sweep)
-    p_sweep.add_argument("--n-min", type=int)
-    p_sweep.add_argument("--n-max", type=int)
-    p_sweep.add_argument("--n-step", type=int)
-    p_sweep.add_argument("--families")
-
+    for cmd, options in OPTIONS.items():
+        p = sub.add_parser(cmd, argument_default=argparse.SUPPRESS, help=_COMMANDS[cmd][1])
+        for key, (_, kind, choices, help_text) in options.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"), type=kind, choices=choices, help=help_text
+            )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    parsed = parser.parse_args(argv)
-    given = vars(parsed)
+    given = vars(_build_parser().parse_args(argv))
     cmd = given.pop("cmd")
     try:
         args = _merge_config(cmd, given)
-        return _COMMANDS[cmd](args)
+        return _COMMANDS[cmd][0](args)
     except QasmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

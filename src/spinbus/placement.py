@@ -53,11 +53,6 @@ class InteractionGraph:
         u_idx, v_idx = np.nonzero(np.triu(self.weights, 1))
         return [(int(u), int(v), float(self.weights[u, v])) for u, v in zip(u_idx, v_idx)]
 
-    def to_edge_csv(self) -> str:
-        lines = ["u,v,weight"]
-        lines += [f"{u},{v},{w!r}" for u, v, w in self.edges()]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class Placement:

@@ -32,13 +32,6 @@ GATE_TABLE = {
     "swap": GateKind.SWAP,
 }
 
-_KNOWN_UNSUPPORTED = {
-    "gate", "opaque", "if", "reset", "ccx", "cswap", "u", "u1", "u2", "u3",
-    "crz", "cry", "crx", "cp", "cu1", "cu3", "rzz", "rxx", "ch", "csx", "id",
-    "sx", "sxdg", "p", "r",
-}
-
-
 class QasmError(Exception):
     """Base for QASM front-end failures; carries line and column."""
 
@@ -209,8 +202,6 @@ class _Parser:
         if name in GATE_TABLE:
             self._gate(tok)
             return
-        if name in _KNOWN_UNSUPPORTED:
-            raise UnsupportedConstructError(name, tok.line, tok.col)
         raise UnsupportedConstructError(name, tok.line, tok.col)
 
     def _register_decl(self) -> tuple[str, int]:

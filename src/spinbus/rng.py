@@ -44,6 +44,3 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def choice(self, items):
-        return items[self.randbelow(len(items))]

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbus.cli import BENCH_HEADER, COMPARE_HEADER, SWEEP_HEADER, main
+from spinbus.benchgen import FAMILIES
+from spinbus.cli import (
+    BENCH_HEADER, COMPARE_HEADER, OPTIONS, PLACEMENT_MODES, SWEEP_HEADER, main,
+)
 from spinbus.mapper import STRATEGIES
 
 GHZ_QASM = """OPENQASM 2.0;
@@ -19,9 +22,19 @@ cx q[1],q[2];
 cx q[2],q[3];
 """
 
+MEASURE_QASM = "qreg q[3]; creg c[3]; h q[0]; measure q -> c;"
+
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def exit_code(*args):
+    """The exit code of a run, whether main returns it or argparse exits."""
+    try:
+        return run_cli(*args)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestCompile:
@@ -151,6 +164,27 @@ class TestCompile:
         gate_ops = [op for op in doc["ops"] if "gate" in op]
         assert len(gate_ops) == 3  # H plus two measures
         assert any(op["dur_ns"] == 250.0 for op in gate_ops)
+
+    @pytest.mark.parametrize("value", ["nan", "-50", "inf", "-inf", "x"])
+    def test_measure_duration_out_of_range_exits_2(self, tmp_path, capsys, value):
+        qasm = tmp_path / "m.qasm"
+        qasm.write_text(MEASURE_QASM)
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"measure_duration": %s}' % json.dumps(value))
+        base = ("compile", "--input", qasm, "--strategy", "baseline", "--out", tmp_path)
+        for extra in (("--measure-duration", value), ("--config", cfg)):
+            assert exit_code(*base, *extra) == 2, extra
+            err = capsys.readouterr().err  # a flag error comes after argparse's usage
+            assert sum("error: " in line for line in err.splitlines()) == 1
+
+    def test_measure_duration_zero(self, tmp_path):
+        qasm = tmp_path / "m.qasm"
+        qasm.write_text(MEASURE_QASM)
+        code = run_cli(
+            "compile", "--input", qasm, "--strategy", "baseline",
+            "--measure-duration", 0, "--out", tmp_path / "out",
+        )
+        assert code == 0
 
     def test_csv_only_format(self, tmp_path):
         out = tmp_path / "out"
@@ -295,6 +329,7 @@ class TestConfigFiles:
             ("--arch-config", '{"zone_offset_um": null}'),
             pytest.param("--arch-config", '{"site_pitch_um": 1%s}' % ("0" * 400), id="huge-int"),
             ("--arch-config", '{"n_sites": 1e400}'),
+            ("--arch-config", '{"n_sites": 4.7}'),
             ("--error-config", '{"l_c_nm": [1]}'),
             pytest.param("--error-config", '{"d_bar_nm": 1%s}' % ("0" * 400), id="huge-int-err"),
         ],
@@ -311,3 +346,160 @@ class TestConfigFiles:
         assert run_cli("compile", "--input", qasm, "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# JSON values of every kind the exit-code property draws from
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10, 10),
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=12),
+    st.sampled_from(FAMILIES + PLACEMENT_MODES + STRATEGIES + ("all", "csv")),
+)
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))
+# values each option accepts; sizes, which set how much work a run does, stay small
+_VALID = {
+    **{key: st.sampled_from(opt[2]) for key, opt in OPTIONS["compile"].items() if opt[2]},
+    "n": st.integers(-2, 8),
+    "runs": st.integers(-2, 3),
+    "depth": st.integers(-2, 8),
+    "qaoa_rounds": st.integers(-2, 3),
+    "seed": st.integers(-(10**400), 10**400),
+    "measure_duration": st.floats(0, 1e12),
+    "format": st.sampled_from(["csv", "json", ["json", "csv"]]),
+}
+_SIZES = ("n", "runs", "depth", "qaoa_rounds")
+
+
+def _config_value(key):
+    """A value the option accepts three times in four, else any JSON value
+    (for a size, any but an integer)."""
+    other = _JSON_VALUES
+    if key in _SIZES:
+        other = _JSON_VALUES.filter(lambda v: type(v) is not int)
+    if key not in _VALID:
+        return other
+    return st.integers(0, 3).flatmap(lambda i: _VALID[key] if i else other)
+
+
+def _config_dict(keys):
+    return st.fixed_dictionaries({key: _config_value(key) for key in keys})
+
+
+# a circuit (gen, n) that often runs, then up to four keys of any kind
+_COMPILE_CONFIGS = st.tuples(
+    _config_dict(["gen", "n"]),
+    st.lists(
+        st.sampled_from(sorted(OPTIONS["compile"]) + ["bogus", "N", "strategies"]),
+        unique=True,
+        max_size=4,
+    ).flatmap(_config_dict),
+).map(lambda parts: {**parts[0], **parts[1]})
+
+
+class TestRunConfig:
+    """The --config file: the options' own keys, converted like the flags."""
+
+    def _run(self, tmp_path, capsys, cfg, *flags):
+        path = tmp_path / "run.json"
+        path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
+        code = run_cli("compile", "--config", path, *flags)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"gen": "ghz", "n": "abc"},
+            {"gen": "random", "n": 4, "depth": "x"},
+            {"gen": "ghz", "n": 4, "measure_duration": "x"},
+            {"gen": "ghz", "n": [4]},
+            {"gen": "ghz", "n": 4.7},
+            {"gen": "ghz", "n": 4, "seed": 1.9},
+            {"gen": "ghz", "n": True},
+            {"gen": "ghz", "n": 4, "strategy": "fastest"},
+            {"gen": "ghz", "n": 4, "placement": "sorted"},
+            {"gen": "ghz", "n": 4, "placement": ["random", "spectral"]},
+            {"gen": "bell", "n": 4},
+            {"gen": "ghz", "n": 4, "config": "other.json"},
+            {"input": "a\x00b.qasm"},
+            {"gen": "ghz", "n": 4, "arch_config": "a\x00b.json"},
+            pytest.param(b'{"n": 1%s}' % (b"0" * 5000), id="over-int-digit-limit"),
+            pytest.param(b'{"gen": "\xff"}', id="not-utf-8"),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, cfg):
+        code, err = self._run(tmp_path, capsys, cfg, "--out", tmp_path / "out")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_null_means_unset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"gen": "ghz", "n": 4, "out": None, "strategy": None, "seed": None}
+        ))
+        assert run_cli("compile", "--config", cfg, "--format", "csv") == 0
+        compare = (tmp_path / "out" / "compare__spectral.csv").read_text()
+        assert len(compare.splitlines()) == 1 + len(STRATEGIES)  # --strategy all
+
+    @pytest.mark.parametrize("out", ["a\x00b", "taken"])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("a file, not a directory")
+        code, err = self._run(tmp_path, capsys, {"gen": "ghz", "n": 4, "out": out})
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags, cfg",
+        [
+            (
+                ["compile", "--gen", "qaoa", "--n", "5", "--placement", "random",
+                 "--runs", "2", "--seed", "3", "--measure-duration", "40"],
+                {"gen": "qaoa", "n": 5, "placement": "random", "runs": 2, "seed": 3,
+                 "measure_duration": 40},
+            ),
+            (
+                ["bench", "--n", "4", "--families", "ghz,dj", "--runs", "2",
+                 "--qaoa-rounds", "2"],
+                {"n": "4", "families": ["ghz", "dj"], "runs": 2, "qaoa_rounds": 2},
+            ),
+            (
+                ["sweep", "--n-min", "4", "--n-max", "5", "--n-step", "1",
+                 "--families", "ghz", "--runs", "2"],
+                {"n_min": 4, "n_max": 5, "n_step": 1, "families": "ghz", "runs": 2},
+            ),
+        ],
+    )
+    def test_config_file_matches_flags(self, tmp_path, flags, cfg):
+        by_flags, by_file = tmp_path / "flags", tmp_path / "file"
+        assert run_cli(*flags, "--out", by_flags) == 0
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(flags[0], "--config", path, "--out", by_file) == 0
+        names = sorted(p.name for p in by_flags.iterdir())
+        assert names and names == sorted(p.name for p in by_file.iterdir())
+        for name in names:
+            assert (by_flags / name).read_bytes() == (by_file / name).read_bytes(), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=_COMPILE_CONFIGS)
+    def test_exit_codes(self, cfg):
+        """Any --config file: exit 0, 1 or 2, never a traceback, and a
+        failure is one `error:` line."""
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/run.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(cfg, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([
+                    "compile", "--config", path, "--strategy", "baseline",
+                    "--format", "csv", "--out", f"{tmp}/out",
+                ])
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

@@ -83,10 +83,6 @@ class TestInteractionGraph:
         sc = slice_circuit(Circuit(2, gates))
         assert not build_interaction_graph(sc).edges()
 
-    def test_edge_csv(self):
-        g = path3()
-        assert g.to_edge_csv() == "u,v,weight\n0,1,1.0\n1,2,1.0\n"
-
 
 class TestLaplacian:
     def test_path_graph(self):
