@@ -178,6 +178,14 @@ def _out_dir(path: str) -> Path:
     return Path(path)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file; failing to is a ConfigError, not a traceback."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def _load_circuit(args: argparse.Namespace) -> Circuit:
     if bool(args.input) == bool(args.gen):
         raise ConfigError("exactly one of --input and --gen is required")
@@ -275,29 +283,23 @@ def cmd_compile(args: argparse.Namespace) -> int:
         ptag = mode if seed is None else f"{mode}_s{seed}"
         if "json" in formats:
             path = out_dir / f"schedule_{strategy}__{ptag}.json"
-            path.write_text(schedule_to_json(schedule), encoding="utf-8")
+            _write_text(path, schedule_to_json(schedule))
         per_placement.setdefault(ptag, []).append(report)
         per_strategy[strategy].append(report)
         del schedule  # only one schedule alive at a time; see _run_matrix
 
     for ptag, reports in per_placement.items():
         if "csv" in formats:
-            (out_dir / f"reports__{ptag}.csv").write_text(
-                reports_to_csv(reports), encoding="utf-8"
-            )
+            _write_text(out_dir / f"reports__{ptag}.csv", reports_to_csv(reports))
         if "json" in formats:
-            (out_dir / f"reports__{ptag}.json").write_text(
-                reports_to_json(reports), encoding="utf-8"
-            )
+            _write_text(out_dir / f"reports__{ptag}.json", reports_to_json(reports))
         if len(reports) == len(STRATEGIES) and "csv" in formats:
             rows = [COMPARE_HEADER]
             for ratios in compare(reports):
                 rows.append(
                     f"{ratios.strategy},{_fmt(ratios.time_ratio)},{_fmt(ratios.error_ratio)}"
                 )
-            (out_dir / f"compare__{ptag}.csv").write_text(
-                "\n".join(rows) + "\n", encoding="utf-8"
-            )
+            _write_text(out_dir / f"compare__{ptag}.csv", "\n".join(rows) + "\n")
 
     for strategy in strategies:
         reports = per_strategy[strategy]
@@ -350,7 +352,7 @@ def _family_cases(families: list[str], sizes, args: argparse.Namespace):
 
 def _write_rows(out_dir: Path, name: str, header: str, rows: list[tuple]) -> None:
     text = "\n".join([header] + [",".join(r) for r in sorted(rows)]) + "\n"
-    (out_dir / name).write_text(text, encoding="utf-8")
+    _write_text(out_dir / name, text)
     print(f"{name.split('.')[0]}: {len(rows)} rows -> {out_dir / name}")
 
 

@@ -37,8 +37,8 @@ class InteractionGraph:
         object.__setattr__(self, "weights", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be square, got shape {w.shape}")
-        if not np.allclose(w, w.T, atol=0.0):
-            raise ValueError("weights must be symmetric")
+        if not np.array_equal(w, w.T):
+            raise ValueError("weights must be exactly symmetric")
         if np.any(np.diag(w) != 0.0):
             raise ValueError("weights must have a zero diagonal")
         if np.any(w < 0.0):
@@ -105,47 +105,47 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     Returns (eigenvalues, eigenvectors) sorted ascending, eigenvectors in
     columns. The off-diagonal threshold is ``tol`` relative to the largest
     input entry, which makes the whole rotation sequence invariant under
-    scaling the input.
+    scaling the input. Placement depends on the exact bits, so there is no
+    ``@``/BLAS (fused multiply-adds round differently) and ``np.hypot``, not
+    ``math.hypot`` (they differ in the last ulp). Rows p, q of [A | V^T] are
+    rotated, then copied to columns p, q: exact only for exactly symmetric input.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"need a square matrix, got shape {a.shape}")
+    if not np.array_equal(a, a.T):
+        raise ValueError("need an exactly symmetric matrix")
     n = a.shape[0]
-    v = np.eye(n)
     scale = float(np.max(np.abs(a))) if n else 0.0
     if scale == 0.0:
-        return np.zeros(n), v
+        return np.zeros(n), np.eye(n)
     thresh = tol * scale
+    av = np.hstack([a, np.eye(n)])  # [A | V^T]
+    a = av[:, :n]
+    rows, a_rows, a_cols = list(av), list(a), list(a.T)
     for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off <= thresh:
+        if np.abs(a - np.diag(np.diag(a))).max() <= thresh:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
+        for p, row_p in enumerate(rows[:-1]):
+            for q, row_q in enumerate(rows[p + 1:], p + 1):
+                apq = row_p.item(q)
                 if abs(apq) <= thresh:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
+                app, aqq = row_p.item(p), row_q.item(q)
+                theta = (aqq - app) / (2.0 * apq)
+                t = float(1.0 / (abs(theta) + np.hypot(theta, 1.0)))  # 1.0 at theta = 0
+                t = t if theta >= 0.0 else -t
+                c = float(1.0 / np.hypot(t, 1.0))
                 s = t * c
-                row_p, row_q = a[p].copy(), a[q].copy()
-                a[p] = c * row_p - s * row_q
-                a[q] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], v[:, order]
+                cp, sq, sp = c * row_p, s * row_q, s * row_p
+                np.add(sp, c * row_q, out=row_q)
+                np.subtract(cp, sq, out=row_p)
+                a_cols[p][:], a_cols[q][:] = a_rows[p], a_rows[q]
+                # the {p, q} block as the row update, then the column update, leave it
+                row_p[p], row_p[q] = c * (c * app - s * apq) - s * (c * apq - s * aqq), 0.0
+                row_q[q], row_q[p] = s * (s * app + c * apq) + c * (s * apq + c * aqq), 0.0
+    order = np.argsort(np.diag(a), kind="stable")
+    return np.diag(a)[order], av[:, n:].T[:, order]
 
 
 def fiedler_vector(lap: np.ndarray) -> np.ndarray:

@@ -65,6 +65,17 @@ class TestCompile:
         assert code == 0
         assert (tmp_path / "out" / "schedule_min_return__spectral.json").exists()
 
+    def test_unwritable_schedule_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "schedule_baseline__spectral.json").mkdir(parents=True)
+        code = run_cli(
+            "compile", "--gen", "ghz", "--n", 4, "--strategy", "baseline", "--out", out
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "schedule_baseline__spectral.json" in err
+
     def test_schedule_files_parse_back(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("compile", "--gen", "dj", "--n", 5, "--out", out) == 0
@@ -215,6 +226,15 @@ class TestBench:
 
     def test_unknown_family_exits_2(self, tmp_path):
         assert run_cli("bench", "--families", "nope", "--out", tmp_path / "o") == 2
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "bench.csv").mkdir(parents=True)
+        code = run_cli("bench", "--n", 4, "--families", "ghz", "--runs", 1, "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "bench.csv" in err
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

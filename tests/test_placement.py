@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinbus.circuit import Circuit, Gate, GateKind, slice_circuit
+from jacobi_oracle import oracle_jacobi_eigh
+from spinbus.circuit import Circuit, Gate, GateKind, decompose, slice_circuit
 from spinbus.placement import (
     InteractionGraph,
     Placement,
@@ -44,6 +47,9 @@ class TestInteractionGraph:
     def test_validation(self):
         with pytest.raises(ValueError):
             InteractionGraph(np.array([[0.0, 1.0], [2.0, 0.0]]))  # asymmetric
+        with pytest.raises(ValueError, match="symmetric"):
+            # within np.allclose's default 1e-5 relative tolerance
+            InteractionGraph(np.array([[0.0, 1.0], [1.0000001, 0.0]]))
         with pytest.raises(ValueError):
             InteractionGraph(np.array([[1.0, 0.0], [0.0, 0.0]]))  # diagonal
         with pytest.raises(ValueError):
@@ -119,6 +125,100 @@ class TestJacobi:
         vals, vecs = jacobi_eigh(np.zeros((3, 3)))
         assert np.array_equal(vals, np.zeros(3))
         assert np.array_equal(vecs, np.eye(3))
+
+    def test_rejects_inexact_symmetry(self):
+        a = np.array([[2.0, 1.0], [1.0000001, 2.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigh(a)
+        with pytest.raises(ValueError, match="symmetric"):
+            jacobi_eigh(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+
+def _symmetric_from_upper(upper: np.ndarray) -> np.ndarray:
+    """The exactly symmetric matrix with ``upper``'s upper triangle."""
+    return np.triu(upper) + np.triu(upper, 1).T
+
+
+@st.composite
+def exactly_symmetric(draw):
+    """Exactly symmetric matrices, n = 1..40, of several kinds, including
+    ones on which the solver makes no rotation at all."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(
+        ["dense", "sparse", "integer", "zero", "diagonal", "converged", "signed_zeros"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "integer":  # equal diagonal entries: rotations with theta == 0
+        return _symmetric_from_upper(rng.integers(-2, 3, size=(n, n)).astype(float))
+    a = _symmetric_from_upper(rng.normal(size=(n, n)) * scale)
+    if kind in ("sparse", "signed_zeros"):
+        a = _symmetric_from_upper(np.where(rng.random((n, n)) < 0.6, 0.0, a))
+    if kind == "signed_zeros":  # equal under ==, not bitwise
+        lower = np.tril(np.ones((n, n), dtype=bool), -1)
+        a[lower & (a == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+    if kind == "diagonal":
+        a = np.diag(np.diag(a))
+    if kind == "converged":  # off-diagonal entries below the 1e-12 threshold
+        a = np.diag(np.diag(a) + scale) + 1e-14 * scale * _symmetric_from_upper(
+            rng.uniform(-1.0, 1.0, size=(n, n)) * (1.0 - np.eye(n))
+        )
+    return a
+
+
+@st.composite
+def layered_laplacians(draw):
+    """Laplacians of layer-discounted interaction graphs whose edge weights
+    2^-l span more than 10^12."""
+    n = draw(st.integers(2, 40))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 48))
+    edges = draw(st.lists(pairs, min_size=1, max_size=4 * n))
+    w = np.zeros((n, n))
+    # a layer-0 and a layer-41 edge make the weights span 2^41 > 10^12
+    for u, v, layer in [(0, 1, 0), (0, 1 + (n > 2), 41), *edges]:
+        if u != v:
+            w[u, v] += 2.0**-layer
+            w[v, u] += 2.0**-layer
+    return laplacian(InteractionGraph(w))
+
+
+def _assert_matches_oracle(a):
+    vals, vecs = jacobi_eigh(a)
+    want_vals, want_vecs = oracle_jacobi_eigh(a)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(vecs, want_vecs)
+
+
+class TestJacobiMatchesOracle:
+    """The solver gives the reference oracle's eigenvalues and eigenvectors
+    bit for bit: placement, and so every output byte, depends on them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=exactly_symmetric())
+    def test_symmetric_matrices(self, a):
+        _assert_matches_oracle(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lap=layered_laplacians())
+    def test_layered_laplacians(self, lap):
+        _assert_matches_oracle(lap)
+
+    def test_wide_brickwork_laplacian(self):
+        # 128 qubits on a hidden line, depth 8: rotation layers alternate
+        # with CX on the even, then the odd, neighbour pairs of the line
+        n, line = 128, list(range(128))
+        SplitMix64(0).shuffle(line)
+        gates = []
+        for depth in range(8):
+            gates += [Gate(GateKind.RZ, (q,), 0.1 * (depth + 1)) for q in range(n)]
+            gates += [
+                Gate(GateKind.CX, (line[i], line[i + 1])) for i in range(depth % 2, n - 1, 2)
+            ]
+        sc = slice_circuit(decompose(Circuit(n, tuple(gates))))
+        lap = laplacian(build_interaction_graph(sc))
+        _assert_matches_oracle(lap)
 
 
 class TestFiedler:
