@@ -15,11 +15,9 @@ from .circuit import (
     SlicedCircuit,
     decompose,
     slice_circuit,
-    unitary_of,
 )
 from .error_model import (
     ErrorModelParams,
-    d_phase_error_dv,
     optimal_velocity,
     phase_error,
     phase_error_terms,
@@ -40,7 +38,6 @@ from .metrics import CompilationReport, StrategyRatios, compare, summarize
 from .placement import (
     InteractionGraph,
     Placement,
-    brute_force_minla,
     build_interaction_graph,
     fiedler_vector,
     laplacian,

@@ -80,14 +80,9 @@ class ArchitectureSpec:
                 f"site_pitch ({self.site_pitch})"
             )
 
-    @property
-    def n_zones(self) -> int:
-        return self.n_sites
-
     def check_location(self, loc: Location) -> None:
-        limit = self.n_sites if loc.is_site else self.n_zones
-        if not 0 <= loc.index < limit:
-            raise ValueError(f"location {loc!r} out of range for {limit} positions")
+        if not 0 <= loc.index < self.n_sites:
+            raise ValueError(f"location {loc!r} out of range for {self.n_sites} positions")
 
     def to_config(self) -> dict:
         """Flat key-value form in um / ns / m/s."""

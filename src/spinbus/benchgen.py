@@ -24,7 +24,6 @@ class BenchmarkSpec:
     seed: int = 0
     qaoa_rounds: int = 1
     depth: int | None = None  # random family; defaults to 2n
-    cx_density: float = 0.5  # random family
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -35,8 +34,6 @@ class BenchmarkSpec:
             raise ValueError("qaoa_rounds must be >= 1")
         if self.depth is not None and self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if not 0.0 <= self.cx_density <= 1.0:
-            raise ValueError("cx_density must be in [0, 1]")
 
 
 def _cp_gates(control: int, target: int, lam: float) -> list[Gate]:
@@ -156,7 +153,7 @@ def _gen_random(spec: BenchmarkSpec) -> list[Gate]:
             order = list(range(spec.n))
             rng.shuffle(order)
             for k in range(0, spec.n - 1, 2):
-                if rng.uniform() < spec.cx_density:
+                if rng.uniform() < 0.5:  # CX density
                     gates.append(Gate(GateKind.CX, (order[k], order[k + 1])))
     return gates
 
@@ -174,6 +171,4 @@ _GENERATORS = {
 
 def generate(spec: BenchmarkSpec) -> Circuit:
     """Build the requested family circuit, deterministic per seed."""
-    gates = _GENERATORS[spec.family](spec)
-    name = f"{spec.family}_n{spec.n}_s{spec.seed}"
-    return Circuit(spec.n, tuple(gates), name)
+    return Circuit(spec.n, tuple(_GENERATORS[spec.family](spec)))

@@ -4,15 +4,14 @@ The native gate set of the hardware is {RX, RZ, H, CZ}. Everything else
 supported at the front end (Paulis, S/T and daggers, RY, CX, SWAP) rewrites
 into it; MEASURE and BARRIER pass through decomposition untouched and are
 handled by the scheduler (MEASURE optionally timed, BARRIER a pure layering
-fence).
+fence). The dense-unitary oracle that checks every rewrite lives with the
+tests, in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 NATIVE_KINDS: frozenset["GateKind"]
 
@@ -103,7 +102,6 @@ class Circuit:
 
     num_qubits: int
     gates: tuple[Gate, ...]
-    name: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -138,8 +136,8 @@ class SlicedCircuit:
 
 
 # Decomposition identities. Each entry maps an extended gate to its
-# time-ordered native replacement; all verified against unitary_of up to
-# global phase.
+# time-ordered native replacement; all verified against the unitary oracle
+# in tests/oracles.py up to global phase.
 def _rewrite(g: Gate) -> list[Gate] | None:
     k, q, a = g.kind, g.qubits, g.angle
     pi = math.pi
@@ -206,7 +204,7 @@ def decompose(c: Circuit) -> Circuit:
             if replacement is None:
                 raise ValueError(f"no decomposition for {cur.kind.name}")
             pending = replacement + pending
-    return Circuit(c.num_qubits, tuple(gates), c.name)
+    return Circuit(c.num_qubits, tuple(gates))
 
 
 def slice_circuit(c: Circuit) -> SlicedCircuit:
@@ -228,96 +226,3 @@ def slice_circuit(c: Circuit) -> SlicedCircuit:
         for q in g.qubits:
             level[q] = layer + 1
     return SlicedCircuit(c, tuple(tuple(layer) for layer in layers))
-
-
-# Standard gate matrices for the 1-2 qubit unitary oracle. Qubit 0 is the
-# most significant bit of the basis-state index.
-def _matrix_1q(g: Gate) -> np.ndarray:
-    k, a = g.kind, g.angle
-    if k is GateKind.H:
-        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-    if k is GateKind.X:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if k is GateKind.Y:
-        return np.array([[0, -1j], [1j, 0]], dtype=complex)
-    if k is GateKind.Z:
-        return np.array([[1, 0], [0, -1]], dtype=complex)
-    if k is GateKind.S:
-        return np.array([[1, 0], [0, 1j]], dtype=complex)
-    if k is GateKind.SDG:
-        return np.array([[1, 0], [0, -1j]], dtype=complex)
-    if k is GateKind.T:
-        return np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
-    if k is GateKind.TDG:
-        return np.array([[1, 0], [0, np.exp(-1j * math.pi / 4)]], dtype=complex)
-    if k is GateKind.RX:
-        c, s = math.cos(a / 2), math.sin(a / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if k is GateKind.RY:
-        c, s = math.cos(a / 2), math.sin(a / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if k is GateKind.RZ:
-        return np.array(
-            [[np.exp(-1j * a / 2), 0], [0, np.exp(1j * a / 2)]], dtype=complex
-        )
-    raise ValueError(f"{k.name} has no unitary")
-
-
-def _matrix_2q(g: Gate) -> np.ndarray:
-    k = g.kind
-    if k is GateKind.CZ:
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    if k is GateKind.SWAP:
-        m = np.eye(4, dtype=complex)
-        m[[1, 2]] = m[[2, 1]]
-        return m
-    if k is GateKind.CX:
-        control, target = g.qubits
-        m = np.zeros((4, 4), dtype=complex)
-        for basis in range(4):
-            bits = [(basis >> 1) & 1, basis & 1]
-            if bits[control]:
-                bits[target] ^= 1
-            m[(bits[0] << 1) | bits[1], basis] = 1
-        return m
-    raise ValueError(f"{k.name} has no unitary")
-
-
-def unitary_of(gates: list[Gate] | tuple[Gate, ...], n: int) -> np.ndarray:
-    """Ordered product of the standard unitaries of ``gates`` on n <= 2 qubits.
-
-    Gates apply in list order (first gate acts first). MEASURE/BARRIER are
-    rejected. Qubit 0 is the most significant index bit.
-    """
-    if n not in (1, 2):
-        raise ValueError(f"unitary_of supports n in (1, 2), got {n}")
-    dim = 2**n
-    u = np.eye(dim, dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    for g in gates:
-        if g.kind in (GateKind.MEASURE, GateKind.BARRIER):
-            raise ValueError(f"{g.kind.name} is not unitary")
-        for q in g.qubits:
-            if q >= n:
-                raise ValueError(f"operand {q} out of range for n={n}")
-        if g.is_two_qubit:
-            m = _matrix_2q(g)
-        else:
-            m1 = _matrix_1q(g)
-            if n == 1:
-                m = m1
-            else:
-                m = np.kron(m1, eye) if g.qubits[0] == 0 else np.kron(eye, m1)
-        u = m @ u
-    return u
-
-
-def phase_aligned_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-norm distance between two matrices after global-phase alignment."""
-    flat_a, flat_b = a.ravel(), b.ravel()
-    k = int(np.argmax(np.abs(flat_a)))
-    if abs(flat_a[k]) < 1e-14 or abs(flat_b[k]) < 1e-14:
-        return float(np.max(np.abs(a - b)))
-    phase = flat_b[k] / flat_a[k]
-    phase /= abs(phase)
-    return float(np.max(np.abs(a * phase - b)))

@@ -186,6 +186,15 @@ def _write_text(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
+def _check_writable(path: Path) -> None:
+    """Open ``path`` for appending and close it, so an unwritable output file
+    fails before any mapping; append mode leaves an existing file intact."""
+    try:
+        path.open("a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def _load_circuit(args: argparse.Namespace) -> Circuit:
     if bool(args.input) == bool(args.gen):
         raise ConfigError("exactly one of --input and --gen is required")
@@ -360,6 +369,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cases = _family_cases(_parse_families(args.families), [args.n], args)
     errp = _build_errp(args.error_config)
     out_dir = _out_dir(args.out)
+    _check_writable(out_dir / "bench.csv")
 
     rows = [
         (
@@ -387,6 +397,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cases = _family_cases(families, sizes, args)
     errp = _build_errp(args.error_config)
     out_dir = _out_dir(args.out)
+    _check_writable(out_dir / "sweep.csv")
 
     spectral, randoms = {}, {}
     matrix = _run_matrix(cases, ("spectral", "random"), STRATEGIES, args, errp)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 HBAR = 1.054571817e-34  # J*s
 UEV = 1.602176634e-25   # J per micro-electronvolt
 
-#: Default optimizer bracket, m/s. Spans plausible conveyor speeds around
-#: the 10 m/s reference point.
+#: Optimizer bracket, m/s. Spans plausible conveyor speeds around the
+#: 10 m/s reference point.
 V_BRACKET = (0.01, 1000.0)
 
 
@@ -41,10 +41,9 @@ class ErrorModelParams:
     e_vs0: float = 100.0 * UEV
     d_bar: float = 30e-9
     a_x: float = 0.05 * math.pi * 1e9
-    hbar: float = HBAR
 
     def __post_init__(self) -> None:
-        for name in ("l_c", "t2_star", "l_dot", "e_vs0", "d_bar", "a_x", "hbar"):
+        for name in ("l_c", "t2_star", "l_dot", "e_vs0", "d_bar", "a_x"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -90,11 +89,11 @@ def phase_error_terms(
         raise ValueError(f"distance must be nonnegative, got {l_s}")
     t1 = 2.0 * p.l_c * l_s / (v * p.t2_star) ** 2
     t2 = 1e-4 / v
-    t3 = 0.01 * 0.5 * (p.hbar * p.a_x * v) ** 2 / p.e_vs0**2 * math.exp(
+    t3 = 0.01 * 0.5 * (HBAR * p.a_x * v) ** 2 / p.e_vs0**2 * math.exp(
         (p.a_x * p.l_dot) ** 2 / 2.0
     )
     t4 = 0.01 * (l_s / p.d_bar) * math.exp(
-        -0.03 * math.log(10.0) * p.e_vs0 * p.l_dot / (p.hbar * v)
+        -0.03 * math.log(10.0) * p.e_vs0 * p.l_dot / (HBAR * v)
     )
     return t1, t2, t3, t4
 
@@ -105,41 +104,21 @@ def phase_error(v: float, l_s: float, p: ErrorModelParams) -> float:
     return t1 + t2 + t3 + t4
 
 
-def d_phase_error_dv(v: float, l_s: float, p: ErrorModelParams) -> float:
-    """Analytic derivative of the phase error with respect to velocity."""
-    _check_v(v)
-    d1 = -4.0 * p.l_c * l_s / (p.t2_star**2 * v**3)
-    d2 = -1e-4 / v**2
-    d3 = 0.01 * (p.hbar * p.a_x) ** 2 * v / p.e_vs0**2 * math.exp(
-        (p.a_x * p.l_dot) ** 2 / 2.0
-    )
-    b = 0.03 * math.log(10.0) * p.e_vs0 * p.l_dot / p.hbar
-    d4 = 0.01 * (l_s / p.d_bar) * math.exp(-b / v) * b / v**2
-    return d1 + d2 + d3 + d4
-
-
-def optimal_velocity(
-    l_s: float,
-    p: ErrorModelParams,
-    v_min: float = V_BRACKET[0],
-    v_max: float = V_BRACKET[1],
-) -> float:
-    """Velocity in [v_min, v_max] minimizing the phase error for ``l_s``.
+def optimal_velocity(l_s: float, p: ErrorModelParams) -> float:
+    """Velocity in ``V_BRACKET`` minimizing the phase error for ``l_s``.
 
     A 64-point geometric scan locates the bracket containing the global
     minimum (guarding against non-unimodality), then golden-section search
     on ln(v) refines it to an absolute tolerance of 1e-6 on ln(v).
     Deterministic; boundary optima return the boundary exactly.
     """
-    if not (0 < v_min < v_max):
-        raise ValueError(f"invalid bracket [{v_min}, {v_max}]")
     if l_s < 0:
         raise ValueError(f"distance must be nonnegative, got {l_s}")
 
     def f_log(x: float) -> float:
         return phase_error(math.exp(x), l_s, p)
 
-    lo, hi = math.log(v_min), math.log(v_max)
+    lo, hi = math.log(V_BRACKET[0]), math.log(V_BRACKET[1])
     n_scan = 64
     xs = [lo + (hi - lo) * i / n_scan for i in range(n_scan + 1)]
     fs = [f_log(x) for x in xs]
@@ -162,6 +141,6 @@ def optimal_velocity(
             fd = f_log(d)
 
     # Snap to a bracket edge when the edge is at least as good: boundary
-    # optima then come back exactly as v_min / v_max.
-    candidates = (v_min, v_max, math.exp((a + b) / 2.0))
+    # optima then come back exactly as V_BRACKET's ends.
+    candidates = (*V_BRACKET, math.exp((a + b) / 2.0))
     return min(candidates, key=lambda v: phase_error(v, l_s, p))

@@ -100,12 +100,6 @@ class Schedule:
     per_qubit_error: tuple[float, ...]
     final_sites: tuple[int, ...]
 
-    def shuttle_ops(self) -> list[ShuttleOp]:
-        return [op for op in self.ops if isinstance(op, ShuttleOp)]
-
-    def gate_ops(self) -> list[GateOp]:
-        return [op for op in self.ops if isinstance(op, GateOp)]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -662,8 +656,15 @@ def _loc_json(loc: Location) -> dict:
     return {"kind": loc.kind.value, "idx": loc.index}
 
 
+def _index(value) -> int:
+    """A JSON integer index; ``int()`` would read 3.9 as 3 and true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"index must be an integer, got {value!r}")
+    return value
+
+
 def _loc_from_json(obj: dict) -> Location:
-    return Location(LocationKind(obj["kind"]), int(obj["idx"]))
+    return Location(LocationKind(obj["kind"]), _index(obj["idx"]))
 
 
 def schedule_to_json(s: Schedule) -> str:
@@ -702,18 +703,18 @@ def schedule_to_json(s: Schedule) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def schedule_from_json(text: str, circuit: Circuit | None = None) -> Schedule:
-    """Rebuild a Schedule from its JSON form.
+def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
+    """Rebuild a Schedule from its JSON form and the circuit it was mapped from.
 
-    Op timestamps come back ps-rounded; durations and errors are recomputed
-    from geometry so the result revalidates. The circuit is not part of the
-    wire format and must be supplied for gate-aware validation.
+    Every index field must be a JSON integer, or ValueError is raised. Start
+    times come back rounded to 1 ps and the error parameters pass through
+    their nm/us/ueV form, so the result need not revalidate: a move can
+    start before the previous one ends, and a stored ``dC`` can differ in
+    its last bits from the one the reloaded parameters give.
     """
     doc = json.loads(text)
     arch = ArchitectureSpec.from_config(doc["arch"])
     errp = ErrorModelParams.from_config(doc["error_params"])
-    if circuit is None:
-        circuit = Circuit(arch.n_sites, ())
     ops: list[ShuttleOp | GateOp] = []
     for entry in doc["ops"]:
         if "q" in entry:
@@ -723,7 +724,7 @@ def schedule_from_json(text: str, circuit: Circuit | None = None) -> Schedule:
             dist = distance(src, dst, arch)
             ops.append(
                 ShuttleOp(
-                    qubit=int(entry["q"]),
+                    qubit=_index(entry["q"]),
                     src=src,
                     dst=dst,
                     start=float(entry["t0_ns"]) * 1e-9,
@@ -735,8 +736,8 @@ def schedule_from_json(text: str, circuit: Circuit | None = None) -> Schedule:
         else:
             ops.append(
                 GateOp(
-                    gate_index=int(entry["gate"]),
-                    zone=int(entry["zone"]),
+                    gate_index=_index(entry["gate"]),
+                    zone=_index(entry["zone"]),
                     start=float(entry["t0_ns"]) * 1e-9,
                     duration=float(entry["dur_ns"]) * 1e-9,
                 )
@@ -746,9 +747,9 @@ def schedule_from_json(text: str, circuit: Circuit | None = None) -> Schedule:
         circuit=circuit,
         arch=arch,
         error_params=errp,
-        initial_sites=tuple(int(x) for x in doc["placement"]),
+        initial_sites=tuple(_index(x) for x in doc["placement"]),
         ops=tuple(ops),
         total_time=float(doc["total_time_ns"]) * 1e-9,
         per_qubit_error=tuple(float(x) for x in doc["per_qubit_error"]),
-        final_sites=tuple(int(x) for x in doc["final_sites"]),
+        final_sites=tuple(_index(x) for x in doc["final_sites"]),
     )

@@ -78,14 +78,12 @@ class StrategyRatios:
     error_ratio: float | None
 
 
-def compare(
-    reports: list[CompilationReport], baseline_tag: str = "baseline"
-) -> list[StrategyRatios]:
-    """Time and error ratios of every report against the named baseline."""
+def compare(reports: list[CompilationReport]) -> list[StrategyRatios]:
+    """Time and error ratios of every report against the ``baseline`` one."""
     by_tag = {r.strategy: r for r in reports}
-    if baseline_tag not in by_tag:
-        raise ValueError(f"baseline tag {baseline_tag!r} not among reports")
-    base = by_tag[baseline_tag]
+    if "baseline" not in by_tag:
+        raise ValueError("no baseline report among reports")
+    base = by_tag["baseline"]
 
     def ratio(num: float, den: float) -> float | None:
         return None if den == 0.0 else num / den

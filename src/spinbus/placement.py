@@ -9,12 +9,11 @@ component in the Laplacian's Fiedler vector. A disconnected graph is laid
 out one connected component (edges of weight > 0) at a time: each
 component of three or more qubits is ordered by the Fiedler vector of its
 own Laplacian, and the components occupy contiguous runs of sites, largest
-first, ties broken by smallest qubit index. An exact enumerator over all
-n! arrangements serves as the small-instance oracle.
+first, ties broken by smallest qubit index. The small-instance oracle, an
+exact enumerator over all n! arrangements, lives in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,9 @@ import numpy as np
 from .circuit import SlicedCircuit
 from .rng import SplitMix64
 
-_BRUTE_FORCE_LIMIT = 9
-_PERM_CACHE: dict[int, np.ndarray] = {}
+#: Jacobi's off-diagonal threshold (relative to the largest entry) and sweep cap.
+JACOBI_TOL = 1e-12
+JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,11 +48,6 @@ class InteractionGraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def edges(self) -> list[tuple[int, int, float]]:
-        """Edges (u, v, weight) with u < v and weight > 0, sorted."""
-        u_idx, v_idx = np.nonzero(np.triu(self.weights, 1))
-        return [(int(u), int(v), float(self.weights[u, v])) for u, v in zip(u_idx, v_idx)]
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -69,9 +64,6 @@ class Placement:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    def site_of(self, qubit: int) -> int:
-        return self.perm[qubit]
 
     @staticmethod
     def identity(n: int) -> "Placement":
@@ -99,15 +91,15 @@ def laplacian(g: InteractionGraph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
+def jacobi_eigh(a: np.ndarray):
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
     Returns (eigenvalues, eigenvectors) sorted ascending, eigenvectors in
-    columns. The off-diagonal threshold is ``tol`` relative to the largest
-    input entry, which makes the whole rotation sequence invariant under
-    scaling the input. Placement depends on the exact bits, so there is no
-    ``@``/BLAS (fused multiply-adds round differently) and ``np.hypot``, not
-    ``math.hypot`` (they differ in the last ulp). Rows p, q of [A | V^T] are
+    columns. The off-diagonal threshold is ``JACOBI_TOL`` relative to the
+    largest input entry, which makes the whole rotation sequence invariant
+    under scaling the input. Placement depends on the exact bits, so there is
+    no ``@``/BLAS (fused multiply-adds round differently) and ``np.hypot``,
+    not ``math.hypot`` (they differ in the last ulp). Rows p, q of [A | V^T] are
     rotated, then copied to columns p, q: exact only for exactly symmetric input.
     """
     a = np.array(a, dtype=float)
@@ -119,11 +111,11 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     scale = float(np.max(np.abs(a))) if n else 0.0
     if scale == 0.0:
         return np.zeros(n), np.eye(n)
-    thresh = tol * scale
+    thresh = JACOBI_TOL * scale
     av = np.hstack([a, np.eye(n)])  # [A | V^T]
     a = av[:, :n]
     rows, a_rows, a_cols = list(av), list(a), list(a.T)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         if np.abs(a - np.diag(np.diag(a))).max() <= thresh:
             break
         for p, row_p in enumerate(rows[:-1]):
@@ -247,26 +239,3 @@ def minla_cost(g: InteractionGraph, p: Placement) -> float:
     pos = np.asarray(p.perm)
     iu, iv = np.triu_indices(g.n, 1)
     return float(np.sum(g.weights[iu, iv] * np.abs(pos[iu] - pos[iv])))
-
-
-def _all_permutations(n: int) -> np.ndarray:
-    if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = np.array(
-            list(itertools.permutations(range(n))), dtype=np.int64
-        )
-    return _PERM_CACHE[n]
-
-
-def brute_force_minla(g: InteractionGraph) -> tuple[Placement, float]:
-    """Exact MinLA by enumerating all n! arrangements (n <= 9).
-
-    Ties resolve to the lexicographically smallest optimal permutation.
-    """
-    if g.n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to n <= {_BRUTE_FORCE_LIMIT}, got {g.n}")
-    perms = _all_permutations(g.n)
-    costs = np.zeros(len(perms))
-    for u, v, w in g.edges():
-        costs += w * np.abs(perms[:, u] - perms[:, v])
-    best = int(np.argmin(costs))  # first occurrence = lexicographically smallest
-    return Placement(tuple(int(x) for x in perms[best])), float(costs[best])

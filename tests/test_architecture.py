@@ -91,10 +91,6 @@ def test_spec_validation():
         ArchitectureSpec(n_sites=4, zone_offset=2e-6, site_pitch=2e-6)
 
 
-def test_zone_count_equals_site_count(spec):
-    assert spec.n_zones == spec.n_sites
-
-
 def test_config_round_trip(spec):
     cfg = spec.to_config()
     assert cfg == {

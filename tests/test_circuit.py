@@ -9,11 +9,11 @@ from spinbus.circuit import (
     GateKind,
     NATIVE_KINDS,
     decompose,
-    phase_aligned_distance,
     slice_circuit,
-    unitary_of,
 )
 from spinbus.rng import SplitMix64
+
+from oracles import phase_aligned_distance, unitary_of
 
 PI = math.pi
 

@@ -29,6 +29,10 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def _must_not_map(*args, **kwargs):
+    raise AssertionError("mapped before the output file was checked")
+
+
 def exit_code(*args):
     """The exit code of a run, whether main returns it or argparse exits."""
     try:
@@ -227,9 +231,10 @@ class TestBench:
     def test_unknown_family_exits_2(self, tmp_path):
         assert run_cli("bench", "--families", "nope", "--out", tmp_path / "o") == 2
 
-    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"
         (out / "bench.csv").mkdir(parents=True)
+        monkeypatch.setattr("spinbus.cli.map_strategy", _must_not_map)
         code = run_cli("bench", "--n", 4, "--families", "ghz", "--runs", 1, "--out", out)
         assert code == 2
         err = capsys.readouterr().err
@@ -247,6 +252,16 @@ class TestBench:
 
 
 class TestSweep:
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        (out / "sweep.csv").mkdir(parents=True)
+        monkeypatch.setattr("spinbus.cli.map_strategy", _must_not_map)
+        code = run_cli("sweep", "--families", "ghz", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "sweep.csv" in err
+
     def test_row_structure(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli(

@@ -9,11 +9,12 @@ from spinbus.error_model import (
     HBAR,
     UEV,
     V_BRACKET,
-    d_phase_error_dv,
     optimal_velocity,
     phase_error,
     phase_error_terms,
 )
+
+from oracles import d_phase_error_dv
 
 # Golden constants for v = 10 m/s, L_s = 3 um with default parameters,
 # evaluated term by term at 60 significant digits before the main build.
@@ -138,19 +139,15 @@ class TestOptimalVelocity:
             v_star = optimal_velocity(l_s, p)
             assert phase_error(v_star, l_s, p) <= best_grid * (1 + 1e-3)
 
-    def test_boundary_minimizer_returned_exactly(self, p):
-        # delta-C increases over [50, 1000] for 3 um, so the bracket edge wins
-        assert optimal_velocity(3e-6, p, v_min=50.0, v_max=1000.0) == 50.0
+    def test_boundary_minimizer_returned_exactly(self):
+        # with a_x = 1/m and d_bar = 1 m, delta-C falls over the whole
+        # bracket for 3 um, so the bracket's upper edge wins
+        p = ErrorModelParams(a_x=1.0, d_bar=1.0)
+        assert optimal_velocity(3e-6, p) == V_BRACKET[1] == 1000.0
 
     def test_monotone_in_distance(self, p):
         stars = [optimal_velocity(l_s, p) for l_s in (1e-6, 3e-6, 10e-6, 30e-6)]
         assert stars == sorted(stars)
-
-    def test_rejects_bad_bracket(self, p):
-        with pytest.raises(ValueError):
-            optimal_velocity(1e-6, p, v_min=10.0, v_max=1.0)
-        with pytest.raises(ValueError):
-            optimal_velocity(1e-6, p, v_min=0.0, v_max=1.0)
 
     def test_deterministic(self, p):
         assert optimal_velocity(7e-6, p) == optimal_velocity(7e-6, p)
@@ -173,7 +170,7 @@ def test_unit_system_invariance(p):
         l_dot = p.l_dot * um
         d_bar = p.d_bar * um
         a_x = p.a_x / um
-        hbar_jus = p.hbar * us
+        hbar_jus = HBAR * us
         v_umus = v * um / us  # numerically equal to m/s
         ls_um = l_s * um
         t1 = 2 * l_c * ls_um / (v_umus * t2) ** 2
@@ -200,10 +197,10 @@ def _vectorized_delta_c(v, l_s, p):
     """Independent numpy-path evaluation of the four-term model."""
     t1 = 2.0 * p.l_c * l_s / (v * p.t2_star) ** 2
     t2 = 1e-4 / v
-    t3 = 0.01 * 0.5 * (p.hbar * p.a_x * v) ** 2 / p.e_vs0**2 * np.exp(
+    t3 = 0.01 * 0.5 * (HBAR * p.a_x * v) ** 2 / p.e_vs0**2 * np.exp(
         (p.a_x * p.l_dot) ** 2 / 2.0
     )
     t4 = 0.01 * (l_s / p.d_bar) * np.exp(
-        -0.03 * np.log(10.0) * p.e_vs0 * p.l_dot / (p.hbar * v)
+        -0.03 * np.log(10.0) * p.e_vs0 * p.l_dot / (HBAR * v)
     )
     return t1 + t2 + t3 + t4

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,10 @@ def errp():
     return ErrorModelParams()
 
 
+def ops_of(s, kind):
+    return [op for op in s.ops if isinstance(op, kind)]
+
+
 def run(strategy, circuit, n, errp, placement=None, **kwargs):
     sc = slice_circuit(circuit)
     placement = placement or Placement.identity(n)
@@ -64,8 +69,8 @@ class TestBaseline:
     def test_two_qubit_episode_timing(self, errp):
         # CZ on sites 2 and 3 -> central zone 3; distances 3 um and 1 um
         s = run("baseline", Circuit(4, (cz(2, 3),)), 4, errp)
-        shuttles = s.shuttle_ops()
-        gate = s.gate_ops()[0]
+        shuttles = ops_of(s, ShuttleOp)
+        gate = ops_of(s, GateOp)[0]
         assert gate.zone == 3
         dists = sorted(
             distance(op.src, op.dst, s.arch) for op in shuttles if op.start == 0.0
@@ -77,7 +82,7 @@ class TestBaseline:
 
     def test_single_qubit_uses_own_zone(self, errp):
         s = run("baseline", Circuit(6, (h(5),)), 6, errp)
-        assert s.gate_ops()[0].zone == 5
+        assert ops_of(s, GateOp)[0].zone == 5
         assert s.total_time == pytest.approx(0.1 * US + 20 * NS + 0.1 * US)
 
     def test_empty_circuit(self, errp):
@@ -94,7 +99,7 @@ class TestBaseline:
     def test_gates_strictly_sequential(self, errp):
         c = Circuit(4, (h(0), h(1), h(2)))
         s = run("baseline", c, 4, errp)
-        gates = s.gate_ops()
+        gates = ops_of(s, GateOp)
         for earlier, later in zip(gates, gates[1:]):
             assert later.start >= earlier.end
 
@@ -102,7 +107,7 @@ class TestBaseline:
         # virtual qubit 0 parked at site 3: its zone is 3, not 0
         placement = Placement((3, 0, 1, 2))
         s = run("baseline", Circuit(4, (h(0),)), 4, errp, placement)
-        assert s.gate_ops()[0].zone == 3
+        assert ops_of(s, GateOp)[0].zone == 3
 
 
 class TestParallel:
@@ -111,11 +116,11 @@ class TestParallel:
         # travels to zone 5 at 11 um: out phase 0.7 us
         c = Circuit(6, (cz(2, 5), h(0)))
         s = run("parallel", c, 6, errp)
-        zones = sorted(op.zone for op in s.gate_ops())
+        zones = sorted(op.zone for op in ops_of(s, GateOp))
         assert zones == [0, 5]
-        out_phase = max(op.end for op in s.shuttle_ops() if op.start == 0.0)
+        out_phase = max(op.end for op in ops_of(s, ShuttleOp) if op.start == 0.0)
         assert out_phase == pytest.approx(0.7 * US)
-        for gate in s.gate_ops():
+        for gate in ops_of(s, GateOp):
             assert gate.start == pytest.approx(0.7 * US)
 
     def test_single_gate_slice_matches_baseline_for_adjacent_pair(self, errp):
@@ -129,7 +134,7 @@ class TestParallel:
     def test_two_single_qubit_gates_share_a_slice(self, errp):
         c = Circuit(4, (h(1), h(2)))
         s = run("parallel", c, 4, errp)
-        assert sorted(op.zone for op in s.gate_ops()) == [1, 2]
+        assert sorted(op.zone for op in ops_of(s, GateOp)) == [1, 2]
         assert s.total_time == pytest.approx(0.1 * US + 20 * NS + 0.1 * US)
 
     def test_zone_assignments_always_distinct(self, errp):
@@ -163,7 +168,7 @@ class TestMinReturn:
         c = Circuit(6, (cz(0, 5), cz(3, 4)))
         s = run("min_return", c, 6, errp)
         returns = {
-            op.qubit: op for op in s.shuttle_ops() if op.src.kind.value == "zone"
+            op.qubit: op for op in ops_of(s, ShuttleOp) if op.src.kind.value == "zone"
         }
         assert returns[0].dst == Location.site(5)
         assert distance(returns[0].src, returns[0].dst, s.arch) == pytest.approx(1e-6)
@@ -181,7 +186,7 @@ class TestMinReturn:
         for seed in range(10):
             c = decompose(generate(BenchmarkSpec(family="random", n=8, seed=seed)))
             s = run("min_return", c, 8, errp)
-            for op in s.shuttle_ops():
+            for op in ops_of(s, ShuttleOp):
                 src_pos = position(op.src, s.arch)
                 dst_pos = position(op.dst, s.arch)
                 if op.src.is_site:
@@ -210,9 +215,9 @@ class TestTunableVelocity:
         c = Circuit(4, (cz(2, 3),))
         s = run("tunable_velocity", c, 4, errp)
         v_out = optimal_velocity(3e-6, errp)
-        outs = [op for op in s.shuttle_ops() if op.src.is_site]
+        outs = [op for op in ops_of(s, ShuttleOp) if op.src.is_site]
         assert {op.velocity for op in outs} == {v_out}
-        rets = [op for op in s.shuttle_ops() if not op.src.is_site]
+        rets = [op for op in ops_of(s, ShuttleOp) if not op.src.is_site]
         assert {op.velocity for op in rets} == {optimal_velocity(3e-6, errp)}
 
     def test_out_and_return_velocities_differ_when_distances_do(self, errp):
@@ -220,8 +225,8 @@ class TestTunableVelocity:
         # shrink the return max to 9 um, so the two phases tune differently
         c = Circuit(6, (cz(0, 5), cz(3, 4)))
         s = run("tunable_velocity", c, 6, errp)
-        outs = {op.velocity for op in s.shuttle_ops() if op.src.is_site}
-        rets = {op.velocity for op in s.shuttle_ops() if not op.src.is_site}
+        outs = {op.velocity for op in ops_of(s, ShuttleOp) if op.src.is_site}
+        rets = {op.velocity for op in ops_of(s, ShuttleOp) if not op.src.is_site}
         assert outs == {optimal_velocity(11e-6, errp)}
         assert rets == {optimal_velocity(9e-6, errp)}
         assert outs != rets
@@ -237,7 +242,7 @@ class TestTunableVelocity:
         c = Circuit(4, (h(1), h(2)))
         s = run("tunable_velocity", c, 4, errp)
         v = optimal_velocity(1e-6, errp)
-        assert all(op.velocity == v for op in s.shuttle_ops())
+        assert all(op.velocity == v for op in ops_of(s, ShuttleOp))
         assert v > 0
 
 
@@ -249,7 +254,7 @@ class TestSwapReturn:
         s = run("swap_return", c, 8, errp)
         first_returns = {
             op.qubit: op.dst
-            for op in s.shuttle_ops()
+            for op in ops_of(s, ShuttleOp)
             if op.src == Location.zone(4)
         }
         assert first_returns[3] == Location.site(3)
@@ -261,7 +266,7 @@ class TestSwapReturn:
         s = run("swap_return", c, 8, errp)
         first_returns = {
             op.qubit: op.dst
-            for op in s.shuttle_ops()
+            for op in ops_of(s, ShuttleOp)
             if op.src == Location.zone(4)
         }
         assert first_returns[3] == Location.site(4)
@@ -270,7 +275,7 @@ class TestSwapReturn:
         s_min = run("min_return", c, 8, errp)
         min_returns = {
             op.qubit: op.dst
-            for op in s_min.shuttle_ops()
+            for op in ops_of(s_min, ShuttleOp)
             if op.src == Location.zone(4)
         }
         assert min_returns[3] == Location.site(4)
@@ -284,7 +289,7 @@ class TestSwapReturn:
         s = run("swap_return", c, 8, errp)
         first_returns = {
             op.qubit: op.dst
-            for op in s.shuttle_ops()
+            for op in ops_of(s, ShuttleOp)
             if op.src == Location.zone(4)
         }
         assert first_returns[3] == Location.site(3)
@@ -321,9 +326,9 @@ class TestScheduleInvariants:
     def test_gate_completeness_and_order(self, errp, strategy):
         c = decompose(generate(BenchmarkSpec(family="qft", n=6, seed=0)))
         s = run(strategy, c, 6, errp)
-        indices = [op.gate_index for op in s.gate_ops()]
+        indices = [op.gate_index for op in ops_of(s, GateOp)]
         assert sorted(indices) == list(range(len(c.gates)))
-        by_start = sorted(s.gate_ops(), key=lambda op: (op.start, op.gate_index))
+        by_start = sorted(ops_of(s, GateOp), key=lambda op: (op.start, op.gate_index))
         for q in range(6):
             mine = [op.gate_index for op in by_start if q in c.gates[op.gate_index].qubits]
             assert mine == sorted(mine)
@@ -333,7 +338,7 @@ class TestScheduleInvariants:
         c = decompose(generate(BenchmarkSpec(family="qaoa", n=6, seed=1)))
         s = run(strategy, c, 6, errp)
         folded = [0.0] * 6
-        for op in s.shuttle_ops():
+        for op in ops_of(s, ShuttleOp):
             folded[op.qubit] += op.delta_c
         for got, want in zip(s.per_qubit_error, folded):
             assert got == want
@@ -352,10 +357,10 @@ class TestScheduleInvariants:
     def test_measure_scheduling_flag(self, errp):
         c = Circuit(3, (h(0), Gate(GateKind.MEASURE, (0,))))
         stripped = run("min_return", c, 3, errp)
-        assert len(stripped.gate_ops()) == 1
+        assert len(ops_of(stripped, GateOp)) == 1
         timed = run("min_return", c, 3, errp, measure_duration=100 * NS)
-        assert len(timed.gate_ops()) == 2
-        measure_op = timed.gate_ops()[1]
+        assert len(ops_of(timed, GateOp)) == 2
+        measure_op = ops_of(timed, GateOp)[1]
         assert measure_op.duration == pytest.approx(100 * NS)
 
     def test_barrier_consumes_no_time(self, errp):
@@ -374,6 +379,27 @@ class TestScheduleInvariants:
         sc = SlicedCircuit(Circuit(2, ()), ())
         with pytest.raises(ValueError):
             map_strategy("baseline", sc, arch(4), Placement.identity(4), errp)
+
+
+def _ghz4_parallel():
+    """A small valid schedule and a fresh copy of its JSON document."""
+    sc = slice_circuit(decompose(generate(BenchmarkSpec(family="ghz", n=4))))
+    s = map_strategy("parallel", sc, arch(4), Placement.identity(4), ErrorModelParams())
+    return s, json.loads(schedule_to_json(s))
+
+
+def _index_paths(doc):
+    """Key paths to every index field of a schedule document."""
+    paths = [(key, i) for key in ("placement", "final_sites") for i in range(len(doc[key]))]
+    for k, op in enumerate(doc["ops"]):
+        keys = (("q",), ("from", "idx"), ("to", "idx")) if "q" in op else (("gate",), ("zone",))
+        paths += [("ops", k, *key) for key in keys]
+    return paths
+
+
+def _change_index(doc, path, change):
+    node = functools.reduce(lambda parent, key: parent[key], path[:-1], doc)
+    node[path[-1]] = change(node[path[-1]])
 
 
 class TestSerialization:
@@ -404,9 +430,25 @@ class TestSerialization:
             assert back.error_params.t2_star == pytest.approx(errp.t2_star, rel=1e-15)
             assert len(back.ops) == len(s.ops)
 
-    def test_header_fields(self, errp):
-        import json
+    def test_non_integer_indices_rejected(self):
+        # int() once read 3.9 as 3: with every index raised by 0.5 this
+        # schedule reloaded and revalidated with no violation
+        s, doc = _ghz4_parallel()
+        for path in _index_paths(doc):
+            _change_index(doc, path, lambda index: index + 0.5)
+        with pytest.raises(ValueError, match="integer"):
+            schedule_from_json(json.dumps(doc), s.circuit)
 
+    @settings(max_examples=100, deadline=None)
+    @given(pick=st.integers(0, 2**16), value=st.one_of(st.booleans(), st.floats()))
+    def test_any_non_integer_index_rejected(self, pick, value):
+        s, doc = _ghz4_parallel()
+        paths = _index_paths(doc)
+        _change_index(doc, paths[pick % len(paths)], lambda _: value)
+        with pytest.raises(ValueError, match="integer"):
+            schedule_from_json(json.dumps(doc), s.circuit)
+
+    def test_header_fields(self, errp):
         s = run("baseline", Circuit(2, (h(0),)), 2, errp)
         doc = json.loads(schedule_to_json(s))
         assert doc["strategy"] == "baseline"

@@ -152,7 +152,7 @@ class TestCompare:
 
     def test_zero_denominator_yields_marker(self, errp):
         empty = summarize(empty_schedule(4, errp))
-        rows = compare([empty], baseline_tag="baseline")
+        rows = compare([empty])
         assert rows[0].time_ratio is None
         assert rows[0].error_ratio is None
 
