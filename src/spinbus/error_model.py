@@ -16,6 +16,7 @@ shuttles of one qubit add.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,13 +105,15 @@ def phase_error(v: float, l_s: float, p: ErrorModelParams) -> float:
     return t1 + t2 + t3 + t4
 
 
+@functools.lru_cache(maxsize=4096)
 def optimal_velocity(l_s: float, p: ErrorModelParams) -> float:
     """Velocity in ``V_BRACKET`` minimizing the phase error for ``l_s``.
 
     A 64-point geometric scan locates the bracket containing the global
     minimum (guarding against non-unimodality), then golden-section search
     on ln(v) refines it to an absolute tolerance of 1e-6 on ln(v).
-    Deterministic; boundary optima return the boundary exactly.
+    Deterministic, so results are memoised per (l_s, p); boundary optima
+    return the boundary exactly.
     """
     if l_s < 0:
         raise ValueError(f"distance must be nonnegative, got {l_s}")

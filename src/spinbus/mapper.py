@@ -30,6 +30,9 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass
+from operator import attrgetter
+
+import numpy as np
 
 from .architecture import (
     ArchitectureSpec,
@@ -269,15 +272,6 @@ def _map_sliced(
                     future[qa].append((layer_idx, qb))
                     future[qb].append((layer_idx, qa))
 
-    vel_cache: dict[float, float] = {}
-
-    def phase_velocity(max_dist: float) -> float:
-        if not tunable:
-            return spec.default_velocity
-        if max_dist not in vel_cache:
-            vel_cache[max_dist] = optimal_velocity(max_dist, errp)
-        return vel_cache[max_dist]
-
     t = 0.0
     for layer_idx, layer in enumerate(sc.layers):
         episodes = []  # (gate_index, gate, zone)
@@ -301,7 +295,7 @@ def _map_sliced(
         max_out = max(
             distance(Location.site(s), Location.zone(z), spec) for _, s, z in out_moves
         )
-        v_out = phase_velocity(max_out)
+        v_out = optimal_velocity(max_out, errp) if tunable else spec.default_velocity
         for q, s, z in sorted(out_moves):
             b.shuttle(q, Location.site(s), Location.zone(z), t, v_out)
             site_taken[s] = None
@@ -326,7 +320,7 @@ def _map_sliced(
         max_ret = max(
             distance(Location.zone(z), Location.site(s), spec) for _, z, s in returns
         )
-        v_ret = phase_velocity(max_ret)
+        v_ret = optimal_velocity(max_ret, errp) if tunable else spec.default_velocity
         for q, z, s in sorted(returns):
             b.shuttle(q, Location.zone(z), Location.site(s), ret_start, v_ret)
             sites[q] = s
@@ -436,25 +430,6 @@ def _assign_pair(
     return {qa: s_hi, qb: s_lo}
 
 
-def _covers(t0s: list[float], t1s: list[float], ascending: bool, op: GateOp) -> bool:
-    """Whether some stay [t0s[i], t1s[i]] holds the gate, to within _EPS_T.
-
-    When both bound lists ascend with no NaN (as in any chain whose moves
-    do not overlap), the stays that begin by the gate's start are a prefix,
-    and the last of them ends latest, so one bisection answers; otherwise
-    every stay is tried. Both ways give the same answer as trying them all.
-    The bisection pays where a qubit returns to one zone many times: up to
-    247 stays per (qubit, zone) under `parallel` on a QAOA n=64 circuit.
-    """
-    start = op.start + _EPS_T
-    if ascending and start == start:
-        k = bisect.bisect_right(t0s, start)
-        return k > 0 and op.end <= t1s[k - 1] + _EPS_T
-    return any(
-        t0 <= start and op.end <= t1 + _EPS_T for t0, t1 in zip(t0s, t1s)
-    )
-
-
 def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     """Check the schedule validity rules; an empty list means valid.
 
@@ -467,12 +442,164 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     (g) total_time is the latest op end
     plus internal shuttle-op consistency (duration, delta_c, chaining).
 
-    The cost is near-linear in the op count: each shuttle's endpoints are
-    located once, and a gate looks up only its operands' stays at its zone,
-    by bisection when they are in time order. Rule (d) still compares every
-    pair of moves that overlap in time, so a phase of k simultaneous
-    shuttles costs k^2 float tests.
+    A numpy screen runs first and answers "valid" only where it has shown
+    that no rule is broken. Otherwise, or if the screen raises, the exact
+    per-op path runs, so every violation list and every exception is the
+    exact path's. Rule (d) tests every pair of moves that overlap in time,
+    so a phase of k simultaneous shuttles costs k^2 float tests; the screen
+    runs them as array operations.
     """
+    try:
+        with np.errstate(all="ignore"):  # the exact path reports bad values
+            if _screen(s, spec):
+                return []
+    except Exception:  # the exact path meets, and raises, any real error
+        pass
+    return _validate_exact(s, spec)
+
+
+def _column(values, kind: type) -> np.ndarray:
+    """``values`` as an array; raises unless every one is a Python ``kind``
+    and finite, so that the array holds exactly the same numbers."""
+    values = list(values)
+    if not set(map(type, values)) <= {kind}:
+        raise TypeError(f"not all {kind.__name__}")
+    col = np.array(values, dtype=np.int64 if kind is int else np.float64)
+    if not np.isfinite(col).all():
+        raise ValueError("non-finite value")
+    return col
+
+
+def _locations(locs: list, spec: ArchitectureSpec):
+    """(is_zone, index, position) columns; position() as numpy."""
+    if not set(map(type, locs)) <= {Location}:
+        raise TypeError("not all Location")
+    kinds = list(map(attrgetter("kind"), locs))
+    zone = np.array([k is LocationKind.ZONE for k in kinds], dtype=bool)
+    if kinds.count(LocationKind.STORAGE) + zone.sum() != len(kinds):
+        raise ValueError("unknown location kind")
+    index = _column(map(attrgetter("index"), locs), int)
+    if not ((index >= 0) & (index < spec.n_sites)).all():
+        raise ValueError("location out of range")
+    base = index * spec.site_pitch
+    return zone, index, np.where(zone, base + spec.zone_offset, base)
+
+
+def _screen(s: Schedule, spec: ArchitectureSpec) -> bool:
+    """True only if ``_validate_exact`` finds no violation and raises nothing.
+
+    The exact path's checks on columns of the ops. Each float expression is
+    the exact path's, evaluated elementwise, so every comparison sees the
+    same bits; ``phase_error`` stays scalar, once per distinct (velocity,
+    distance). A value the columns cannot hold exactly (not a Python int or
+    float, not finite, a subclassed op or location) raises.
+    """
+    n = s.circuit.num_qubits
+    sh = [op for op in s.ops if type(op) is ShuttleOp]
+    gt = [op for op in s.ops if type(op) is GateOp]
+    if len(sh) + len(gt) != len(s.ops) or sorted(s.initial_sites) != list(range(n)):
+        return False
+
+    # op consistency; each distinct (velocity, distance) is one exact complex
+    q = _column(map(attrgetter("qubit"), sh), int)
+    start, dur, vel, dc = (
+        _column(map(attrgetter(name), sh), float)
+        for name in ("start", "duration", "velocity", "delta_c")
+    )
+    src_zone, src_idx, p0 = _locations(list(map(attrgetter("src"), sh)), spec)
+    dst_zone, dst_idx, p1 = _locations(list(map(attrgetter("dst"), sh)), spec)
+    end, dist = start + dur, np.abs(p0 - p1)
+    keys, which = np.unique(vel + 1j * dist, return_inverse=True)
+    want_dc = np.array([phase_error(k.real, k.imag, s.error_params) for k in keys.tolist()])
+    ok = (q >= 0) & (q < n) & (dist != 0) & (vel > 0) & (dur > 0) & (dur == dist / vel)
+    if not (ok & (dc == want_dc[which])).all():
+        return False
+
+    # stays in qubit order: each qubit's initial site, then the destination
+    # of each move of its chain (by start, then op index); a move leaves
+    # the stay before its own
+    chain = np.lexsort((start, q))
+    first = np.searchsorted(q[chain], np.arange(n))
+    stay_q = np.insert(q[chain], first, np.arange(n))
+    zone = np.insert(dst_zone[chain], first, False)
+    index = np.insert(dst_idx[chain], first, _column(s.initial_sites, int))
+    t_in = np.insert(end[chain], first, 0.0)
+    t_out = np.append(np.insert(start[chain], first, np.inf)[1:], np.inf)
+    left = np.arange(len(chain)) + q[chain]
+    ok = (zone[left] == src_zone[chain]) & (index[left] == src_idx[chain])
+    if not (ok & ~(start[chain] < t_in[left] - _EPS_T)).all():
+        return False
+
+    # (a) each operand's last stay begun by the gate's start covers the
+    # gate: one searchsorted over (qubit, rank of arrival time) keys
+    gate_index = _column(map(attrgetter("gate_index"), gt), int)
+    g_zone = _column(map(attrgetter("zone"), gt), int)
+    g_start = _column(map(attrgetter("start"), gt), float)
+    g_end = g_start + _column(map(attrgetter("duration"), gt), float)
+    if not ((gate_index >= 0) & (gate_index < len(s.circuit.gates))).all():
+        return False
+    operands = [s.circuit.gates[k].qubits for k in gate_index.tolist()]
+    oq = _column([x for qs in operands for x in qs], int)
+    og = np.repeat(np.arange(len(gt)), [len(qs) for qs in operands])
+    times, rank = np.unique(np.concatenate([t_in, g_start[og] + _EPS_T]), return_inverse=True)
+    key = np.concatenate([stay_q, oq]) * len(times) + rank
+    stay_key, gate_key = key[: len(stay_q)], key[len(stay_q) :]
+    k = np.searchsorted(stay_key, gate_key, side="right") - 1
+    ok = (oq >= 0) & (oq < n) & (k >= 0) & (stay_q[k] == oq) & zone[k] & (index[k] == g_zone[og])
+    if (np.diff(stay_key) < 0).any() or not (ok & (g_end[og] <= t_out[k] + _EPS_T)).all():
+        return False
+
+    # (b), (c) per-location running counts over (time, delta)-sorted events
+    live = t_out > t_in
+    leave = live & (t_out != np.inf)
+    loc = np.concatenate([2 * index[live] + zone[live], 2 * index[leave] + zone[leave]])
+    delta = np.repeat([1, -1], [live.sum(), leave.sum()])
+    order = np.lexsort((delta, np.concatenate([t_in[live], t_out[leave]]), loc))
+    loc, delta = loc[order], delta[order]
+    count = np.cumsum(delta)
+    head = np.r_[True, loc[1:] != loc[:-1]]
+    count -= (count - delta)[np.maximum.accumulate(np.where(head, np.arange(len(loc)), 0))]
+    if (count > 1 + loc % 2).any():
+        return False
+
+    # (d) the exact path's pairs: in each run of moves by (start, op index)
+    # that overlap the run's latest end, each move j and every earlier i
+    # ending after start_j + _EPS_T, taken lag j - i at a time
+    moves = np.argsort(start, kind="stable")
+    head = np.r_[True, np.maximum.accumulate(end[moves])[:-1] <= start[moves][1:] + _EPS_T]
+    run = np.maximum.accumulate(np.where(head, np.arange(len(head)), 0))
+    dp = p1 - p0
+
+    def gap(t, i, j):
+        return (p0[j] + dp[j] * (t - start[j]) / dur[j]) - (p0[i] + dp[i] * (t - start[i]) / dur[i])
+
+    for lag in range(1, int((np.arange(len(run)) - run).max(initial=0)) + 1):
+        j = lag + np.flatnonzero(run[lag:] <= np.arange(len(run) - lag))
+        i, j = moves[j - lag], moves[j]
+        lo = np.where(start[i] > start[j], start[i], start[j])
+        hi = np.where(end[i] < end[j], end[i], end[j])
+        tested = (q[i] != q[j]) & (end[i] > start[j] + _EPS_T) & ~(hi - lo <= _EPS_T)
+        d0, d1 = gap(lo, i, j), gap(hi, i, j)
+        if (tested & (d0 * d1 < 0) & (np.minimum(np.abs(d0), np.abs(d1)) > 1e-12)).any():
+            return False
+
+    # (e) the last stays; (f) np.bincount adds in op order, as the exact
+    # fold does; (g)
+    last = np.append(first[1:] + np.arange(1, n), len(stay_q)) - 1
+    final = index[last].tolist()
+    if zone[last].any() or sorted(final) != list(range(n)) or tuple(final) != s.final_sites:
+        return False
+    stored = _column(s.per_qubit_error, float)
+    folded = np.bincount(q, weights=dc, minlength=n)
+    bound = 1e-15 * np.maximum(1.0, np.abs(stored))
+    if len(stored) != n or (np.abs(folded - stored) > bound).any():
+        return False
+    t_end = max(end.max(initial=-np.inf), g_end.max(initial=-np.inf)) if s.ops else 0.0
+    return not abs(t_end - s.total_time) > 1e-12 * max(1.0, t_end)
+
+
+def _validate_exact(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
+    """``validate_schedule``'s exact path: every violation, op by op."""
     out: list[Violation] = []
     n = s.circuit.num_qubits
 
@@ -484,14 +611,9 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
         else:
             gates.append((idx, op))
 
-    # shuttle-op internal consistency; position() range-checks both ends,
-    # and the positions are kept for rule (d)
-    ends: dict[int, tuple[float, float]] = {}
+    # shuttle-op internal consistency; position() range-checks both ends
     for idx, op in shuttles:
-        p0 = position(op.src, spec)
-        p1 = position(op.dst, spec)
-        ends[idx] = (p0, p1)
-        dist = abs(p0 - p1)
+        dist = abs(position(op.src, spec) - position(op.dst, spec))
         if dist == 0.0:
             out.append(Violation("op", idx, "zero-distance shuttle present"))
             continue
@@ -508,6 +630,8 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     zone_stays: dict[int, dict[Location, list]] = {}
     if sorted(s.initial_sites) != list(range(n)):
         out.append(Violation("c", None, "initial placement is not a bijection"))
+        if len(s.initial_sites) < n:
+            return out  # a qubit without a start site has no chain to follow
     by_qubit: dict[int, list[tuple[int, ShuttleOp]]] = {q: [] for q in range(n)}
     for idx, op in shuttles:
         if not 0 <= op.qubit < n:
@@ -533,17 +657,10 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
             arrived = op.end
         timeline.append((cur, arrived, float("inf")))
         timelines[q] = timeline
-        stays: dict[Location, list] = {}  # zone -> [t0s, t1s, both ascending]
+        stays: dict[Location, list[tuple[float, float]]] = {}
         for loc, t0, t1 in timeline:
             if loc.kind is LocationKind.ZONE:
-                entry = stays.get(loc)
-                if entry is None:
-                    stays[loc] = [[t0], [t1], t0 == t0]
-                else:
-                    t0s, t1s, ascending = entry
-                    entry[2] = ascending and t0s[-1] <= t0 and t1s[-1] <= t1
-                    t0s.append(t0)
-                    t1s.append(t1)
+                stays.setdefault(loc, []).append((t0, t1))
         zone_stays[q] = stays
 
     # (a) gate operands present at the zone for the full gate
@@ -552,9 +669,10 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
             out.append(Violation("a", idx, f"gate index {op.gate_index} out of range"))
             continue
         zone_loc = Location.zone(op.zone)
+        start, end = op.start + _EPS_T, op.end
         for q in s.circuit.gates[op.gate_index].qubits:
-            entry = zone_stays.get(q, {}).get(zone_loc)
-            if not (entry and _covers(*entry, op)):
+            stays = zone_stays.get(q, {}).get(zone_loc, ())
+            if not any(t0 <= start and end <= t1 + _EPS_T for t0, t1 in stays):
                 out.append(
                     Violation("a", idx, f"qubit {q} not at {zone_loc!r} for gate interval")
                 )
@@ -586,23 +704,20 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
 
     # (d) simultaneously moving qubits keep their spatial order. A move is
     # (end, qubit, start, duration, p0, p1 - p0), at p0 + (p1 - p0) *
-    # (t - start) / duration at time t; max/min are spelled out as
-    # conditionals that pick the same operand as the builtins.
+    # (t - start) / duration at time t.
     moving = sorted(shuttles, key=lambda pair: (pair[1].start, pair[0]))
     active: list[tuple[float, int, float, float, float, float]] = []
     for idx, op in moving:
-        start = op.start
-        end = op.end
-        dur = op.duration
-        p0, p1 = ends[idx]
-        dp = p1 - p0
+        start, end, dur = op.start, op.end, op.duration
+        p0 = position(op.src, spec)
+        dp = position(op.dst, spec) - p0
         cutoff = start + _EPS_T
         active = [m for m in active if m[0] > cutoff]
         for o_end, o_qubit, o_start, o_dur, o_p0, o_dp in active:
             if o_qubit == op.qubit:
                 continue
-            lo = o_start if o_start > start else start
-            hi = o_end if o_end < end else end
+            lo = max(start, o_start)
+            hi = min(end, o_end)
             if hi - lo <= _EPS_T:
                 continue
             d0 = (p0 + dp * (lo - start) / dur) - (o_p0 + o_dp * (lo - o_start) / o_dur)
@@ -634,8 +749,9 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     for _, op in shuttles:
         if 0 <= op.qubit < n:
             folded[op.qubit] += op.delta_c
-    for q in range(n):
-        stored = s.per_qubit_error[q]
+    if len(s.per_qubit_error) != n:
+        out.append(Violation("f", None, f"{len(s.per_qubit_error)} stored errors for {n} qubits"))
+    for q, stored in enumerate(s.per_qubit_error[:n]):
         if abs(folded[q] - stored) > 1e-15 * max(1.0, abs(stored)):
             out.append(
                 Violation("f", None, f"qubit {q} error {stored} != folded {folded[q]}")

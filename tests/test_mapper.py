@@ -16,20 +16,28 @@ from spinbus.circuit import (
     slice_circuit,
 )
 from spinbus.error_model import ErrorModelParams, optimal_velocity, phase_error
-from spinbus.benchgen import BenchmarkSpec, generate
+from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
 from spinbus.mapper import (
     GateOp,
     Schedule,
     ShuttleOp,
     STRATEGIES,
     _map_sliced,
+    _screen,
+    _validate_exact,
     map_strategy,
     schedule_from_json,
     schedule_to_json,
     validate_schedule,
 )
 from spinbus.metrics import summarize
-from spinbus.placement import Placement, random_placement
+from spinbus.placement import (
+    Placement,
+    build_interaction_graph,
+    random_placement,
+    spectral_placement,
+)
+from spinbus.rng import SplitMix64
 from validator_oracle import oracle_validate_schedule
 
 US = 1e-6
@@ -448,6 +456,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="integer"):
             schedule_from_json(json.dumps(doc), s.circuit)
 
+    def test_short_placement_reported(self):
+        # validating this reload once raised IndexError
+        s, doc = _ghz4_parallel()
+        doc["placement"] = [0, 1]
+        back = schedule_from_json(json.dumps(doc), s.circuit)
+        assert "c" in {v.rule for v in validate_schedule(back, back.arch)}
+
+    def test_short_error_list_reported(self):
+        s, doc = _ghz4_parallel()
+        doc["per_qubit_error"] = doc["per_qubit_error"][:2]
+        back = schedule_from_json(json.dumps(doc), s.circuit)
+        assert "f" in {v.rule for v in validate_schedule(back, back.arch)}
+
     def test_header_fields(self, errp):
         s = run("baseline", Circuit(2, (h(0),)), 2, errp)
         doc = json.loads(schedule_to_json(s))
@@ -769,3 +790,71 @@ class TestValidatorMatchesOracle:
             if schedule is not None:
                 want = _outcome(oracle_validate_schedule, schedule)
                 assert _outcome(validate_schedule, schedule) == want
+
+
+def _screened(s):
+    """Whether the numpy screen answers "valid"; an exception counts as no."""
+    try:
+        return _screen(s, s.arch)
+    except Exception:
+        return False
+
+
+def _acceptance_corpus(errp):
+    """The schedules acceptance criterion 7 validates: the 16-qubit suite
+    at spectral and random placement, and 200 seeded random circuits."""
+    for family in FAMILIES:
+        sc = slice_circuit(decompose(generate(BenchmarkSpec(family=family, n=16, seed=0))))
+        for placement in (spectral_placement(build_interaction_graph(sc)), random_placement(16, 0)):
+            for strategy in STRATEGIES:
+                yield map_strategy(strategy, sc, arch(16), placement, errp)
+    for trial in range(200):
+        n = 4 + SplitMix64(7777 + trial).randbelow(13)
+        sc = slice_circuit(decompose(generate(BenchmarkSpec(family="random", n=n, seed=trial))))
+        for strategy in STRATEGIES:
+            yield map_strategy(strategy, sc, arch(n), random_placement(n, trial), errp)
+
+
+class TestScreen:
+    """The screen in front of the exact path answers "valid" only where the
+    oracle finds no violation and raises nothing, and it does answer so on
+    valid schedules, so the fast path is taken."""
+
+    def test_never_valid_where_oracle_objects(self):
+        for label, s in _mutation_corpus():
+            for schedule in (s, _reloaded(s)):
+                if schedule is not None and _screened(schedule):
+                    assert _outcome(oracle_validate_schedule, schedule) == [], label
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.integers(0, 9),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(MUTATIONS)),
+                st.integers(0, 2**16),
+                st.integers(0, 2**16),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_random_mutations(self, base, steps):
+        s = _valid_schedules()[base]
+        for name, i, j in steps:
+            s = MUTATIONS[name](s, i, j)
+        for schedule in (s, _reloaded(s)):
+            if schedule is not None and _screened(schedule):
+                assert _outcome(oracle_validate_schedule, schedule) == []
+
+    def test_valid_schedules_pass_the_screen(self):
+        for s in _valid_schedules():
+            assert _screen(s, s.arch) is True, s.strategy
+            assert _validate_exact(s, s.arch) == oracle_validate_schedule(s, s.arch) == []
+
+    def test_acceptance_corpus_passes_the_screen(self, errp):
+        checked = 0
+        for s in _acceptance_corpus(errp):
+            assert _screen(s, s.arch) is True, (s.strategy, s.circuit.num_qubits)
+            checked += 1
+        assert checked == 1070
