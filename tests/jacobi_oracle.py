@@ -1,11 +1,12 @@
-"""Reference oracle for ``spinbus.placement.jacobi_eigh``.
+"""An independent second eigensolver for the placement tests.
 
-This is the cyclic Jacobi solver the library shipped before its rotation
-was restructured to cut numpy calls, kept word for word (only renamed).
-Every rotation rewrites whole rows and columns with separate numpy calls,
-so it is slow, but it is the definition the fast solver must match: the
-same eigenvalues and eigenvectors, bit for bit. Tests only; ``src/`` has
-one solver.
+This is the cyclic Jacobi solver the library used for spectral placement
+before it moved to ``np.linalg.eigh``, kept word for word (only renamed).
+It shares no code with LAPACK, so a test that swaps it in for
+``np.linalg.eigh`` and gets the same placements shows that the pinned
+output bytes do not rest on the LAPACK build numpy links. Slow: every
+rotation rewrites whole rows and columns with separate numpy calls.
+Tests only.
 """
 from __future__ import annotations
 

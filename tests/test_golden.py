@@ -33,14 +33,14 @@ GOLDEN = {
         "sweep.csv": "b2402f961d40bcc110365da00f246b8626324d22259352cbdc21443fba539e2b",
     },
     "spectral": {
-        "compare__spectral.csv": "0652cd6d1850c1ded8d27a9a754f7188094e01c903a9d72ab582d5eb39de2409",
-        "reports__spectral.csv": "9ea6d5fe934df2a536b7e84716432d7eee15a95889864baca38b3c8494cd7b39",
-        "reports__spectral.json": "10e97fffd181aa2d14766da2e3864fe986579e3260a83382df64c45d224056d2",
-        "schedule_baseline__spectral.json": "b46b12828902990c7c911416ad1243d5e874fc087d5de471e1fb55ce8a59fc42",
-        "schedule_min_return__spectral.json": "8cc0dd4241e043a5d1dec5761b7b543eb102d4636946a54e9964842e51559293",
-        "schedule_parallel__spectral.json": "9e484f0d6a540b31810129ae81f4ede73be21569a620e93069a71387d4c80249",
-        "schedule_swap_return__spectral.json": "bf42ef606abf1e3a79affb2c0996e36b689199ff7d8a5262d0b93facedf1435e",
-        "schedule_tunable_velocity__spectral.json": "626085f442420a83fed30e5ed1ca0056776e9ba6c14e28727b8ea702065f2138",
+        "compare__spectral.csv": "24dc4cce0237cd6743bf68070000d50d79cc5e341540a0c2ace795d695fd3f48",
+        "reports__spectral.csv": "2935102f438d8a9dc8cc11b80e3043688f29828be3173748346e3e8a963acba8",
+        "reports__spectral.json": "c86aa55ceeb6fc312854fd675a6a5c271b7932d80d24b4191233875e35ad7789",
+        "schedule_baseline__spectral.json": "267aa368f98d8fa8c3435b17820d03494d5d6827534170c519567ed30d7b6ca3",
+        "schedule_min_return__spectral.json": "27b6b1fb6b912bae52e0da050bfbaa141622331cb0e3ca12917d1817ea8ff6c0",
+        "schedule_parallel__spectral.json": "a006d0afe5eda126816b20e32edb08a7d329682fabdf8228565d9ef80d113f01",
+        "schedule_swap_return__spectral.json": "767a4addfc26238d2cb8be9b6019b6782556d968d95f329e469be539cf3476d0",
+        "schedule_tunable_velocity__spectral.json": "f7de569cab8f05059a2eb5b4e007d4ef6f408dc80895713162509614ceb0903f",
     },
     "random": {
         "compare__random_s0.csv": "3c2a80e303241c0132dd19c84a9ba3395a9e2717d4a018df5fdac40edff0362c",
