@@ -20,6 +20,13 @@ UM = 1e-6
 NS = 1e-9
 
 
+def json_number(value, name: str) -> float:
+    """A JSON number as a float; ``float()`` would read true as 1 and "20" as 20."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 class LocationKind(Enum):
     STORAGE = "storage"
     ZONE = "zone"
@@ -102,15 +109,19 @@ class ArchitectureSpec:
         if unknown:
             raise ValueError(f"unknown architecture keys {unknown}")
         n_sites = cfg["n_sites"]
-        if isinstance(n_sites, bool) or int(n_sites) != float(n_sites):
+        if int(json_number(n_sites, "n_sites")) != n_sites:
             raise ValueError(f"n_sites must be a whole number, got {n_sites!r}")
+
+        def number(key: str, default: float) -> float:
+            return json_number(cfg.get(key, default), key)
+
         return cls(
             n_sites=int(n_sites),
-            site_pitch=float(cfg.get("site_pitch_um", 2.0)) * UM,
-            zone_offset=float(cfg.get("zone_offset_um", 1.0)) * UM,
-            default_velocity=float(cfg.get("default_velocity_mps", 10.0)),
-            t_1q=float(cfg.get("t_1q_ns", 20.0)) * NS,
-            t_2q=float(cfg.get("t_2q_ns", 45.0)) * NS,
+            site_pitch=number("site_pitch_um", 2.0) * UM,
+            zone_offset=number("zone_offset_um", 1.0) * UM,
+            default_velocity=number("default_velocity_mps", 10.0),
+            t_1q=number("t_1q_ns", 20.0) * NS,
+            t_2q=number("t_2q_ns", 45.0) * NS,
         )
 
 

@@ -20,6 +20,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+from .architecture import json_number
+
 HBAR = 1.054571817e-34  # J*s
 UEV = 1.602176634e-25   # J per micro-electronvolt
 
@@ -66,13 +68,17 @@ class ErrorModelParams:
         unknown = sorted(set(cfg) - set(cls().to_config()))
         if unknown:
             raise ValueError(f"unknown error-model keys {unknown}")
+
+        def number(key: str, default: float) -> float:
+            return json_number(cfg.get(key, default), key)
+
         return cls(
-            l_c=float(cfg.get("l_c_nm", 100.0)) * 1e-9,
-            t2_star=float(cfg.get("t2_star_us", 20.0)) * 1e-6,
-            l_dot=float(cfg.get("l_dot_nm", 20.0)) * 1e-9,
-            e_vs0=float(cfg.get("e_vs0_uev", 100.0)) * UEV,
-            d_bar=float(cfg.get("d_bar_nm", 30.0)) * 1e-9,
-            a_x=float(cfg.get("a_x_pi_per_nm", 0.05)) * math.pi * 1e9,
+            l_c=number("l_c_nm", 100.0) * 1e-9,
+            t2_star=number("t2_star_us", 20.0) * 1e-6,
+            l_dot=number("l_dot_nm", 20.0) * 1e-9,
+            e_vs0=number("e_vs0_uev", 100.0) * UEV,
+            d_bar=number("d_bar_nm", 30.0) * 1e-9,
+            a_x=number("a_x_pi_per_nm", 0.05) * math.pi * 1e9,
         )
 
 

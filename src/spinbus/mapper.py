@@ -16,13 +16,16 @@ Five strategies, each an improvement on the last:
   swap_return       tunable_velocity plus future-aware assignment of the
                     two occupants of a zone to their two return sites
 
-``map_strategy`` is the one entry point. Baseline has its own mapper; the
-four slice strategies are rows of ``STRATEGY_FLAGS``, each a flag triple
-(dynamic_return, tunable, swap_returns) of the one slice mapper.
+``map_strategy`` is the one entry point. The five strategies are the five
+rows of ``STRATEGY_FLAGS``, each a flag tuple (sequential, dynamic_return,
+tunable, swap_returns) of one mapper. Only baseline is sequential: every
+gate is a slice of its own, in circuit order, and a two-qubit gate meets
+in the central zone.
 
 Each slice episode has three globally barriered phases: all operands
 shuttle out together, all gates fire together, all operands return
-together. Phase duration is the maximum individual duration within it.
+together. Within a phase the shuttles are emitted in ascending qubit
+order. Phase duration is the maximum individual duration within it.
 Qubits untouched by a slice stay parked and accrue no error.
 """
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .architecture import (
     Location,
     LocationKind,
     distance,
+    json_number,
     position,
     shuttle_time,
 )
@@ -46,14 +50,15 @@ from .circuit import Circuit, Gate, GateKind, SlicedCircuit
 from .error_model import ErrorModelParams, optimal_velocity, phase_error
 from .placement import Placement
 
-# the slice strategies: name -> (dynamic_return, tunable, swap_returns)
+# name -> (sequential, dynamic_return, tunable, swap_returns)
 STRATEGY_FLAGS = {
-    "parallel": (False, False, False),
-    "min_return": (True, False, False),
-    "tunable_velocity": (True, True, False),
-    "swap_return": (True, True, True),
+    "baseline": (True, False, False, False),
+    "parallel": (False, False, False, False),
+    "min_return": (False, True, False, False),
+    "tunable_velocity": (False, True, True, False),
+    "swap_return": (False, True, True, True),
 }
-STRATEGIES = ("baseline", *STRATEGY_FLAGS)
+STRATEGIES = tuple(STRATEGY_FLAGS)
 
 _EPS_T = 1e-15  # seconds; schedule times are exact accumulations
 
@@ -113,64 +118,6 @@ class Violation:
     message: str
 
 
-class _Builder:
-    def __init__(
-        self,
-        strategy: str,
-        circuit: Circuit,
-        spec: ArchitectureSpec,
-        placement: Placement,
-        errp: ErrorModelParams,
-    ):
-        if circuit.num_qubits != spec.n_sites:
-            raise ValueError(
-                f"circuit has {circuit.num_qubits} qubits but the architecture "
-                f"has {spec.n_sites} sites"
-            )
-        if placement.n != spec.n_sites:
-            raise ValueError(
-                f"placement covers {placement.n} qubits, architecture has {spec.n_sites}"
-            )
-        self.strategy = strategy
-        self.circuit = circuit
-        self.spec = spec
-        self.errp = errp
-        self.initial_sites = tuple(placement.perm)
-        self.ops: list[ShuttleOp | GateOp] = []
-        self.err = [0.0] * spec.n_sites
-
-    def shuttle(self, qubit: int, src: Location, dst: Location, start: float, v: float) -> float:
-        dist = distance(src, dst, self.spec)
-        if dist == 0.0:
-            return 0.0
-        dur = shuttle_time(dist, v)
-        dc = phase_error(v, dist, self.errp)
-        self.ops.append(ShuttleOp(qubit, src, dst, start, v, dur, dc))
-        self.err[qubit] += dc
-        return dur
-
-    def gate(self, gate_index: int, zone: int, start: float, duration: float) -> None:
-        self.ops.append(GateOp(gate_index, zone, start, duration))
-
-    def finish(self, total_time: float, final_sites: list[int]) -> Schedule:
-        return Schedule(
-            strategy=self.strategy,
-            circuit=self.circuit,
-            arch=self.spec,
-            error_params=self.errp,
-            initial_sites=self.initial_sites,
-            ops=tuple(self.ops),
-            total_time=total_time,
-            per_qubit_error=tuple(self.err),
-            final_sites=tuple(final_sites),
-        )
-
-
-def _require_native(c: Circuit) -> None:
-    if not c.is_native:
-        raise ValueError("mapper needs a native-basis circuit (run decompose first)")
-
-
 def _schedulable(g: Gate, measure_duration: float | None) -> bool:
     if g.kind is GateKind.BARRIER:
         return False
@@ -193,78 +140,62 @@ def map_strategy(
     errp: ErrorModelParams,
     measure_duration: float | None = None,
 ) -> Schedule:
-    """Map ``sc`` with the named strategy; baseline maps the flat gate list."""
-    if strategy == "baseline":
-        return _map_baseline(sc.circuit, spec, placement, errp, measure_duration)
+    """Map ``sc`` with the named strategy, one row of ``STRATEGY_FLAGS``."""
     if strategy not in STRATEGY_FLAGS:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _map_sliced(
-        sc, spec, placement, errp, strategy, STRATEGY_FLAGS[strategy], measure_duration
-    )
+    return _map(sc, spec, placement, errp, strategy, STRATEGY_FLAGS[strategy], measure_duration)
 
 
-def _map_baseline(
-    c: Circuit,
-    spec: ArchitectureSpec,
-    placement: Placement,
-    errp: ErrorModelParams,
-    measure_duration: float | None,
-) -> Schedule:
-    """Strictly sequential mapping with a static layout.
-
-    The two operand shuttles of a two-qubit gate run simultaneously (the
-    conveyor moves both wells at once); gates themselves never overlap.
-    """
-    _require_native(c)
-    b = _Builder("baseline", c, spec, placement, errp)
-    v = spec.default_velocity
-    sites = list(placement.perm)
-    t = 0.0
-    for gi, g in enumerate(c.gates):
-        if not _schedulable(g, measure_duration):
-            continue
-        if g.is_two_qubit:
-            i, j = sites[g.qubits[0]], sites[g.qubits[1]]
-            zone = (i + j + 1) // 2
-        else:
-            zone = sites[g.qubits[0]]
-        zone_loc = Location.zone(zone)
-        gate_start = t
-        for q in g.qubits:
-            dur = b.shuttle(q, Location.site(sites[q]), zone_loc, t, v)
-            gate_start = max(gate_start, t + dur)
-        g_dur = _gate_duration(g, spec, measure_duration)
-        b.gate(gi, zone, gate_start, g_dur)
-        ret_start = gate_start + g_dur
-        t = ret_start
-        for q in g.qubits:
-            dur = b.shuttle(q, zone_loc, Location.site(sites[q]), ret_start, v)
-            t = max(t, ret_start + dur)
-    return b.finish(t, sites)
-
-
-def _map_sliced(
+def _map(
     sc: SlicedCircuit,
     spec: ArchitectureSpec,
     placement: Placement,
     errp: ErrorModelParams,
     strategy: str,
-    flags: tuple[bool, bool, bool],
+    flags: tuple[bool, bool, bool, bool],
     measure_duration: float | None = None,
 ) -> Schedule:
-    dynamic_return, tunable, swap_returns = flags
+    sequential, dynamic_return, tunable, swap_returns = flags
     c = sc.circuit
-    _require_native(c)
-    b = _Builder(strategy, c, spec, placement, errp)
+    if not c.is_native:
+        raise ValueError("mapper needs a native-basis circuit (run decompose first)")
+    if c.num_qubits != spec.n_sites:
+        raise ValueError(
+            f"circuit has {c.num_qubits} qubits but the architecture "
+            f"has {spec.n_sites} sites"
+        )
+    if placement.n != spec.n_sites:
+        raise ValueError(
+            f"placement covers {placement.n} qubits, architecture has {spec.n_sites}"
+        )
+    site_loc = [Location.site(s) for s in range(spec.n_sites)]
+    zone_loc = [Location.zone(z) for z in range(spec.n_sites)]
+    site_pos = [position(loc, spec) for loc in site_loc]
+    zone_pos = [position(loc, spec) for loc in zone_loc]
+    ops: list[ShuttleOp | GateOp] = []
+    err = [0.0] * spec.n_sites
+
+    def phase(moves: list[tuple[int, int, int]], start: float, outward: bool) -> float:
+        """Shuttle every (qubit, site, zone) move from ``start``, in qubit
+        order, at one velocity; return the phase duration."""
+        moves = sorted(moves)
+        dists = [abs(site_pos[s] - zone_pos[z]) for _, s, z in moves]
+        longest = max(dists)
+        v = optimal_velocity(longest, errp) if tunable else spec.default_velocity
+        for (q, s, z), dist in zip(moves, dists):
+            src, dst = (site_loc[s], zone_loc[z]) if outward else (zone_loc[z], site_loc[s])
+            dc = phase_error(v, dist, errp)
+            ops.append(ShuttleOp(q, src, dst, start, v, shuttle_time(dist, v), dc))
+            err[q] += dc
+        return shuttle_time(longest, v)
+
     sites: list[int | None] = list(placement.perm)  # None while in a zone
-    site_taken: list[int | None] = [None] * spec.n_sites
-    for q, s in enumerate(placement.perm):
-        site_taken[s] = q
+    layers = [(gate_idx,) for gate_idx in range(len(c.gates))] if sequential else sc.layers
 
     # per-qubit future two-qubit interactions: (layer, partner), layer-sorted
     future: list[list[tuple[int, int]]] = [[] for _ in range(c.num_qubits)]
     if swap_returns:
-        for layer_idx, layer in enumerate(sc.layers):
+        for layer_idx, layer in enumerate(layers):
             for gate_idx in layer:
                 g = c.gates[gate_idx]
                 if g.is_two_qubit:
@@ -273,14 +204,15 @@ def _map_sliced(
                     future[qb].append((layer_idx, qa))
 
     t = 0.0
-    for layer_idx, layer in enumerate(sc.layers):
+    for layer_idx, layer in enumerate(layers):
         episodes = []  # (gate_index, gate, zone)
         for gate_idx in layer:
             g = c.gates[gate_idx]
             if not _schedulable(g, measure_duration):
                 continue
             if g.is_two_qubit:
-                zone = max(sites[g.qubits[0]], sites[g.qubits[1]])
+                i, j = sites[g.qubits[0]], sites[g.qubits[1]]
+                zone = (i + j + 1) // 2 if sequential else max(i, j)
             else:
                 zone = sites[g.qubits[0]]
             episodes.append((gate_idx, g, zone))
@@ -288,58 +220,54 @@ def _map_sliced(
             continue
 
         # out phase: every operand shuttles to its zone simultaneously
-        out_moves = []  # (qubit, src_site, zone)
-        for _, g, zone in episodes:
-            for q in g.qubits:
-                out_moves.append((q, sites[q], zone))
-        max_out = max(
-            distance(Location.site(s), Location.zone(z), spec) for _, s, z in out_moves
-        )
-        v_out = optimal_velocity(max_out, errp) if tunable else spec.default_velocity
-        for q, s, z in sorted(out_moves):
-            b.shuttle(q, Location.site(s), Location.zone(z), t, v_out)
-            site_taken[s] = None
+        out_moves = [(q, sites[q], zone) for _, g, zone in episodes for q in g.qubits]
+        gate_start = t + phase(out_moves, t, True)
+        for q, _, _ in out_moves:
             sites[q] = None
-        gate_start = t + shuttle_time(max_out, v_out)
 
         # gate phase: all gates start together
         max_dur = 0.0
         for gate_idx, g, zone in episodes:
             g_dur = _gate_duration(g, spec, measure_duration)
-            b.gate(gate_idx, zone, gate_start, g_dur)
+            ops.append(GateOp(gate_idx, zone, gate_start, g_dur))
             max_dur = max(max_dur, g_dur)
         ret_start = gate_start + max_dur
 
         # return phase: pick destination sites, then shuttle simultaneously
         if dynamic_return:
             returns = _assign_dynamic_returns(
-                episodes, sites, site_taken, spec, swap_returns, future, layer_idx
+                episodes, sites, site_pos, zone_pos, swap_returns, future, layer_idx
             )
         else:
-            returns = [(q, z, s) for q, s, z in out_moves]
-        max_ret = max(
-            distance(Location.zone(z), Location.site(s), spec) for _, z, s in returns
-        )
-        v_ret = optimal_velocity(max_ret, errp) if tunable else spec.default_velocity
-        for q, z, s in sorted(returns):
-            b.shuttle(q, Location.zone(z), Location.site(s), ret_start, v_ret)
+            returns = out_moves
+        t = ret_start + phase(returns, ret_start, False)
+        for q, s, _ in returns:
             sites[q] = s
-            site_taken[s] = q
-        t = ret_start + shuttle_time(max_ret, v_ret)
 
-    return b.finish(t, [int(s) for s in sites])
+    return Schedule(
+        strategy=strategy,
+        circuit=c,
+        arch=spec,
+        error_params=errp,
+        initial_sites=placement.perm,
+        ops=tuple(ops),
+        total_time=t,
+        per_qubit_error=tuple(err),
+        final_sites=tuple(sites),
+    )
 
 
 def _assign_dynamic_returns(
     episodes,
     sites: list[int | None],
-    site_taken: list[int | None],
-    spec: ArchitectureSpec,
+    site_pos: list[float],
+    zone_pos: list[float],
     swap_returns: bool,
     future: list[list[tuple[int, int]]],
     layer_idx: int,
 ) -> list[tuple[int, int, int]]:
-    """Assign each zone occupant a return site, zones right to left.
+    """Assign each zone occupant a return site, zones right to left; the
+    moves come back as (qubit, site, zone).
 
     Every occupant takes the rightmost free site left of its zone. With two
     occupants the default gives the smaller virtual index the rightmost
@@ -347,16 +275,16 @@ def _assign_dynamic_returns(
     of their next partner's position, so each returns toward its upcoming
     interaction.
     """
-    free = sorted(s for s in range(spec.n_sites) if site_taken[s] is None)
+    free = sorted(set(range(len(sites))).difference(sites))
     in_zone = {q: zone for _, g, zone in episodes for q in g.qubits}
     assigned: dict[int, int] = {}
 
     def current_pos(q: int) -> float:
         if q in assigned:
-            return position(Location.site(assigned[q]), spec)
+            return site_pos[assigned[q]]
         if q in in_zone:
-            return position(Location.zone(in_zone[q]), spec)
-        return position(Location.site(sites[q]), spec)
+            return zone_pos[in_zone[q]]
+        return site_pos[sites[q]]
 
     def next_partner_pos(q: int) -> float | None:
         entries = future[q]
@@ -380,12 +308,12 @@ def _assign_dynamic_returns(
             s_hi, s_lo = free[cut - 1], free[cut - 2]
             qa, qb = occupants
             chosen = _assign_pair(
-                qa, qb, s_hi, s_lo, spec, swap_returns, next_partner_pos
+                qa, qb, s_hi, s_lo, site_pos, swap_returns, next_partner_pos
             )
         for q, s in chosen.items():
             assigned[q] = s
             free.remove(s)
-            returns.append((q, zone, s))
+            returns.append((q, s, zone))
     return returns
 
 
@@ -394,7 +322,7 @@ def _assign_pair(
     qb: int,
     s_hi: int,
     s_lo: int,
-    spec: ArchitectureSpec,
+    site_pos: list[float],
     swap_returns: bool,
     next_partner_pos,
 ) -> dict[int, int]:
@@ -410,8 +338,7 @@ def _assign_pair(
     pb = next_partner_pos(qb)
     if pa is None and pb is None:
         return default()
-    pos_hi = position(Location.site(s_hi), spec)
-    pos_lo = position(Location.site(s_lo), spec)
+    pos_hi, pos_lo = site_pos[s_hi], site_pos[s_lo]
     if pa is None or pb is None:
         # the qubit with a future interaction takes its distance-minimizing site
         q_with, p = (qa, pa) if pa is not None else (qb, pb)
@@ -822,7 +749,8 @@ def schedule_to_json(s: Schedule) -> str:
 def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
     """Rebuild a Schedule from its JSON form and the circuit it was mapped from.
 
-    Every index field must be a JSON integer, or ValueError is raised. Start
+    Every index field must be a JSON integer and every other numeric field
+    a JSON number (not a bool or a string), or ValueError is raised. Start
     times come back rounded to 1 ps and the error parameters pass through
     their nm/us/ueV form, so the result need not revalidate: a move can
     start before the previous one ends, and a stored ``dC`` can differ in
@@ -836,17 +764,17 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
         if "q" in entry:
             src = _loc_from_json(entry["from"])
             dst = _loc_from_json(entry["to"])
-            v = float(entry["v_mps"])
+            v = json_number(entry["v_mps"], "v_mps")
             dist = distance(src, dst, arch)
             ops.append(
                 ShuttleOp(
                     qubit=_index(entry["q"]),
                     src=src,
                     dst=dst,
-                    start=float(entry["t0_ns"]) * 1e-9,
+                    start=json_number(entry["t0_ns"], "t0_ns") * 1e-9,
                     velocity=v,
                     duration=shuttle_time(dist, v),
-                    delta_c=float(entry["dC"]),
+                    delta_c=json_number(entry["dC"], "dC"),
                 )
             )
         else:
@@ -854,8 +782,8 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
                 GateOp(
                     gate_index=_index(entry["gate"]),
                     zone=_index(entry["zone"]),
-                    start=float(entry["t0_ns"]) * 1e-9,
-                    duration=float(entry["dur_ns"]) * 1e-9,
+                    start=json_number(entry["t0_ns"], "t0_ns") * 1e-9,
+                    duration=json_number(entry["dur_ns"], "dur_ns") * 1e-9,
                 )
             )
     return Schedule(
@@ -865,7 +793,7 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
         error_params=errp,
         initial_sites=tuple(_index(x) for x in doc["placement"]),
         ops=tuple(ops),
-        total_time=float(doc["total_time_ns"]) * 1e-9,
-        per_qubit_error=tuple(float(x) for x in doc["per_qubit_error"]),
+        total_time=json_number(doc["total_time_ns"], "total_time_ns") * 1e-9,
+        per_qubit_error=tuple(json_number(x, "per_qubit_error") for x in doc["per_qubit_error"]),
         final_sites=tuple(_index(x) for x in doc["final_sites"]),
     )

@@ -115,6 +115,17 @@ def test_non_finite_values_rejected(name):
         ArchitectureSpec(n_sites=4, **{name: float("nan")})
 
 
+@pytest.mark.parametrize(
+    "key", ["n_sites", "site_pitch_um", "zone_offset_um", "default_velocity_mps", "t_1q_ns", "t_2q_ns"]
+)
+@pytest.mark.parametrize("value", [True, "20", None, [1]])
+def test_from_config_rejects_non_numbers(key, value):
+    # float() once read true as 1.0 and "20" as 20.0
+    cfg = {**ArchitectureSpec(n_sites=4).to_config(), key: value}
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        ArchitectureSpec.from_config(cfg)
+
+
 def test_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="velocity_mps"):
         ArchitectureSpec.from_config({"n_sites": 4, "velocity_mps": 5.0})

@@ -365,7 +365,9 @@ class TestConfigFiles:
             pytest.param("--arch-config", '{"site_pitch_um": 1%s}' % ("0" * 400), id="huge-int"),
             ("--arch-config", '{"n_sites": 1e400}'),
             ("--arch-config", '{"n_sites": 4.7}'),
+            ("--arch-config", '{"zone_offset_um": true, "t_1q_ns": "20"}'),
             ("--error-config", '{"l_c_nm": [1]}'),
+            ("--error-config", '{"l_c_nm": true}'),
             pytest.param("--error-config", '{"d_bar_nm": 1%s}' % ("0" * 400), id="huge-int-err"),
         ],
     )

@@ -97,6 +97,16 @@ def test_defaults_match_table_units(p):
     assert again.e_vs0 == pytest.approx(p.e_vs0, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "key", ["l_c_nm", "t2_star_us", "l_dot_nm", "e_vs0_uev", "d_bar_nm", "a_x_pi_per_nm"]
+)
+@pytest.mark.parametrize("value", [True, "100", None, [1]])
+def test_from_config_rejects_non_numbers(key, value):
+    # float() once read true as 1.0 and "100" as 100.0
+    with pytest.raises(ValueError, match=f"{key} must be a number"):
+        ErrorModelParams.from_config({key: value})
+
+
 def test_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="t2_us"):
         ErrorModelParams.from_config({"t2_us": 10.0})

@@ -22,7 +22,7 @@ from spinbus.mapper import (
     Schedule,
     ShuttleOp,
     STRATEGIES,
-    _map_sliced,
+    _map,
     _screen,
     _validate_exact,
     map_strategy,
@@ -320,9 +320,10 @@ class TestSwapReturn:
             sc = slice_circuit(c)
             p = Placement.identity(8)
             plain = summarize(map_strategy("min_return", sc, arch(8), p, errp))
-            # (dynamic_return, tunable, swap_returns): swap_return at fixed velocity
-            swapped = _map_sliced(
-                sc, arch(8), p, errp, "swap_return_fixed_v", (True, False, True)
+            # (sequential, dynamic_return, tunable, swap_returns): swap_return
+            # at fixed velocity
+            swapped = _map(
+                sc, arch(8), p, errp, "swap_return_fixed_v", (False, True, False, True)
             )
             assert validate_schedule(swapped, arch(8)) == []
             wins += summarize(swapped).mean_error <= plain.mean_error + 1e-18
@@ -350,6 +351,34 @@ class TestScheduleInvariants:
             folded[op.qubit] += op.delta_c
         for got, want in zip(s.per_qubit_error, folded):
             assert got == want
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            Circuit(4, (cz(3, 1),)),
+            decompose(generate(BenchmarkSpec(family="qpe", n=16, seed=0))),
+            decompose(generate(BenchmarkSpec(family="random", n=6, seed=0))),
+            decompose(generate(BenchmarkSpec(family="random", n=16, seed=0))),
+        ],
+        ids=["cz31", "qpe16", "random6", "random16"],
+    )
+    def test_phase_shuttles_in_ascending_qubit_order(self, errp, strategy, circuit):
+        # every strategy emits the shuttles of one phase in qubit order,
+        # whatever the operand order of the gates
+        s = run(strategy, circuit, circuit.num_qubits, errp)
+        by_start: dict[float, list[int]] = {}
+        for op in ops_of(s, ShuttleOp):
+            by_start.setdefault(op.start, []).append(op.qubit)
+        for qubits in by_start.values():
+            assert qubits == sorted(qubits)
+
+    def test_baseline_ignores_slicing(self, errp):
+        c = decompose(generate(BenchmarkSpec(family="qft", n=6, seed=0)))
+        one_per_layer = SlicedCircuit(c, tuple((i,) for i in range(len(c.gates))))
+        args = (arch(6), Placement((3, 0, 5, 1, 4, 2)), errp)
+        sliced = map_strategy("baseline", slice_circuit(c), *args)
+        assert map_strategy("baseline", one_per_layer, *args) == sliced
 
     def test_untouched_qubits_accrue_nothing(self, errp):
         s = run("min_return", Circuit(6, (cz(0, 1),)), 6, errp)
@@ -454,6 +483,33 @@ class TestSerialization:
         paths = _index_paths(doc)
         _change_index(doc, paths[pick % len(paths)], lambda _: value)
         with pytest.raises(ValueError, match="integer"):
+            schedule_from_json(json.dumps(doc), s.circuit)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t0_ns", False),
+            ("v_mps", "10.0"),
+            ("dC", "0.001"),
+            ("gate t0_ns", True),
+            ("dur_ns", "45"),
+            ("total_time_ns", None),
+            ("per_qubit_error", True),
+        ],
+    )
+    def test_non_number_field_rejected(self, field, value):
+        # float() once read false as 0.0 and "0.001" as 0.001
+        s, doc = _ghz4_parallel()
+        shuttle = doc["ops"][0]
+        gate = next(op for op in doc["ops"] if "gate" in op)
+        node, key = {
+            "gate t0_ns": (gate, "t0_ns"),
+            "dur_ns": (gate, "dur_ns"),
+            "total_time_ns": (doc, "total_time_ns"),
+            "per_qubit_error": (doc["per_qubit_error"], 0),
+        }.get(field, (shuttle, field))
+        node[key] = value
+        with pytest.raises(ValueError, match="number"):
             schedule_from_json(json.dumps(doc), s.circuit)
 
     def test_short_placement_reported(self):
