@@ -21,10 +21,17 @@ NS = 1e-9
 
 
 def json_number(value, name: str) -> float:
-    """A JSON number as a float; ``float()`` would read true as 1 and "20" as 20."""
+    """A finite JSON number as a float; ``float()`` would read true as 1 and
+    "20" as 20, and raise OverflowError on an integer too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {number!r}")
+    return number
 
 
 class LocationKind(Enum):

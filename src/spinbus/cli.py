@@ -22,7 +22,7 @@ from .benchgen import FAMILIES, BenchmarkSpec, generate
 from .circuit import Circuit, decompose, slice_circuit
 from .error_model import ErrorModelParams
 from .mapper import STRATEGIES, map_strategy, schedule_to_json, validate_schedule
-from .metrics import compare, mean_std, reports_to_csv, reports_to_json, summarize
+from .metrics import compare, left_sum, mean_std, reports_to_csv, reports_to_json, summarize
 from .placement import (
     Placement,
     build_interaction_graph,
@@ -410,8 +410,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for (tag, strategy), base in spectral.items():
         rand = randoms[tag, strategy]
-        rand_time = sum(r.total_time for r in rand) / len(rand)
-        rand_err = sum(r.mean_error for r in rand) / len(rand)
+        rand_time = left_sum(r.total_time for r in rand) / len(rand)
+        rand_err = left_sum(r.mean_error for r in rand) / len(rand)
         time_ratio = None if base.total_time == 0.0 else rand_time / base.total_time
         error_ratio = None if base.mean_error == 0.0 else rand_err / base.mean_error
         rows.append((*tag, strategy, _fmt(time_ratio), _fmt(error_ratio)))

@@ -27,13 +27,25 @@ shuttle out together, all gates fire together, all operands return
 together. Within a phase the shuttles are emitted in ascending qubit
 order. Phase duration is the maximum individual duration within it.
 Qubits untouched by a slice stay parked and accrue no error.
+
+A schedule's ops are held as columns (``ScheduleOps``): one array per
+shuttle field, one per gate field, and an order string that interleaves
+the two. The mapper appends rows to them, and the validator's screen,
+``metrics.summarize`` and ``schedule_to_json`` read the arrays.
+``Schedule.ops`` is that column sequence: it has a length without building
+ops, and builds ``ShuttleOp``/``GateOp`` objects only when iterated or
+indexed. A ``Schedule`` given a tuple of ops turns it into columns.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import json
+import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,19 +106,169 @@ class GateOp:
         return self.start + self.duration
 
 
+class ShuttleColumns(NamedTuple):
+    """One read-only array per ``ShuttleOp`` field, in op order.
+
+    ``src`` and ``dst`` hold locations as ``2 * index + is_zone``.
+    """
+
+    qubit: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    start: np.ndarray
+    velocity: np.ndarray
+    duration: np.ndarray
+    delta_c: np.ndarray
+
+
+class GateColumns(NamedTuple):
+    """One read-only array per ``GateOp`` field, in op order."""
+
+    gate_index: np.ndarray
+    zone: np.ndarray
+    start: np.ndarray
+    duration: np.ndarray
+
+
+_LOCATION_KINDS = (LocationKind.STORAGE, LocationKind.ZONE)
+_DTYPES = {"q": np.int64, "d": np.float64}
+
+
+def _location_code(loc: Location) -> int:
+    if not isinstance(loc, Location) or loc.kind not in _LOCATION_KINDS:
+        raise TypeError(f"not a Location: {loc!r}")
+    return 2 * loc.index + (loc.kind is LocationKind.ZONE)
+
+
+def _location(code: int) -> Location:
+    return Location(_LOCATION_KINDS[code & 1], code >> 1)
+
+
+def _columns(cls, typecodes: str, rows: list[tuple]):
+    """``rows`` transposed into ``cls``; ``array`` raises TypeError on a value
+    that is not a number, or on a non-integer in an integer column, and
+    OverflowError on an integer beyond 64 bits."""
+    cols = list(zip(*rows)) or [()] * len(typecodes)
+    out = []
+    for code, col in zip(typecodes, cols):
+        arr = np.frombuffer(array(code, col), dtype=_DTYPES[code])
+        arr.flags.writeable = False
+        out.append(arr)
+    return cls(*out)
+
+
+class ScheduleOps(Sequence):
+    """``Schedule.ops``: the ops of a schedule held as columns.
+
+    ``order`` has one character per op, ``"s"`` for the next shuttle row
+    and ``"g"`` for the next gate row. Iterating or indexing builds
+    ``ShuttleOp``/``GateOp`` objects; a slice is a plain tuple. It equals
+    the tuple of the same ops, and ``+`` with a tuple gives a tuple.
+    """
+
+    __slots__ = ("order", "shuttles", "gates")
+
+    def __init__(self, order: str, shuttles: list[tuple], gates: list[tuple]):
+        counts = (order.count("s"), order.count("g"), len(order))
+        if counts != (len(shuttles), len(gates), len(shuttles) + len(gates)):
+            raise ValueError("op order does not match the shuttle and gate rows")
+        self.order = order
+        self.shuttles = _columns(ShuttleColumns, "qqqdddd", shuttles)
+        self.gates = _columns(GateColumns, "qqdd", gates)
+
+    @classmethod
+    def of(cls, ops) -> "ScheduleOps":
+        """The columns of a sequence of ``ShuttleOp``s and ``GateOp``s."""
+        if isinstance(ops, ScheduleOps):
+            return ops
+        order, shuttles, gates = [], [], []
+        for op in ops:
+            if isinstance(op, ShuttleOp):
+                order.append("s")
+                shuttles.append(
+                    (op.qubit, _location_code(op.src), _location_code(op.dst),
+                     op.start, op.velocity, op.duration, op.delta_c)
+                )
+            elif isinstance(op, GateOp):
+                order.append("g")
+                gates.append((op.gate_index, op.zone, op.start, op.duration))
+            else:
+                raise TypeError(f"not a ShuttleOp or GateOp: {op!r}")
+        return cls("".join(order), shuttles, gates)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self):
+        q, src, dst, *rest = (col.tolist() for col in self.shuttles)
+        loc = {code: _location(code) for code in {*src, *dst}}
+        src, dst = map(loc.__getitem__, src), map(loc.__getitem__, dst)
+        nexts = {
+            "s": map(ShuttleOp, q, src, dst, *rest).__next__,
+            "g": map(GateOp, *(col.tolist() for col in self.gates)).__next__,
+        }
+        for kind in self.order:
+            yield nexts[kind]()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        index = range(len(self))[index]
+        k = self.order.count("s", 0, index)
+        if self.order[index] == "g":
+            return GateOp(*(col.item(index - k) for col in self.gates))
+        q, src, dst, *rest = (col.item(k) for col in self.shuttles)
+        return ShuttleOp(q, _location(src), _location(dst), *rest)
+
+    def __eq__(self, other):
+        if isinstance(other, ScheduleOps):
+            return self.order == other.order and all(
+                np.array_equal(a, b)
+                for a, b in zip(self.shuttles + self.gates, other.shuttles + other.gates)
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        if isinstance(other, (tuple, ScheduleOps)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, tuple):
+            return other + tuple(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ScheduleOps({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """A validated plan: time-ordered ops plus accumulated per-qubit error."""
+    """A validated plan: time-ordered ops plus accumulated per-qubit error.
+
+    ``ops`` may be given as any sequence of ``ShuttleOp``/``GateOp``; it is
+    held as ``ScheduleOps``. Op fields must be numbers that fit the columns
+    (integer fields 64-bit integers), or construction raises TypeError or
+    OverflowError.
+    """
 
     strategy: str
     circuit: Circuit
     arch: ArchitectureSpec
     error_params: ErrorModelParams
     initial_sites: tuple[int, ...]
-    ops: tuple[ShuttleOp | GateOp, ...]
+    ops: ScheduleOps
     total_time: float
     per_qubit_error: tuple[float, ...]
     final_sites: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ops", ScheduleOps.of(self.ops))
 
 
 @dataclass(frozen=True)
@@ -124,12 +286,6 @@ def _schedulable(g: Gate, measure_duration: float | None) -> bool:
     if g.kind is GateKind.MEASURE:
         return measure_duration is not None
     return True
-
-
-def _gate_duration(g: Gate, spec: ArchitectureSpec, measure_duration: float | None) -> float:
-    if g.kind is GateKind.MEASURE:
-        return measure_duration
-    return spec.t_2q if g.is_two_qubit else spec.t_1q
 
 
 def map_strategy(
@@ -168,12 +324,15 @@ def _map(
         raise ValueError(
             f"placement covers {placement.n} qubits, architecture has {spec.n_sites}"
         )
-    site_loc = [Location.site(s) for s in range(spec.n_sites)]
-    zone_loc = [Location.zone(z) for z in range(spec.n_sites)]
-    site_pos = [position(loc, spec) for loc in site_loc]
-    zone_pos = [position(loc, spec) for loc in zone_loc]
-    ops: list[ShuttleOp | GateOp] = []
+    site_pos = [position(Location.site(s), spec) for s in range(spec.n_sites)]
+    zone_pos = [position(Location.zone(z), spec) for z in range(spec.n_sites)]
+    two_qubit = [g.is_two_qubit for g in c.gates]
+    order: list[str] = []
+    shuttles: list[tuple] = []
+    gates: list[tuple] = []
     err = [0.0] * spec.n_sites
+    # (delta_c, duration) per (velocity, distance); phases repeat few pairs
+    memo: dict[tuple[float, float], tuple[float, float]] = {}
 
     def phase(moves: list[tuple[int, int, int]], start: float, outward: bool) -> float:
         """Shuttle every (qubit, site, zone) move from ``start``, in qubit
@@ -183,10 +342,14 @@ def _map(
         longest = max(dists)
         v = optimal_velocity(longest, errp) if tunable else spec.default_velocity
         for (q, s, z), dist in zip(moves, dists):
-            src, dst = (site_loc[s], zone_loc[z]) if outward else (zone_loc[z], site_loc[s])
-            dc = phase_error(v, dist, errp)
-            ops.append(ShuttleOp(q, src, dst, start, v, shuttle_time(dist, v), dc))
+            src, dst = (2 * s, 2 * z + 1) if outward else (2 * z + 1, 2 * s)
+            known = memo.get((v, dist))
+            if known is None:
+                known = memo[v, dist] = (phase_error(v, dist, errp), shuttle_time(dist, v))
+            dc, dur = known
+            shuttles.append((q, src, dst, start, v, dur, dc))
             err[q] += dc
+        order.append("s" * len(moves))
         return shuttle_time(longest, v)
 
     sites: list[int | None] = list(placement.perm)  # None while in a zone
@@ -197,9 +360,8 @@ def _map(
     if swap_returns:
         for layer_idx, layer in enumerate(layers):
             for gate_idx in layer:
-                g = c.gates[gate_idx]
-                if g.is_two_qubit:
-                    qa, qb = g.qubits
+                if two_qubit[gate_idx]:
+                    qa, qb = c.gates[gate_idx].qubits
                     future[qa].append((layer_idx, qb))
                     future[qb].append((layer_idx, qa))
 
@@ -210,7 +372,7 @@ def _map(
             g = c.gates[gate_idx]
             if not _schedulable(g, measure_duration):
                 continue
-            if g.is_two_qubit:
+            if two_qubit[gate_idx]:
                 i, j = sites[g.qubits[0]], sites[g.qubits[1]]
                 zone = (i + j + 1) // 2 if sequential else max(i, j)
             else:
@@ -228,9 +390,13 @@ def _map(
         # gate phase: all gates start together
         max_dur = 0.0
         for gate_idx, g, zone in episodes:
-            g_dur = _gate_duration(g, spec, measure_duration)
-            ops.append(GateOp(gate_idx, zone, gate_start, g_dur))
+            if g.kind is GateKind.MEASURE:
+                g_dur = measure_duration
+            else:
+                g_dur = spec.t_2q if two_qubit[gate_idx] else spec.t_1q
+            gates.append((gate_idx, zone, gate_start, g_dur))
             max_dur = max(max_dur, g_dur)
+        order.append("g" * len(episodes))
         ret_start = gate_start + max_dur
 
         # return phase: pick destination sites, then shuttle simultaneously
@@ -250,7 +416,7 @@ def _map(
         arch=spec,
         error_params=errp,
         initial_sites=placement.perm,
-        ops=tuple(ops),
+        ops=ScheduleOps("".join(order), shuttles, gates),
         total_time=t,
         per_qubit_error=tuple(err),
         final_sites=tuple(sites),
@@ -397,15 +563,10 @@ def _column(values, kind: type) -> np.ndarray:
     return col
 
 
-def _locations(locs: list, spec: ArchitectureSpec):
-    """(is_zone, index, position) columns; position() as numpy."""
-    if not set(map(type, locs)) <= {Location}:
-        raise TypeError("not all Location")
-    kinds = list(map(attrgetter("kind"), locs))
-    zone = np.array([k is LocationKind.ZONE for k in kinds], dtype=bool)
-    if kinds.count(LocationKind.STORAGE) + zone.sum() != len(kinds):
-        raise ValueError("unknown location kind")
-    index = _column(map(attrgetter("index"), locs), int)
+def decode_locations(code: np.ndarray, spec: ArchitectureSpec):
+    """(is_zone, index, position) columns of location codes ``2 * index +
+    is_zone``: ``position()`` as numpy, with its bits and its range check."""
+    zone, index = (code & 1).astype(bool), code >> 1
     if not ((index >= 0) & (index < spec.n_sites)).all():
         raise ValueError("location out of range")
     base = index * spec.site_pitch
@@ -415,26 +576,21 @@ def _locations(locs: list, spec: ArchitectureSpec):
 def _screen(s: Schedule, spec: ArchitectureSpec) -> bool:
     """True only if ``_validate_exact`` finds no violation and raises nothing.
 
-    The exact path's checks on columns of the ops. Each float expression is
-    the exact path's, evaluated elementwise, so every comparison sees the
-    same bits; ``phase_error`` stays scalar, once per distinct (velocity,
-    distance). A value the columns cannot hold exactly (not a Python int or
-    float, not finite, a subclassed op or location) raises.
+    The exact path's checks on the op columns. Each float expression is the
+    exact path's, evaluated elementwise, so every comparison sees the same
+    bits; ``phase_error`` stays scalar, once per distinct (velocity,
+    distance). A non-finite op time, velocity or ``delta_c`` answers False.
     """
     n = s.circuit.num_qubits
-    sh = [op for op in s.ops if type(op) is ShuttleOp]
-    gt = [op for op in s.ops if type(op) is GateOp]
-    if len(sh) + len(gt) != len(s.ops) or sorted(s.initial_sites) != list(range(n)):
+    sh, gt = s.ops.shuttles, s.ops.gates
+    floats = (sh.start, sh.duration, sh.velocity, sh.delta_c, gt.start, gt.duration)
+    if sorted(s.initial_sites) != list(range(n)) or not all(np.isfinite(c).all() for c in floats):
         return False
 
     # op consistency; each distinct (velocity, distance) is one exact complex
-    q = _column(map(attrgetter("qubit"), sh), int)
-    start, dur, vel, dc = (
-        _column(map(attrgetter(name), sh), float)
-        for name in ("start", "duration", "velocity", "delta_c")
-    )
-    src_zone, src_idx, p0 = _locations(list(map(attrgetter("src"), sh)), spec)
-    dst_zone, dst_idx, p1 = _locations(list(map(attrgetter("dst"), sh)), spec)
+    q, start, dur, vel, dc = sh.qubit, sh.start, sh.duration, sh.velocity, sh.delta_c
+    src_zone, src_idx, p0 = decode_locations(sh.src, spec)
+    dst_zone, dst_idx, p1 = decode_locations(sh.dst, spec)
     end, dist = start + dur, np.abs(p0 - p1)
     keys, which = np.unique(vel + 1j * dist, return_inverse=True)
     want_dc = np.array([phase_error(k.real, k.imag, s.error_params) for k in keys.tolist()])
@@ -459,15 +615,13 @@ def _screen(s: Schedule, spec: ArchitectureSpec) -> bool:
 
     # (a) each operand's last stay begun by the gate's start covers the
     # gate: one searchsorted over (qubit, rank of arrival time) keys
-    gate_index = _column(map(attrgetter("gate_index"), gt), int)
-    g_zone = _column(map(attrgetter("zone"), gt), int)
-    g_start = _column(map(attrgetter("start"), gt), float)
-    g_end = g_start + _column(map(attrgetter("duration"), gt), float)
+    gate_index, g_zone, g_start = gt.gate_index, gt.zone, gt.start
+    g_end = g_start + gt.duration
     if not ((gate_index >= 0) & (gate_index < len(s.circuit.gates))).all():
         return False
     operands = [s.circuit.gates[k].qubits for k in gate_index.tolist()]
     oq = _column([x for qs in operands for x in qs], int)
-    og = np.repeat(np.arange(len(gt)), [len(qs) for qs in operands])
+    og = np.repeat(np.arange(len(gate_index)), [len(qs) for qs in operands])
     times, rank = np.unique(np.concatenate([t_in, g_start[og] + _EPS_T]), return_inverse=True)
     key = np.concatenate([stay_q, oq]) * len(times) + rank
     stay_key, gate_key = key[: len(stay_q)], key[len(stay_q) :]
@@ -521,7 +675,7 @@ def _screen(s: Schedule, spec: ArchitectureSpec) -> bool:
     bound = 1e-15 * np.maximum(1.0, np.abs(stored))
     if len(stored) != n or (np.abs(folded - stored) > bound).any():
         return False
-    t_end = max(end.max(initial=-np.inf), g_end.max(initial=-np.inf)) if s.ops else 0.0
+    t_end = max(end.max(initial=-np.inf), g_end.max(initial=-np.inf)) if len(s.ops) else 0.0
     return not abs(t_end - s.total_time) > 1e-12 * max(1.0, t_end)
 
 
@@ -710,51 +864,74 @@ def _loc_from_json(obj: dict) -> Location:
     return Location(LocationKind(obj["kind"]), _index(obj["idx"]))
 
 
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+_SHUTTLE_JSON = '{"dC":%s,"from":%s,"q":%s,"t0_ns":%s,"to":%s,"v_mps":%s}'
+_GATE_JSON = '{"dur_ns":%s,"gate":%s,"t0_ns":%s,"zone":%s}'
+
+
+def _texts(col: np.ndarray, fmt) -> list[str]:
+    """``fmt(x)`` for every value of ``col``, called once per distinct bit
+    pattern (so 0.0 and -0.0 stay apart)."""
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    texts = [fmt(x) for x in keys.view(col.dtype).tolist()]
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _number_json(x: float) -> str:
+    """``json.dumps(x)`` of a Python int or float, without building an encoder."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _ns_json(seconds: float) -> str:
+    return _number_json(round(seconds * 1e9, 3))
+
+
+def _loc_text(code: int) -> str:
+    return _dumps(_loc_json(_location(code)))
+
+
 def schedule_to_json(s: Schedule) -> str:
-    ops = []
-    for op in s.ops:
-        if isinstance(op, ShuttleOp):
-            ops.append(
-                {
-                    "q": op.qubit,
-                    "from": _loc_json(op.src),
-                    "to": _loc_json(op.dst),
-                    "t0_ns": round(op.start * 1e9, 3),
-                    "v_mps": op.velocity,
-                    "dC": op.delta_c,
-                }
-            )
-        else:
-            ops.append(
-                {
-                    "gate": op.gate_index,
-                    "zone": op.zone,
-                    "t0_ns": round(op.start * 1e9, 3),
-                    "dur_ns": round(op.duration * 1e9, 3),
-                }
-            )
-    doc = {
-        "strategy": s.strategy,
-        "arch": s.arch.to_config(),
-        "placement": list(s.initial_sites),
-        "error_params": s.error_params.to_config(),
-        "ops": ops,
-        "total_time_ns": round(s.total_time * 1e9, 3),
-        "per_qubit_error": list(s.per_qubit_error),
-        "final_sites": list(s.final_sites),
+    """The schedule's JSON text: keys sorted, no spaces, one newline.
+
+    The op array is written from the columns: each distinct location,
+    number and rounded time is formatted once, as ``json.dumps`` formats
+    it, and the op objects are filled in from fixed templates in
+    sorted-key order.
+    """
+    sh, gt = s.ops.shuttles, s.ops.gates
+    shuttles = map(_SHUTTLE_JSON.__mod__, zip(
+        _texts(sh.delta_c, _number_json), _texts(sh.src, _loc_text), _texts(sh.qubit, _number_json),
+        _texts(sh.start, _ns_json), _texts(sh.dst, _loc_text), _texts(sh.velocity, _number_json),
+    ))
+    gates = map(_GATE_JSON.__mod__, zip(
+        _texts(gt.duration, _ns_json), _texts(gt.gate_index, _number_json),
+        _texts(gt.start, _ns_json), _texts(gt.zone, _number_json),
+    ))
+    nexts = {"s": shuttles.__next__, "g": gates.__next__}
+    fields = {
+        "strategy": _dumps(s.strategy),
+        "arch": _dumps(s.arch.to_config()),
+        "placement": _dumps(list(s.initial_sites)),
+        "error_params": _dumps(s.error_params.to_config()),
+        "ops": "[" + ",".join([nexts[kind]() for kind in s.ops.order]) + "]",
+        "total_time_ns": _dumps(round(s.total_time * 1e9, 3)),
+        "per_qubit_error": _dumps(list(s.per_qubit_error)),
+        "final_sites": _dumps(list(s.final_sites)),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return "{" + ",".join(f"{_dumps(k)}:{v}" for k, v in sorted(fields.items())) + "}\n"
 
 
 def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
     """Rebuild a Schedule from its JSON form and the circuit it was mapped from.
 
-    Every index field must be a JSON integer and every other numeric field
-    a JSON number (not a bool or a string), or ValueError is raised. Start
-    times come back rounded to 1 ps and the error parameters pass through
-    their nm/us/ueV form, so the result need not revalidate: a move can
-    start before the previous one ends, and a stored ``dC`` can differ in
-    its last bits from the one the reloaded parameters give.
+    Every index field must be a JSON integer (one that fits 64 bits in an
+    op) and every other numeric field a finite JSON number (not a bool, a
+    string, NaN, an infinity or an integer too large for a float), or
+    ValueError is raised. Start times come back rounded to 1 ps and the
+    error parameters pass through their nm/us/ueV form, so the result need
+    not revalidate: a move can start before the previous one ends, and a
+    stored ``dC`` can differ in its last bits from the one the reloaded
+    parameters give.
     """
     doc = json.loads(text)
     arch = ArchitectureSpec.from_config(doc["arch"])
@@ -786,14 +963,18 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
                     duration=json_number(entry["dur_ns"], "dur_ns") * 1e-9,
                 )
             )
-    return Schedule(
-        strategy=doc["strategy"],
-        circuit=circuit,
-        arch=arch,
-        error_params=errp,
-        initial_sites=tuple(_index(x) for x in doc["placement"]),
-        ops=tuple(ops),
-        total_time=json_number(doc["total_time_ns"], "total_time_ns") * 1e-9,
-        per_qubit_error=tuple(json_number(x, "per_qubit_error") for x in doc["per_qubit_error"]),
-        final_sites=tuple(_index(x) for x in doc["final_sites"]),
-    )
+    total_time = json_number(doc["total_time_ns"], "total_time_ns") * 1e-9
+    try:
+        return Schedule(
+            strategy=doc["strategy"],
+            circuit=circuit,
+            arch=arch,
+            error_params=errp,
+            initial_sites=tuple(_index(x) for x in doc["placement"]),
+            ops=ops,
+            total_time=total_time,
+            per_qubit_error=tuple(json_number(x, "per_qubit_error") for x in doc["per_qubit_error"]),
+            final_sites=tuple(_index(x) for x in doc["final_sites"]),
+        )
+    except OverflowError as exc:  # an op index beyond the columns' 64 bits
+        raise ValueError(f"index too large: {exc}") from exc

@@ -12,8 +12,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .architecture import distance
-from .mapper import GateOp, Schedule, ShuttleOp
+import numpy as np
+
+from .mapper import Schedule, decode_locations
 
 CSV_HEADER = "strategy,total_time_ns,mean_dC,std_dC,n_shuttles,total_distance_um"
 
@@ -31,30 +32,36 @@ class CompilationReport:
     n_gates_2q: int
 
 
+def left_sum(values) -> float:
+    """Floats added left to right. The built-in ``sum`` compensates its
+    rounding since CPython 3.12, so its bits depend on the Python version."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def mean_std(values: tuple[float, ...]) -> tuple[float, float]:
     n = len(values)
     if n == 0:
         return 0.0, 0.0
-    mean = sum(values) / n
-    var = sum((x - mean) ** 2 for x in values) / n
+    mean = left_sum(values) / n
+    var = left_sum((x - mean) ** 2 for x in values) / n
     return mean, math.sqrt(var)
 
 
 def summarize(s: Schedule) -> CompilationReport:
-    """Aggregate a schedule into a comparable report."""
-    n_shuttles = 0
-    total_distance = 0.0
-    n_1q = n_2q = 0
-    for op in s.ops:
-        if isinstance(op, ShuttleOp):
-            n_shuttles += 1
-            total_distance += distance(op.src, op.dst, s.arch)
-        elif isinstance(op, GateOp):
-            gate = s.circuit.gates[op.gate_index]
-            if gate.is_two_qubit:
-                n_2q += 1
-            else:
-                n_1q += 1
+    """Aggregate a schedule into a comparable report.
+
+    Counts come from the op columns; ``total_distance`` adds the shuttles'
+    distances left to right in op order (``np.sum`` adds pairwise, so its
+    bits would differ).
+    """
+    sh, gate_index = s.ops.shuttles, s.ops.gates.gate_index
+    _, _, p0 = decode_locations(sh.src, s.arch)
+    _, _, p1 = decode_locations(sh.dst, s.arch)
+    two_qubit = np.array([g.is_two_qubit for g in s.circuit.gates], dtype=bool)
+    n_2q = int(np.count_nonzero(two_qubit[gate_index]))
     mean, std = mean_std(s.per_qubit_error)
     return CompilationReport(
         strategy=s.strategy,
@@ -62,9 +69,9 @@ def summarize(s: Schedule) -> CompilationReport:
         qubit_errors=tuple(s.per_qubit_error),
         mean_error=mean,
         std_error=std,
-        n_shuttles=n_shuttles,
-        total_distance=total_distance,
-        n_gates_1q=n_1q,
+        n_shuttles=len(sh.qubit),
+        total_distance=left_sum(np.abs(p0 - p1).tolist()),
+        n_gates_1q=len(gate_index) - n_2q,
         n_gates_2q=n_2q,
     )
 

@@ -1,17 +1,22 @@
 """Test oracles the compiler itself never calls: the dense unitary of a 1-2
 qubit gate list (checks every decomposition rewrite), exact MinLA by
-enumerating all n! placements (bounds spectral placement), and the analytic
-velocity derivative of the dephasing model (checks the optimizer's minimum).
+enumerating all n! placements (bounds spectral placement), the analytic
+velocity derivative of the dephasing model (checks the optimizer's minimum),
+and the op-by-op schedule writer and summary that the columnar
+``schedule_to_json`` and ``summarize`` must match bit for bit.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
 
+from spinbus.architecture import distance
 from spinbus.circuit import Gate, GateKind
 from spinbus.error_model import HBAR, ErrorModelParams, _check_v
+from spinbus.mapper import GateOp, Schedule, ShuttleOp
 from spinbus.placement import InteractionGraph, Placement
 
 _BRUTE_FORCE_LIMIT = 9
@@ -151,3 +156,64 @@ def d_phase_error_dv(v: float, l_s: float, p: ErrorModelParams) -> float:
     b = 0.03 * math.log(10.0) * p.e_vs0 * p.l_dot / HBAR
     d4 = 0.01 * (l_s / p.d_bar) * math.exp(-b / v) * b / v**2
     return d1 + d2 + d3 + d4
+
+
+def _loc_json(loc) -> dict:
+    return {"kind": loc.kind.value, "idx": loc.index}
+
+
+def oracle_schedule_to_json(s: Schedule) -> str:
+    """The schedule JSON writer as it was before the op columns: one dict
+    per op, iterating ``s.ops``, and one ``json.dumps`` of the document."""
+    ops = []
+    for op in s.ops:
+        if isinstance(op, ShuttleOp):
+            ops.append(
+                {
+                    "q": op.qubit,
+                    "from": _loc_json(op.src),
+                    "to": _loc_json(op.dst),
+                    "t0_ns": round(op.start * 1e9, 3),
+                    "v_mps": op.velocity,
+                    "dC": op.delta_c,
+                }
+            )
+        else:
+            ops.append(
+                {
+                    "gate": op.gate_index,
+                    "zone": op.zone,
+                    "t0_ns": round(op.start * 1e9, 3),
+                    "dur_ns": round(op.duration * 1e9, 3),
+                }
+            )
+    doc = {
+        "strategy": s.strategy,
+        "arch": s.arch.to_config(),
+        "placement": list(s.initial_sites),
+        "error_params": s.error_params.to_config(),
+        "ops": ops,
+        "total_time_ns": round(s.total_time * 1e9, 3),
+        "per_qubit_error": list(s.per_qubit_error),
+        "final_sites": list(s.final_sites),
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def oracle_summary_counts(s: Schedule) -> tuple[int, float, int, int]:
+    """(n_shuttles, total_distance, n_gates_1q, n_gates_2q) as ``summarize``
+    counted them before the op columns: op by op, distances added in op
+    order."""
+    n_shuttles = 0
+    total_distance = 0.0
+    n_1q = n_2q = 0
+    for op in s.ops:
+        if isinstance(op, ShuttleOp):
+            n_shuttles += 1
+            total_distance += distance(op.src, op.dst, s.arch)
+        elif isinstance(op, GateOp):
+            if s.circuit.gates[op.gate_index].is_two_qubit:
+                n_2q += 1
+            else:
+                n_1q += 1
+    return n_shuttles, total_distance, n_1q, n_2q

@@ -20,6 +20,7 @@ from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
 from spinbus.mapper import (
     GateOp,
     Schedule,
+    ScheduleOps,
     ShuttleOp,
     STRATEGIES,
     _map,
@@ -38,6 +39,7 @@ from spinbus.placement import (
     spectral_placement,
 )
 from spinbus.rng import SplitMix64
+from oracles import oracle_schedule_to_json, oracle_summary_counts
 from validator_oracle import oracle_validate_schedule
 
 US = 1e-6
@@ -512,6 +514,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match="number"):
             schedule_from_json(json.dumps(doc), s.circuit)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    @pytest.mark.parametrize(
+        "field", ["t0_ns", "v_mps", "dC", "gate t0_ns", "dur_ns", "total_time_ns", "per_qubit_error"]
+    )
+    def test_non_finite_or_huge_number_rejected(self, field, literal):
+        # NaN and Infinity once loaded (a NaN dC surfaced only as validator
+        # rule "op"), and an integer too large for a float raised OverflowError
+        s, doc = _ghz4_parallel()
+        shuttle = doc["ops"][0]
+        gate = next(op for op in doc["ops"] if "gate" in op)
+        node, key = {
+            "gate t0_ns": (gate, "t0_ns"),
+            "dur_ns": (gate, "dur_ns"),
+            "total_time_ns": (doc, "total_time_ns"),
+            "per_qubit_error": (doc["per_qubit_error"], 0),
+        }.get(field, (shuttle, field))
+        node[key] = "@"
+        text = json.dumps(doc).replace('"@"', literal)
+        with pytest.raises(ValueError, match="finite"):
+            schedule_from_json(text, s.circuit)
+
+    @pytest.mark.parametrize("key", ["q", "gate", "zone"])
+    def test_op_index_beyond_64_bits_rejected(self, key):
+        s, doc = _ghz4_parallel()
+        next(op for op in doc["ops"] if key in op)[key] = 2**64
+        with pytest.raises(ValueError, match="too large"):
+            schedule_from_json(json.dumps(doc), s.circuit)
+
     def test_short_placement_reported(self):
         # validating this reload once raised IndexError
         s, doc = _ghz4_parallel()
@@ -914,3 +944,78 @@ class TestScreen:
             assert _screen(s, s.arch) is True, (s.strategy, s.circuit.num_qubits)
             checked += 1
         assert checked == 1070
+
+
+class TestScheduleOps:
+    """``Schedule.ops`` holds the ops as columns and behaves as their tuple;
+    the screen, ``summarize`` and the writer read the columns of whatever
+    ops the schedule was given."""
+
+    def test_sequence_of_the_same_ops(self):
+        for s in _valid_schedules():
+            ops = tuple(s.ops)
+            assert {type(op) for op in ops} == {ShuttleOp, GateOp}
+            assert s.ops == ops and ops == s.ops and hash(s.ops) == hash(ops)
+            assert len(s.ops) == len(ops)
+            assert [s.ops[k] for k in range(-len(ops), len(ops))] == list(ops + ops)
+            assert s.ops[3:-2] == ops[3:-2] and type(s.ops[::2]) is tuple
+            assert s.ops + ops[:1] == ops + ops[:1] and ops[:1] + s.ops == ops[:1] + ops
+            with pytest.raises(IndexError):
+                s.ops[len(ops)]
+            rebuilt = dataclasses.replace(s, ops=ops)
+            assert type(rebuilt.ops) is ScheduleOps and rebuilt == s
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            ({"qubit": 1.5}, TypeError),
+            ({"start": "0"}, TypeError),
+            ({"src": (0, "storage")}, TypeError),
+            ({"qubit": 2**63}, OverflowError),
+        ],
+    )
+    def test_fields_the_columns_cannot_hold_rejected(self, change, error):
+        s = _valid_schedules()[0]
+        with pytest.raises(error):
+            _replace_op(s, _nth(s, ShuttleOp, 0), **change)
+        with pytest.raises(TypeError):
+            dataclasses.replace(s, ops=(*s.ops, "not an op"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        n=st.integers(2, 9),
+        seed=st.integers(0, 3),
+        strategy=st.sampled_from(STRATEGIES),
+        placement=st.sampled_from(("spectral", "random", "identity")),
+    )
+    def test_consumers_match_the_op_by_op_reference(self, family, n, seed, strategy, placement):
+        sc = slice_circuit(decompose(generate(BenchmarkSpec(family=family, n=n, seed=seed))))
+        if placement == "spectral":
+            pl = spectral_placement(build_interaction_graph(sc))
+        else:
+            pl = random_placement(n, seed) if placement == "random" else Placement.identity(n)
+        s = map_strategy(strategy, sc, arch(n), pl, ErrorModelParams())
+        rebuilt = dataclasses.replace(s, ops=tuple(s.ops))
+        text = schedule_to_json(s)
+        assert text == oracle_schedule_to_json(s) == schedule_to_json(rebuilt)
+        report = summarize(s)
+        assert report == summarize(rebuilt)
+        counts = (report.n_shuttles, report.total_distance, report.n_gates_1q, report.n_gates_2q)
+        assert counts == oracle_summary_counts(s)
+        assert validate_schedule(s, s.arch) == validate_schedule(rebuilt, s.arch) == []
+
+    def test_writer_matches_the_reference_on_broken_schedules(self):
+        # out-of-range qubits, zones and gate indices, shifted times
+        for label, s in _mutation_corpus():
+            assert schedule_to_json(s) == oracle_schedule_to_json(s), label
+
+    def test_edited_ops_are_read_not_the_mapped_ones(self):
+        s = _valid_schedules()[2]
+        # the last return shuttle dropped: its qubit ends in a zone (rule e)
+        edited = _drop(s, 0, 0)
+        assert _screen(s, s.arch) is True and _screen(edited, s.arch) is False
+        want = oracle_validate_schedule(edited, s.arch)
+        assert "e" in {v.rule for v in want} and validate_schedule(edited, s.arch) == want
+        assert summarize(edited).n_shuttles == summarize(s).n_shuttles - 1
+        assert schedule_to_json(edited) == oracle_schedule_to_json(edited) != schedule_to_json(s)

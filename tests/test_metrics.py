@@ -17,6 +17,8 @@ from spinbus.mapper import (
 from spinbus.metrics import (
     CSV_HEADER,
     compare,
+    left_sum,
+    mean_std,
     reports_to_csv,
     reports_to_json,
     summarize,
@@ -94,6 +96,14 @@ def test_mean_std_recomputable(errp):
     var = sum((x - mean) ** 2 for x in r.qubit_errors) / len(r.qubit_errors)
     assert r.mean_error == pytest.approx(mean, rel=1e-12)
     assert r.std_error == pytest.approx(math.sqrt(var), rel=1e-12)
+
+
+def test_mean_std_folds_left_to_right():
+    # CPython 3.12's compensated sum gives 0.1 here; the left fold (and
+    # CPython <= 3.11's sum) gives the bits the pinned outputs were made with
+    assert mean_std((0.1,) * 10)[0] == 0.09999999999999999
+    assert left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert left_sum(iter([0.5, 0.25])) == 0.75 and left_sum([]) == 0.0
 
 
 def test_report_matches_refold_of_serialized_schedule(errp):
