@@ -30,8 +30,11 @@ Qubits untouched by a slice stay parked and accrue no error.
 
 A schedule's ops are held as columns (``ScheduleOps``): one array per
 shuttle field, one per gate field, and an order string that interleaves
-the two. The mapper appends rows to them, and the validator's screen,
-``metrics.summarize`` and ``schedule_to_json`` read the arrays.
+the two. The mapper and ``schedule_from_json`` append rows to them, and
+the validator, ``metrics.summarize`` and ``schedule_to_json`` read the
+arrays. The validator is one pass over the columns: each rule is a
+boolean mask over the rows, and a violation is formatted only for a
+flagged row.
 ``Schedule.ops`` is that column sequence: it has a length without building
 ops, and builds ``ShuttleOp``/``GateOp`` objects only when iterated or
 indexed. A ``Schedule`` given a tuple of ops turns it into columns.
@@ -147,11 +150,14 @@ def _location(code: int) -> Location:
 def _columns(cls, typecodes: str, rows: list[tuple]):
     """``rows`` transposed into ``cls``; ``array`` raises TypeError on a value
     that is not a number, or on a non-integer in an integer column, and
-    OverflowError on an integer beyond 64 bits."""
+    OverflowError on an integer beyond 64 bits. A NaN or an infinity in a
+    float column raises ValueError."""
     cols = list(zip(*rows)) or [()] * len(typecodes)
     out = []
     for code, col in zip(typecodes, cols):
         arr = np.frombuffer(array(code, col), dtype=_DTYPES[code])
+        if code == "d" and not np.isfinite(arr).all():
+            raise ValueError(f"{cls.__name__} column {cls._fields[len(out)]} is not finite")
         arr.flags.writeable = False
         out.append(arr)
     return cls(*out)
@@ -161,7 +167,8 @@ class ScheduleOps(Sequence):
     """``Schedule.ops``: the ops of a schedule held as columns.
 
     ``order`` has one character per op, ``"s"`` for the next shuttle row
-    and ``"g"`` for the next gate row. Iterating or indexing builds
+    and ``"g"`` for the next gate row. Float columns hold finite numbers
+    only (ValueError otherwise). Iterating or indexing builds
     ``ShuttleOp``/``GateOp`` objects; a slice is a plain tuple. It equals
     the tuple of the same ops, and ``+`` with a tuple gives a tuple.
     """
@@ -254,7 +261,10 @@ class Schedule:
     ``ops`` may be given as any sequence of ``ShuttleOp``/``GateOp``; it is
     held as ``ScheduleOps``. Op fields must be numbers that fit the columns
     (integer fields 64-bit integers), or construction raises TypeError or
-    OverflowError.
+    OverflowError. Float op fields, ``total_time`` and every
+    ``per_qubit_error`` entry must be finite, or it raises ValueError. Every
+    ``initial_sites`` and ``final_sites`` entry must be a 64-bit integer (a
+    bool is not), or it raises TypeError or OverflowError.
     """
 
     strategy: str
@@ -269,6 +279,13 @@ class Schedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ops", ScheduleOps.of(self.ops))
+        for name in ("initial_sites", "final_sites"):
+            sites = getattr(self, name)
+            if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in sites):
+                raise TypeError(f"{name} entries must be integers, got {sites!r}")
+            object.__setattr__(self, name, tuple(array("q", sites).tolist()))
+        if not all(map(math.isfinite, (self.total_time, *self.per_qubit_error))):
+            raise ValueError("total_time and per_qubit_error must be finite")
 
 
 @dataclass(frozen=True)
@@ -535,315 +552,264 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     (g) total_time is the latest op end
     plus internal shuttle-op consistency (duration, delta_c, chaining).
 
-    A numpy screen runs first and answers "valid" only where it has shown
-    that no rule is broken. Otherwise, or if the screen raises, the exact
-    per-op path runs, so every violation list and every exception is the
-    exact path's. Rule (d) tests every pair of moves that overlap in time,
-    so a phase of k simultaneous shuttles costs k^2 float tests; the screen
-    runs them as array operations.
+    One pass over the op columns: each rule is a boolean mask over the
+    shuttle or gate rows, and a ``Violation`` is formatted only for a
+    flagged row. Every float expression is evaluated elementwise with the
+    bits of its scalar form, and ``phase_error`` runs once per distinct
+    (velocity, distance). Rule (d) tests every pair of moves that overlap
+    in time, so a phase of k simultaneous shuttles costs k^2 float tests,
+    run as array operations. The list holds, in this order: the shuttle
+    checks (distance, duration, delta_c) by op; the placement check;
+    unknown qubits by op; each qubit's chain (departure site, then time) in
+    qubit order; (a) by gate op and operand; (b), then (c), by location in
+    the order of first occupancy; (d) by move in (start, op) order; (e) and
+    (f) by qubit; (g).
+
+    Raises ValueError at the first shuttle in op order with a location
+    outside the bus, or with a velocity that is not > 0 over a nonzero
+    distance (``position`` and ``shuttle_time`` reject them), and whatever
+    ``phase_error`` raises on a velocity it cannot evaluate. An
+    ``initial_sites`` shorter than the qubit count ends the list after the
+    shuttle checks and the placement check, since a qubit without a start
+    site has no chain to follow.
     """
-    try:
-        with np.errstate(all="ignore"):  # the exact path reports bad values
-            if _screen(s, spec):
-                return []
-    except Exception:  # the exact path meets, and raises, any real error
-        pass
-    return _validate_exact(s, spec)
-
-
-def _column(values, kind: type) -> np.ndarray:
-    """``values`` as an array; raises unless every one is a Python ``kind``
-    and finite, so that the array holds exactly the same numbers."""
-    values = list(values)
-    if not set(map(type, values)) <= {kind}:
-        raise TypeError(f"not all {kind.__name__}")
-    col = np.array(values, dtype=np.int64 if kind is int else np.float64)
-    if not np.isfinite(col).all():
-        raise ValueError("non-finite value")
-    return col
+    with np.errstate(all="ignore"):  # masked-out rows may hold any value
+        return list(_violations(s, spec))
 
 
 def decode_locations(code: np.ndarray, spec: ArchitectureSpec):
-    """(is_zone, index, position) columns of location codes ``2 * index +
-    is_zone``: ``position()`` as numpy, with its bits and its range check."""
+    """(is_zone, index, position, on_bus) columns of location codes ``2 *
+    index + is_zone``: ``position()`` as numpy, with its bits, where
+    ``on_bus`` holds (``position()``'s range check)."""
     zone, index = (code & 1).astype(bool), code >> 1
-    if not ((index >= 0) & (index < spec.n_sites)).all():
-        raise ValueError("location out of range")
     base = index * spec.site_pitch
-    return zone, index, np.where(zone, base + spec.zone_offset, base)
+    on_bus = (index >= 0) & (index < spec.n_sites)
+    return zone, index, np.where(zone, base + spec.zone_offset, base), on_bus
 
 
-def _screen(s: Schedule, spec: ArchitectureSpec) -> bool:
-    """True only if ``_validate_exact`` finds no violation and raises nothing.
+class _Stays(NamedTuple):
+    """Every qubit's stays in qubit order: its initial site, then the
+    destination of each move of its chain (by start, then op index), each
+    from ``arrive`` to ``depart`` (``inf`` for the last)."""
 
-    The exact path's checks on the op columns. Each float expression is the
-    exact path's, evaluated elementwise, so every comparison sees the same
-    bits; ``phase_error`` stays scalar, once per distinct (velocity,
-    distance). A non-finite op time, velocity or ``delta_c`` answers False.
-    """
-    n = s.circuit.num_qubits
-    sh, gt = s.ops.shuttles, s.ops.gates
-    floats = (sh.start, sh.duration, sh.velocity, sh.delta_c, gt.start, gt.duration)
-    if sorted(s.initial_sites) != list(range(n)) or not all(np.isfinite(c).all() for c in floats):
-        return False
+    qubit: np.ndarray
+    zone: np.ndarray
+    index: np.ndarray
+    arrive: np.ndarray
+    depart: np.ndarray
 
-    # op consistency; each distinct (velocity, distance) is one exact complex
-    q, start, dur, vel, dc = sh.qubit, sh.start, sh.duration, sh.velocity, sh.delta_c
-    src_zone, src_idx, p0 = decode_locations(sh.src, spec)
-    dst_zone, dst_idx, p1 = decode_locations(sh.dst, spec)
-    end, dist = start + dur, np.abs(p0 - p1)
-    keys, which = np.unique(vel + 1j * dist, return_inverse=True)
-    want_dc = np.array([phase_error(k.real, k.imag, s.error_params) for k in keys.tolist()])
-    ok = (q >= 0) & (q < n) & (dist != 0) & (vel > 0) & (dur > 0) & (dur == dist / vel)
-    if not (ok & (dc == want_dc[which])).all():
-        return False
 
-    # stays in qubit order: each qubit's initial site, then the destination
-    # of each move of its chain (by start, then op index); a move leaves
-    # the stay before its own
-    chain = np.lexsort((start, q))
-    first = np.searchsorted(q[chain], np.arange(n))
-    stay_q = np.insert(q[chain], first, np.arange(n))
-    zone = np.insert(dst_zone[chain], first, False)
-    index = np.insert(dst_idx[chain], first, _column(s.initial_sites, int))
-    t_in = np.insert(end[chain], first, 0.0)
-    t_out = np.append(np.insert(start[chain], first, np.inf)[1:], np.inf)
-    left = np.arange(len(chain)) + q[chain]
-    ok = (zone[left] == src_zone[chain]) & (index[left] == src_idx[chain])
-    if not (ok & ~(start[chain] < t_in[left] - _EPS_T)).all():
-        return False
+def _violations(s: Schedule, spec: ArchitectureSpec):
+    """``validate_schedule``'s violations, rule by rule. Each rule's helper
+    ends before the next begins, so its arrays are freed."""
+    n, sh = s.circuit.num_qubits, s.ops.shuttles
 
-    # (a) each operand's last stay begun by the gate's start covers the
-    # gate: one searchsorted over (qubit, rank of arrival time) keys
+    @functools.cache
+    def op_index(kind: str) -> list[int]:
+        """The op index of every row of ``kind``, to name a flagged row."""
+        order = np.frombuffer(s.ops.order.encode(), dtype=np.uint8)
+        return np.flatnonzero(order == ord(kind)).tolist()
+
+    src_zone, src_idx, p0, src_ok = decode_locations(sh.src, spec)
+    dst_zone, dst_idx, p1, dst_ok = decode_locations(sh.dst, spec)
+    yield from _shuttle_checks(s, spec, np.abs(p0 - p1), src_ok & dst_ok, op_index)
+    if sorted(s.initial_sites) != list(range(n)):
+        yield Violation("c", None, "initial placement is not a bijection")
+        if len(s.initial_sites) < n:
+            return
+    q = sh.qubit
+    known = (q >= 0) & (q < n)
+    for r in np.flatnonzero(~known).tolist():
+        yield Violation("op", op_index("s")[r], f"unknown qubit {q.item(r)}")
+    stays = yield from _chains(s, known, (src_zone, src_idx), (dst_zone, dst_idx), op_index)
+    yield from _coverage(s, stays, op_index)
+    yield from _capacity(stays)
+    yield from _crossings(sh, p0, p1, op_index)
+
+    # (e) everything parked at the end, bijectively
+    last = np.flatnonzero(np.append(stays.qubit[1:] != stays.qubit[:-1], True))
+    for qq in np.flatnonzero(stays.zone[last]).tolist():
+        yield Violation("e", None, f"qubit {qq} ends in {Location.zone(stays.index.item(last[qq]))!r}")
+    if not stays.zone[last].any():
+        final = stays.index[last].tolist()
+        if sorted(final) != list(range(n)):
+            yield Violation("e", None, "final sites are not a bijection")
+        elif tuple(final) != s.final_sites:
+            yield Violation("e", None, "final_sites does not match op history")
+
+    # (f) np.bincount adds in op order, as a left fold does
+    stored = s.per_qubit_error[:n]
+    folded = np.bincount(q[known], weights=sh.delta_c[known], minlength=n)
+    if len(s.per_qubit_error) != n:
+        yield Violation("f", None, f"{len(s.per_qubit_error)} stored errors for {n} qubits")
+    values = np.array(stored, dtype=np.float64)
+    off = np.abs(folded[: len(values)] - values) > 1e-15 * np.maximum(1.0, np.abs(values))
+    for qq in np.flatnonzero(off).tolist():
+        yield Violation("f", None, f"qubit {qq} error {stored[qq]} != folded {folded.item(qq)}")
+
+    # (g) total time; the end named is the first latest one in op order
+    end, g_end = sh.start + sh.duration, s.ops.gates.start + s.ops.gates.duration
+    t_end = float(max(end.max(initial=-np.inf), g_end.max(initial=-np.inf))) if len(s.ops) else 0.0
+    if abs(t_end - s.total_time) > 1e-12 * max(1.0, t_end):
+        ends = np.empty(len(s.ops))
+        ends[op_index("s")], ends[op_index("g")] = end, g_end
+        t_end = ends.item(np.argmax(ends))
+        yield Violation("g", None, f"total_time {s.total_time} != last op end {t_end}")
+
+
+def _shuttle_checks(s: Schedule, spec: ArchitectureSpec, dist, on_bus, op_index):
+    """Shuttle-op internal consistency. Each distinct (velocity, distance) of
+    a move on the bus is one exact complex; ``phase_error`` runs on them in
+    op order and, as ``shuttle_time`` would, rejects a velocity that is not
+    > 0, so the first shuttle that raises raises."""
+    sh = s.ops.shuttles
+    vel, dur, dc = sh.velocity, sh.duration, sh.delta_c
+    moves = dist != 0
+    stop = len(dist) if on_bus.all() else int(np.argmin(on_bus))
+    keys, seen, which = np.unique(
+        (vel + 1j * dist)[:stop][moves[:stop]], return_index=True, return_inverse=True
+    )
+    key_dc, keys = np.empty(len(keys)), keys.tolist()  # Python floats raise as the scalar path does
+    for k in np.argsort(seen).tolist():
+        key_dc[k] = phase_error(keys[k].real, keys[k].imag, s.error_params)
+    if stop < len(dist):  # position() raises ValueError here
+        distance(_location(sh.src.item(stop)), _location(sh.dst.item(stop)), spec)
+    want_dur, want_dc = dist / vel, np.zeros(len(dist))
+    want_dc[moves] = key_dc[which]
+    bad_dur, bad_dc = moves & (dur != want_dur), moves & (dc != want_dc)
+    for r in np.flatnonzero(~moves | bad_dur | bad_dc).tolist():
+        idx = op_index("s")[r]
+        if not moves[r]:
+            yield Violation("op", idx, "zero-distance shuttle present")
+        if bad_dur[r]:
+            yield Violation("op", idx, f"duration {dur.item(r)} != {want_dur.item(r)}")
+        if bad_dc[r]:
+            yield Violation("op", idx, f"delta_c {dc.item(r)} != {want_dc.item(r)}")
+
+
+def _chains(s: Schedule, known, src, dst, op_index):
+    """Each known qubit's moves must leave where the last one arrived, and
+    not before it arrived; returns the stays. ``src`` and ``dst`` are the
+    (is_zone, index) columns of the shuttle ends."""
+    n, sh = s.circuit.num_qubits, s.ops.shuttles
+    chain = np.flatnonzero(known)
+    chain = chain[np.lexsort((sh.start[chain], sh.qubit[chain]))]
+    q, start = sh.qubit[chain], sh.start[chain]
+    first = np.searchsorted(q, np.arange(n))
+    stays = _Stays(
+        np.insert(q, first, np.arange(n)),
+        np.insert(dst[0][chain], first, False),
+        np.insert(dst[1][chain], first, np.array(s.initial_sites[:n], dtype=np.int64)),
+        np.insert(start + sh.duration[chain], first, 0.0),
+        np.append(np.insert(start, first, np.inf)[1:], np.inf),
+    )
+    left = np.arange(len(chain)) + q  # the stay each move leaves
+    zone, index, arrived = stays.zone[left], stays.index[left], stays.arrive[left]
+    elsewhere = (zone != src[0][chain]) | (index != src[1][chain])
+    early = start < arrived - _EPS_T
+    for m in np.flatnonzero(elsewhere | early).tolist():
+        idx, who = op_index("s")[chain.item(m)], f"qubit {q.item(m)} departs"
+        if elsewhere[m]:
+            at = _location(2 * index.item(m) + zone.item(m))
+            yield Violation("op", idx, f"{who} {_location(sh.src.item(chain.item(m)))!r} but is at {at!r}")
+        if early[m]:
+            yield Violation("op", idx, f"{who} at {start.item(m)} before arriving at {arrived.item(m)}")
+    return stays
+
+
+def _coverage(s: Schedule, stays: _Stays, op_index):
+    """(a) An operand is covered if one of its stays at the gate's zone
+    begins by the gate's start (+ _EPS_T) and ends no earlier than the
+    gate's end (- _EPS_T). Zone stays sorted by (qubit, zone; arrival)
+    carry the running latest departure within each (qubit, zone); one
+    searchsorted finds each operand's last stay there begun in time. A
+    leading stay of group -1 that covers nothing gives every on-bus search
+    a landing place."""
+    n, gt = s.circuit.num_qubits, s.ops.gates
     gate_index, g_zone, g_start = gt.gate_index, gt.zone, gt.start
-    g_end = g_start + gt.duration
-    if not ((gate_index >= 0) & (gate_index < len(s.circuit.gates))).all():
-        return False
-    operands = [s.circuit.gates[k].qubits for k in gate_index.tolist()]
-    oq = _column([x for qs in operands for x in qs], int)
-    og = np.repeat(np.arange(len(gate_index)), [len(qs) for qs in operands])
-    times, rank = np.unique(np.concatenate([t_in, g_start[og] + _EPS_T]), return_inverse=True)
-    key = np.concatenate([stay_q, oq]) * len(times) + rank
-    stay_key, gate_key = key[: len(stay_q)], key[len(stay_q) :]
-    k = np.searchsorted(stay_key, gate_key, side="right") - 1
-    ok = (oq >= 0) & (oq < n) & (k >= 0) & (stay_q[k] == oq) & zone[k] & (index[k] == g_zone[og])
-    if (np.diff(stay_key) < 0).any() or not (ok & (g_end[og] <= t_out[k] + _EPS_T)).all():
-        return False
+    g_known = (gate_index >= 0) & (gate_index < len(s.circuit.gates))
+    operands = [s.circuit.gates[k].qubits for k in gate_index[g_known].tolist()]
+    oq = np.array([x for qs in operands for x in qs], dtype=np.int64)
+    og = np.repeat(np.flatnonzero(g_known), np.array([len(qs) for qs in operands], dtype=np.int64))
+    zs = np.flatnonzero(stays.zone)
+    group = np.concatenate([[-1], stays.qubit[zs] * n + stays.index[zs]])
+    arrive = np.concatenate([[0.0], stays.arrive[zs]])
+    depart = np.concatenate([[-np.inf], stays.depart[zs]])
+    order = np.lexsort((arrive, group))
+    group, arrive, depart = group[order], arrive[order], depart[order]
+    departs, rank = np.unique(depart, return_inverse=True)
+    lift = np.cumsum(np.append(True, group[1:] != group[:-1])) * len(departs)
+    latest = departs[np.maximum.accumulate(rank + lift) - lift]
+    on_bus = (g_zone[og] >= 0) & (g_zone[og] < n)
+    want = np.where(on_bus, oq * n + g_zone[og], -1)
+    hit = np.searchsorted(group + 1j * arrive, want + 1j * (g_start[og] + _EPS_T), side="right") - 1
+    covered = on_bus & (group[hit] == want) & (g_start[og] + gt.duration[og] <= latest[hit] + _EPS_T)
+    missing = np.flatnonzero(~covered)
+    misses = [(r, -1) for r in np.flatnonzero(~g_known).tolist()]
+    for r, p in sorted(misses + list(zip(og[missing].tolist(), missing.tolist()))):
+        idx = op_index("g")[r]
+        if p < 0:
+            yield Violation("a", idx, f"gate index {gate_index.item(r)} out of range")
+        else:
+            at = Location.zone(g_zone.item(r))
+            yield Violation("a", idx, f"qubit {oq.item(p)} not at {at!r} for gate interval")
 
-    # (b), (c) per-location running counts over (time, delta)-sorted events
-    live = t_out > t_in
-    leave = live & (t_out != np.inf)
-    loc = np.concatenate([2 * index[live] + zone[live], 2 * index[leave] + zone[leave]])
+
+def _capacity(stays: _Stays):
+    """(b) zone capacity 2, (c) site capacity 1: running counts per location
+    over (time, delta)-sorted events. A location is reported once, zones
+    first, each kind in the order its first stay comes in qubit order."""
+    zone, index = stays.zone, stays.index
+    live = stays.depart > stays.arrive
+    leave = live & (stays.depart != np.inf)
+    events = np.concatenate([np.flatnonzero(live), np.flatnonzero(leave)])
+    times = np.concatenate([stays.arrive[live], stays.depart[leave]])
     delta = np.repeat([1, -1], [live.sum(), leave.sum()])
-    order = np.lexsort((delta, np.concatenate([t_in[live], t_out[leave]]), loc))
-    loc, delta = loc[order], delta[order]
+    order = np.lexsort((delta, times, index[events], zone[events]))
+    events, delta = events[order], delta[order]
+    at_zone, at_index = zone[events], index[events]
+    head = np.append(True, (at_index[1:] != at_index[:-1]) | (at_zone[1:] != at_zone[:-1]))
     count = np.cumsum(delta)
-    head = np.r_[True, loc[1:] != loc[:-1]]
-    count -= (count - delta)[np.maximum.accumulate(np.where(head, np.arange(len(loc)), 0))]
-    if (count > 1 + loc % 2).any():
-        return False
+    count -= (count - delta)[np.maximum.accumulate(np.where(head, np.arange(len(head)), 0))]
+    starts = np.flatnonzero(head)  # every qubit's last stay is live, so there are events
+    full = np.flatnonzero(np.logical_or.reduceat(count > 1 + at_zone, starts))
+    if len(full):
+        firsts = np.minimum.reduceat(np.where(delta > 0, events, len(zone)), starts)[full]
+        for k in sorted(firsts.tolist(), key=lambda k: (not zone[k], k)):
+            noun, cap, rule = ("zone", 2, "b") if zone[k] else ("site", 1, "c")
+            yield Violation(rule, None, f"{noun} {index.item(k)} exceeds capacity {cap}")
 
-    # (d) the exact path's pairs: in each run of moves by (start, op index)
-    # that overlap the run's latest end, each move j and every earlier i
-    # ending after start_j + _EPS_T, taken lag j - i at a time
-    moves = np.argsort(start, kind="stable")
-    head = np.r_[True, np.maximum.accumulate(end[moves])[:-1] <= start[moves][1:] + _EPS_T]
-    run = np.maximum.accumulate(np.where(head, np.arange(len(head)), 0))
-    dp = p1 - p0
+
+def _crossings(sh: ShuttleColumns, p0, p1, op_index):
+    """(d) Every move j and each earlier move i (by start, then op index)
+    still moving after start_j + _EPS_T keep their order. The moves after i
+    in that order that start before end_i - _EPS_T are a run, so the pairs
+    are taken lag j - i at a time over the moves whose run reaches that
+    far."""
+    q, start, dur = sh.qubit, sh.start, sh.duration
+    end, dp = start + dur, p1 - p0
+    by_start = np.argsort(start, kind="stable")
+    reach = np.searchsorted(start[by_start] + _EPS_T, end[by_start], side="left")
+    span = np.maximum(reach - np.arange(len(reach)) - 1, 0)
+    widest = np.argsort(-span, kind="stable")
+    narrowing = -span[widest]
 
     def gap(t, i, j):
         return (p0[j] + dp[j] * (t - start[j]) / dur[j]) - (p0[i] + dp[i] * (t - start[i]) / dur[i])
 
-    for lag in range(1, int((np.arange(len(run)) - run).max(initial=0)) + 1):
-        j = lag + np.flatnonzero(run[lag:] <= np.arange(len(run) - lag))
-        i, j = moves[j - lag], moves[j]
+    crossings = []
+    for lag in range(1, int(span.max(initial=0)) + 1):
+        a = widest[: np.searchsorted(narrowing, -lag, side="right")]
+        i, j = by_start[a], by_start[a + lag]
         lo = np.where(start[i] > start[j], start[i], start[j])
         hi = np.where(end[i] < end[j], end[i], end[j])
-        tested = (q[i] != q[j]) & (end[i] > start[j] + _EPS_T) & ~(hi - lo <= _EPS_T)
         d0, d1 = gap(lo, i, j), gap(hi, i, j)
-        if (tested & (d0 * d1 < 0) & (np.minimum(np.abs(d0), np.abs(d1)) > 1e-12)).any():
-            return False
-
-    # (e) the last stays; (f) np.bincount adds in op order, as the exact
-    # fold does; (g)
-    last = np.append(first[1:] + np.arange(1, n), len(stay_q)) - 1
-    final = index[last].tolist()
-    if zone[last].any() or sorted(final) != list(range(n)) or tuple(final) != s.final_sites:
-        return False
-    stored = _column(s.per_qubit_error, float)
-    folded = np.bincount(q, weights=dc, minlength=n)
-    bound = 1e-15 * np.maximum(1.0, np.abs(stored))
-    if len(stored) != n or (np.abs(folded - stored) > bound).any():
-        return False
-    t_end = max(end.max(initial=-np.inf), g_end.max(initial=-np.inf)) if len(s.ops) else 0.0
-    return not abs(t_end - s.total_time) > 1e-12 * max(1.0, t_end)
-
-
-def _validate_exact(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
-    """``validate_schedule``'s exact path: every violation, op by op."""
-    out: list[Violation] = []
-    n = s.circuit.num_qubits
-
-    shuttles: list[tuple[int, ShuttleOp]] = []
-    gates: list[tuple[int, GateOp]] = []
-    for idx, op in enumerate(s.ops):
-        if isinstance(op, ShuttleOp):
-            shuttles.append((idx, op))
-        else:
-            gates.append((idx, op))
-
-    # shuttle-op internal consistency; position() range-checks both ends
-    for idx, op in shuttles:
-        dist = abs(position(op.src, spec) - position(op.dst, spec))
-        if dist == 0.0:
-            out.append(Violation("op", idx, "zero-distance shuttle present"))
-            continue
-        want_dur = shuttle_time(dist, op.velocity)
-        if op.duration != want_dur:
-            out.append(Violation("op", idx, f"duration {op.duration} != {want_dur}"))
-        want_dc = phase_error(op.velocity, dist, s.error_params)
-        if op.delta_c != want_dc:
-            out.append(Violation("op", idx, f"delta_c {op.delta_c} != {want_dc}"))
-
-    # per-qubit motion chains and presence timelines; zone stays are also
-    # indexed by zone for rule (a)
-    timelines: dict[int, list[tuple[Location, float, float]]] = {}
-    zone_stays: dict[int, dict[Location, list]] = {}
-    if sorted(s.initial_sites) != list(range(n)):
-        out.append(Violation("c", None, "initial placement is not a bijection"))
-        if len(s.initial_sites) < n:
-            return out  # a qubit without a start site has no chain to follow
-    by_qubit: dict[int, list[tuple[int, ShuttleOp]]] = {q: [] for q in range(n)}
-    for idx, op in shuttles:
-        if not 0 <= op.qubit < n:
-            out.append(Violation("op", idx, f"unknown qubit {op.qubit}"))
-            continue
-        by_qubit[op.qubit].append((idx, op))
-    for q in range(n):
-        chain = sorted(by_qubit[q], key=lambda pair: (pair[1].start, pair[0]))
-        cur: Location = Location.site(s.initial_sites[q])
-        arrived = 0.0
-        timeline: list[tuple[Location, float, float]] = []
-        for idx, op in chain:
-            if op.src != cur:
-                out.append(
-                    Violation("op", idx, f"qubit {q} departs {op.src!r} but is at {cur!r}")
-                )
-            if op.start < arrived - _EPS_T:
-                out.append(
-                    Violation("op", idx, f"qubit {q} departs at {op.start} before arriving at {arrived}")
-                )
-            timeline.append((cur, arrived, op.start))
-            cur = op.dst
-            arrived = op.end
-        timeline.append((cur, arrived, float("inf")))
-        timelines[q] = timeline
-        stays: dict[Location, list[tuple[float, float]]] = {}
-        for loc, t0, t1 in timeline:
-            if loc.kind is LocationKind.ZONE:
-                stays.setdefault(loc, []).append((t0, t1))
-        zone_stays[q] = stays
-
-    # (a) gate operands present at the zone for the full gate
-    for idx, op in gates:
-        if not 0 <= op.gate_index < len(s.circuit.gates):
-            out.append(Violation("a", idx, f"gate index {op.gate_index} out of range"))
-            continue
-        zone_loc = Location.zone(op.zone)
-        start, end = op.start + _EPS_T, op.end
-        for q in s.circuit.gates[op.gate_index].qubits:
-            stays = zone_stays.get(q, {}).get(zone_loc, ())
-            if not any(t0 <= start and end <= t1 + _EPS_T for t0, t1 in stays):
-                out.append(
-                    Violation("a", idx, f"qubit {q} not at {zone_loc!r} for gate interval")
-                )
-
-    # (b) zone capacity 2, (c) site capacity 1, via interval sweeps
-    zone_events: dict[int, list[tuple[float, int]]] = {}
-    site_events: dict[int, list[tuple[float, int]]] = {}
-    for q, timeline in timelines.items():
-        for loc, t0, t1 in timeline:
-            if t1 <= t0:
-                continue
-            bucket = site_events if loc.is_site else zone_events
-            bucket.setdefault(loc.index, []).append((t0, +1))
-            if t1 != float("inf"):
-                bucket.setdefault(loc.index, []).append((t1, -1))
-    for events, cap, rule, noun in (
-        (zone_events, 2, "b", "zone"),
-        (site_events, 1, "c", "site"),
-    ):
-        for index, evts in events.items():
-            count = 0
-            for _, delta in sorted(evts):
-                count += delta
-                if count > cap:
-                    out.append(
-                        Violation(rule, None, f"{noun} {index} exceeds capacity {cap}")
-                    )
-                    break
-
-    # (d) simultaneously moving qubits keep their spatial order. A move is
-    # (end, qubit, start, duration, p0, p1 - p0), at p0 + (p1 - p0) *
-    # (t - start) / duration at time t.
-    moving = sorted(shuttles, key=lambda pair: (pair[1].start, pair[0]))
-    active: list[tuple[float, int, float, float, float, float]] = []
-    for idx, op in moving:
-        start, end, dur = op.start, op.end, op.duration
-        p0 = position(op.src, spec)
-        dp = position(op.dst, spec) - p0
-        cutoff = start + _EPS_T
-        active = [m for m in active if m[0] > cutoff]
-        for o_end, o_qubit, o_start, o_dur, o_p0, o_dp in active:
-            if o_qubit == op.qubit:
-                continue
-            lo = max(start, o_start)
-            hi = min(end, o_end)
-            if hi - lo <= _EPS_T:
-                continue
-            d0 = (p0 + dp * (lo - start) / dur) - (o_p0 + o_dp * (lo - o_start) / o_dur)
-            d1 = (p0 + dp * (hi - start) / dur) - (o_p0 + o_dp * (hi - o_start) / o_dur)
-            if d0 * d1 < 0 and min(abs(d0), abs(d1)) > 1e-12:
-                out.append(
-                    Violation(
-                        "d", idx, f"qubits {op.qubit} and {o_qubit} cross mid-flight"
-                    )
-                )
-        active.append((end, op.qubit, start, dur, p0, dp))
-
-    # (e) everything parked at the end, bijectively
-    final: list[int | None] = [None] * n
-    for q, timeline in timelines.items():
-        loc = timeline[-1][0]
-        if not loc.is_site:
-            out.append(Violation("e", None, f"qubit {q} ends in {loc!r}"))
-        else:
-            final[q] = loc.index
-    if None not in final:
-        if sorted(final) != list(range(n)):
-            out.append(Violation("e", None, "final sites are not a bijection"))
-        elif tuple(final) != s.final_sites:
-            out.append(Violation("e", None, "final_sites does not match op history"))
-
-    # (f) per-qubit error fold
-    folded = [0.0] * n
-    for _, op in shuttles:
-        if 0 <= op.qubit < n:
-            folded[op.qubit] += op.delta_c
-    if len(s.per_qubit_error) != n:
-        out.append(Violation("f", None, f"{len(s.per_qubit_error)} stored errors for {n} qubits"))
-    for q, stored in enumerate(s.per_qubit_error[:n]):
-        if abs(folded[q] - stored) > 1e-15 * max(1.0, abs(stored)):
-            out.append(
-                Violation("f", None, f"qubit {q} error {stored} != folded {folded[q]}")
-            )
-
-    # (g) total time
-    end = max((op.end for op in s.ops), default=0.0)
-    if abs(end - s.total_time) > 1e-12 * max(1.0, end):
-        out.append(Violation("g", None, f"total_time {s.total_time} != last op end {end}"))
-
-    return out
+        cross = (q[i] != q[j]) & ~(hi - lo <= _EPS_T) & (d0 * d1 < 0)
+        cross &= np.minimum(np.abs(d0), np.abs(d1)) > 1e-12
+        crossings += zip((a[cross] + lag).tolist(), a[cross].tolist())
+    for b, a in sorted(crossings):
+        j, i = by_start.item(b), by_start.item(a)
+        yield Violation("d", op_index("s")[j], f"qubits {q.item(j)} and {q.item(i)} cross mid-flight")
 
 
 # JSON serialization: header (strategy, architecture, placement, error
@@ -858,10 +824,6 @@ def _index(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"index must be an integer, got {value!r}")
     return value
-
-
-def _loc_from_json(obj: dict) -> Location:
-    return Location(LocationKind(obj["kind"]), _index(obj["idx"]))
 
 
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
@@ -936,33 +898,28 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
     doc = json.loads(text)
     arch = ArchitectureSpec.from_config(doc["arch"])
     errp = ErrorModelParams.from_config(doc["error_params"])
-    ops: list[ShuttleOp | GateOp] = []
+    positions: dict[int, float] = {}
+
+    def location(obj: dict) -> int:
+        """The location code of ``obj``; position() rejects one off the bus."""
+        code = 2 * _index(obj["idx"]) + (LocationKind(obj["kind"]) is LocationKind.ZONE)
+        if code not in positions:
+            positions[code] = position(_location(code), arch)
+        return code
+
+    order, shuttles, gates = [], [], []
     for entry in doc["ops"]:
+        start = json_number(entry["t0_ns"], "t0_ns") * 1e-9
         if "q" in entry:
-            src = _loc_from_json(entry["from"])
-            dst = _loc_from_json(entry["to"])
+            src, dst = location(entry["from"]), location(entry["to"])
             v = json_number(entry["v_mps"], "v_mps")
-            dist = distance(src, dst, arch)
-            ops.append(
-                ShuttleOp(
-                    qubit=_index(entry["q"]),
-                    src=src,
-                    dst=dst,
-                    start=json_number(entry["t0_ns"], "t0_ns") * 1e-9,
-                    velocity=v,
-                    duration=shuttle_time(dist, v),
-                    delta_c=json_number(entry["dC"], "dC"),
-                )
-            )
+            dur = shuttle_time(abs(positions[src] - positions[dst]), v)
+            shuttles.append((_index(entry["q"]), src, dst, start, v, dur, json_number(entry["dC"], "dC")))
+            order.append("s")
         else:
-            ops.append(
-                GateOp(
-                    gate_index=_index(entry["gate"]),
-                    zone=_index(entry["zone"]),
-                    start=json_number(entry["t0_ns"], "t0_ns") * 1e-9,
-                    duration=json_number(entry["dur_ns"], "dur_ns") * 1e-9,
-                )
-            )
+            dur = json_number(entry["dur_ns"], "dur_ns") * 1e-9
+            gates.append((_index(entry["gate"]), _index(entry["zone"]), start, dur))
+            order.append("g")
     total_time = json_number(doc["total_time_ns"], "total_time_ns") * 1e-9
     try:
         return Schedule(
@@ -971,7 +928,7 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
             arch=arch,
             error_params=errp,
             initial_sites=tuple(_index(x) for x in doc["placement"]),
-            ops=ops,
+            ops=ScheduleOps("".join(order), shuttles, gates),
             total_time=total_time,
             per_qubit_error=tuple(json_number(x, "per_qubit_error") for x in doc["per_qubit_error"]),
             final_sites=tuple(_index(x) for x in doc["final_sites"]),

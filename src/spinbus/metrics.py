@@ -58,8 +58,10 @@ def summarize(s: Schedule) -> CompilationReport:
     bits would differ).
     """
     sh, gate_index = s.ops.shuttles, s.ops.gates.gate_index
-    _, _, p0 = decode_locations(sh.src, s.arch)
-    _, _, p1 = decode_locations(sh.dst, s.arch)
+    _, _, p0, src_ok = decode_locations(sh.src, s.arch)
+    _, _, p1, dst_ok = decode_locations(sh.dst, s.arch)
+    if not (src_ok & dst_ok).all():
+        raise ValueError("location out of range")
     two_qubit = np.array([g.is_two_qubit for g in s.circuit.gates], dtype=bool)
     n_2q = int(np.count_nonzero(two_qubit[gate_index]))
     mean, std = mean_std(s.per_qubit_error)
