@@ -723,16 +723,22 @@ def _coverage(s: Schedule, stays: _Stays, op_index):
     gate's end (- _EPS_T). Zone stays sorted by (qubit, zone; arrival)
     carry the running latest departure within each (qubit, zone); one
     searchsorted finds each operand's last stay there begun in time. A
-    leading stay of group -1 that covers nothing gives every on-bus search
-    a landing place."""
-    n, gt = s.circuit.num_qubits, s.ops.gates
+    (qubit, zone) group is ``qubit * k + rank``, with the zone's rank among
+    the k distinct zones of the stays (after a -1 that is no stay's zone),
+    so keys stay exact whatever ``n_sites`` is; a gate at a zone no qubit
+    visits finds no group. A leading stay of group -1 that covers nothing
+    gives every search a landing place."""
+    gt = s.ops.gates
     gate_index, g_zone, g_start = gt.gate_index, gt.zone, gt.start
     g_known = (gate_index >= 0) & (gate_index < len(s.circuit.gates))
     operands = [s.circuit.gates[k].qubits for k in gate_index[g_known].tolist()]
     oq = np.array([x for qs in operands for x in qs], dtype=np.int64)
     og = np.repeat(np.flatnonzero(g_known), np.array([len(qs) for qs in operands], dtype=np.int64))
     zs = np.flatnonzero(stays.zone)
-    group = np.concatenate([[-1], stays.qubit[zs] * n + stays.index[zs]])
+    zones = np.sort(np.append(-1, stays.index[zs]))
+    zones = zones[np.append(True, zones[1:] != zones[:-1])]
+    k = len(zones)
+    group = np.concatenate([[-1], stays.qubit[zs] * k + np.searchsorted(zones, stays.index[zs])])
     arrive = np.concatenate([[0.0], stays.arrive[zs]])
     depart = np.concatenate([[-np.inf], stays.depart[zs]])
     order = np.lexsort((arrive, group))
@@ -740,10 +746,12 @@ def _coverage(s: Schedule, stays: _Stays, op_index):
     departs, rank = np.unique(depart, return_inverse=True)
     lift = np.cumsum(np.append(True, group[1:] != group[:-1])) * len(departs)
     latest = departs[np.maximum.accumulate(rank + lift) - lift]
-    on_bus = (g_zone[og] >= 0) & (g_zone[og] < n)
-    want = np.where(on_bus, oq * n + g_zone[og], -1)
+    oz = g_zone[og]
+    zr = np.minimum(np.searchsorted(zones, oz), k - 1)
+    visited = zones[zr] == oz
+    want = np.where(visited, oq * k + zr, -1)
     hit = np.searchsorted(group + 1j * arrive, want + 1j * (g_start[og] + _EPS_T), side="right") - 1
-    covered = on_bus & (group[hit] == want) & (g_start[og] + gt.duration[og] <= latest[hit] + _EPS_T)
+    covered = visited & (group[hit] == want) & (g_start[og] + gt.duration[og] <= latest[hit] + _EPS_T)
     missing = np.flatnonzero(~covered)
     misses = [(r, -1) for r in np.flatnonzero(~g_known).tolist()]
     for r, p in sorted(misses + list(zip(og[missing].tolist(), missing.tolist()))):

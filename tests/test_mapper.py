@@ -812,8 +812,8 @@ def _reloaded(s):
 def _handmade_schedules():
     """(label, schedule, what the oracle must give: an exception type, a
     rule it reports, or None for no violation) for inputs the mutation
-    corpus does not reach, on four qubits with a one-qubit and a two-qubit
-    gate."""
+    corpus does not reach, on four sites, mostly with four qubits and a
+    one-qubit and a two-qubit gate."""
     spec, errp = arch(4), ErrorModelParams()
     circuit = Circuit(4, (h(0), cz(1, 2)))
     site, zone = Location.site, Location.zone
@@ -823,15 +823,16 @@ def _handmade_schedules():
         op = ShuttleOp(q, src, dst, start, 10.0, d / 10.0, phase_error(10.0, d, errp))
         return dataclasses.replace(op, **changes)
 
-    def schedule(*ops, initial=(0, 1, 2, 3)):
-        folded = [0.0] * 4
+    def schedule(*ops, initial=(0, 1, 2, 3), circuit=circuit):
+        n = circuit.num_qubits
+        folded = [0.0] * n
         for op in ops:
-            if isinstance(op, ShuttleOp) and 0 <= op.qubit < 4:
+            if isinstance(op, ShuttleOp) and 0 <= op.qubit < n:
                 folded[op.qubit] += op.delta_c
         return Schedule(
             strategy="handmade", circuit=circuit, arch=spec, error_params=errp,
-            initial_sites=initial, ops=ops, total_time=max((op.end for op in ops), default=0.0),
-            per_qubit_error=tuple(folded), final_sites=(0, 1, 2, 3),
+            initial_sites=initial[:n], ops=ops, total_time=max((op.end for op in ops), default=0.0),
+            per_qubit_error=tuple(folded), final_sites=tuple(range(n)),
         )
 
     out_and_back = (move(0, site(0), zone(0), 0.0), move(0, zone(0), site(0), 1e-6))
@@ -925,6 +926,29 @@ def _handmade_schedules():
                 move(0, zone(0), site(0), 1.2e-7),
                 move(1, site(1), zone(0), 0.0),
                 move(1, zone(0), site(1), 1e-7 - 1e-15),
+            ),
+            None,
+        ),
+        (
+            # four sites for a two-qubit circuit: qubit 0's stay in zone 2
+            # must not stand for qubit 1 in zone 0
+            "more sites than qubits, operand elsewhere",
+            schedule(
+                move(0, site(0), zone(2), 0.0),
+                GateOp(0, 0, 1 * US, 20 * NS),
+                move(0, zone(2), site(0), 2 * US),
+                circuit=Circuit(2, (h(1),)),
+            ),
+            "a",
+        ),
+        (
+            # a gate in zone 3 of four, past the qubit count, with its operand there
+            "more sites than qubits, operand in a zone past the qubit count",
+            schedule(
+                move(1, site(1), zone(3), 0.0),
+                GateOp(0, 3, 1 * US, 20 * NS),
+                move(1, zone(3), site(1), 2 * US),
+                circuit=Circuit(2, (h(1),)),
             ),
             None,
         ),
