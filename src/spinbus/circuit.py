@@ -13,46 +13,49 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-NATIVE_KINDS: frozenset["GateKind"]
+import numpy as np
 
 
 class GateKind(Enum):
+    """Gate kinds by QASM name. Each member carries its operand count
+    ``n_qubits`` (None for the variadic BARRIER) and whether it
+    ``takes_angle``, as plain attributes that take no Python code to read."""
+
+    n_qubits: int | None
+    takes_angle: bool
+
+    # name = QASM name, n_qubits, takes_angle
     # native
-    RX = "rx"
-    RZ = "rz"
-    H = "h"
-    CZ = "cz"
+    RX = "rx", 1, True
+    RZ = "rz", 1, True
+    H = "h", 1, False
+    CZ = "cz", 2, False
     # extended, rewritten by decompose()
-    X = "x"
-    Y = "y"
-    Z = "z"
-    S = "s"
-    SDG = "sdg"
-    T = "t"
-    TDG = "tdg"
-    RY = "ry"
-    CX = "cx"
-    SWAP = "swap"
+    X = "x", 1, False
+    Y = "y", 1, False
+    Z = "z", 1, False
+    S = "s", 1, False
+    SDG = "sdg", 1, False
+    T = "t", 1, False
+    TDG = "tdg", 1, False
+    RY = "ry", 1, True
+    CX = "cx", 2, False
+    SWAP = "swap", 2, False
     # non-unitary / structural
-    MEASURE = "measure"
-    BARRIER = "barrier"
+    MEASURE = "measure", 1, False
+    BARRIER = "barrier", None, False
 
-    @property
-    def n_qubits(self) -> int | None:
-        """Operand count; None for BARRIER (variadic)."""
-        if self in (GateKind.CZ, GateKind.CX, GateKind.SWAP):
-            return 2
-        if self is GateKind.BARRIER:
-            return None
-        return 1
+    def __new__(cls, value: str, n_qubits: int | None, takes_angle: bool) -> GateKind:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.n_qubits = n_qubits
+        member.takes_angle = takes_angle
+        return member
 
-    @property
-    def takes_angle(self) -> bool:
-        return self in (GateKind.RX, GateKind.RY, GateKind.RZ)
-
-    @property
-    def is_native(self) -> bool:
-        return self in NATIVE_KINDS
+    # Members are singletons, so identity hashing agrees with equality; it
+    # runs in C, where Enum's own __hash__ is Python code run on every set
+    # or dict lookup (NATIVE_KINDS, SCHEDULABLE_BASIS, Gate's hash).
+    __hash__ = object.__hash__
 
 
 NATIVE_KINDS = frozenset({GateKind.RX, GateKind.RZ, GateKind.H, GateKind.CZ})
@@ -74,22 +77,26 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        expected = self.kind.n_qubits
+        kind, qubits, angle = self.kind, tuple(self.qubits), self.angle
+        object.__setattr__(self, "qubits", qubits)
+        for q in qubits:
+            if type(q) is not int and (
+                isinstance(q, bool) or not isinstance(q, (int, np.integer))
+            ):
+                raise TypeError(f"{kind.name} operands must be integers, got {qubits}")
+        expected = kind.n_qubits
         if expected is None:
-            if len(self.qubits) < 1:
+            if len(qubits) < 1:
                 raise ValueError("BARRIER needs at least one qubit")
-        elif len(self.qubits) != expected:
-            raise ValueError(
-                f"{self.kind.name} takes {expected} qubit(s), got {self.qubits}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate operands in {self.kind.name}{self.qubits}")
-        if self.kind.takes_angle:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind.name} needs a finite angle")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind.name} takes no angle")
+        elif len(qubits) != expected:
+            raise ValueError(f"{kind.name} takes {expected} qubit(s), got {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"duplicate operands in {kind.name}{qubits}")
+        if kind.takes_angle:
+            if angle is None or not math.isfinite(angle):
+                raise ValueError(f"{kind.name} needs a finite angle")
+        elif angle is not None:
+            raise ValueError(f"{kind.name} takes no angle")
 
     @property
     def is_two_qubit(self) -> bool:

@@ -6,31 +6,21 @@ barrier. Bare-register operands broadcast for single-qubit gates, measure
 and barrier. Angle expressions allow pi, numeric literals, + - * /, unary
 minus and parentheses. Anything else raises an unsupported-construct error
 naming the construct; malformed text raises a syntax error. Both carry the
-source line and column.
+line and column of the offending token, counted from the text when the error
+is raised.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 
 from .circuit import Circuit, Gate, GateKind
 
+# gate statements by QASM name; measure and barrier are statements of their own
 GATE_TABLE = {
-    "x": GateKind.X,
-    "y": GateKind.Y,
-    "z": GateKind.Z,
-    "h": GateKind.H,
-    "s": GateKind.S,
-    "sdg": GateKind.SDG,
-    "t": GateKind.T,
-    "tdg": GateKind.TDG,
-    "rx": GateKind.RX,
-    "ry": GateKind.RY,
-    "rz": GateKind.RZ,
-    "cx": GateKind.CX,
-    "cz": GateKind.CZ,
-    "swap": GateKind.SWAP,
+    k.value: k for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)
 }
+
 
 class QasmError(Exception):
     """Base for QASM front-end failures; carries line and column."""
@@ -51,115 +41,135 @@ class UnsupportedConstructError(QasmError):
         self.construct = construct
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'id' | 'num' | 'str' | symbol text
-    text: str
-    line: int
-    col: int
-
-
 _MAX_NESTING = 100  # of unary minus and parentheses in one angle expression
 
-_SYMBOLS = ("->", "(", ")", "[", "]", "{", "}", ",", ";", "+", "-", "*", "/", "==")
+_Tok = tuple[str, str, int]  # kind, text, offset
+
+# One match per token: the blanks and comments before it, then one named
+# group. ``bad`` takes the rest of the text from the first character that
+# starts no token, so it can only be the last match; ``\Z`` matches the end
+# after trailing blanks. Since some alternative always matches, the engine
+# never backtracks into the skipped prefix.
+_TOKEN = re.compile(
+    r"""(?:[ \t\r\n]+|//[^\n]*)*
+    (?:(?P<id>[A-Za-z_]\w*)
+      |(?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)
+      |"(?P<str>[^"]*)"
+      |(?P<sym>->|==|[()\[\]{},;+\-*/])
+      |(?P<bad>.+)
+      |\Z)""",
+    re.ASCII | re.DOTALL | re.VERBOSE,
+)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise QasmSyntaxError("unterminated string", line, col)
-            tokens.append(_Token("str", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("id", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        matched = None
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                matched = sym
-                break
-        if matched is None:
-            raise QasmSyntaxError(f"unexpected character {ch!r}", line, col)
-        tokens.append(_Token(matched, matched, line, col))
-        col += len(matched)
-        i += len(matched)
+def _position(text: str, off: int) -> tuple[int, int]:
+    """1-based line and column of offset ``off`` in ``text``."""
+    return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
+
+
+def _bad_character(text: str, off: int) -> QasmSyntaxError:
+    ch = text[off]
+    message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+    return QasmSyntaxError(message, *_position(text, off))
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    """``(kind, text, offset)`` per token. The kind is 'id', 'num', 'str'
+    (text without the quotes, offset at the opening one) or, for a symbol,
+    the symbol itself."""
+    if not text.isascii():
+        return _scan(text)
+    tokens = [
+        (m[k] if k == "sym" else k, m[k], m.start(k) - (k == "str"))
+        for m in _TOKEN.finditer(text)
+        for k in (m.lastgroup,)
+        if k is not None
+    ]
+    if tokens and tokens[-1][0] == "bad":
+        raise _bad_character(text, tokens[-1][2])
     return tokens
 
 
-def _literal(convert, tok: _Token, what: str):
-    """``convert(tok.text)``; a malformed literal is a syntax error."""
-    try:
-        return convert(tok.text)
-    except ValueError:
-        raise QasmSyntaxError(f"bad {what} {tok.text!r}", tok.line, tok.col) from None
+def _scan(text: str) -> list[_Tok]:
+    """``_tokenize`` for text that is not ASCII, character by character:
+    identifiers and numbers follow ``str.isalpha`` and ``str.isdigit``, which
+    no regex class matches exactly (``'²'.isdigit()``, unlike regex ``\\d``)."""
+    tokens: list[_Tok] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+        elif text.startswith("//", i):
+            i = text.find("\n", i)
+            if i < 0:
+                break
+        elif ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise _bad_character(text, i)
+            tokens.append(("str", text[i + 1 : j], i))
+            i = j + 1
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("id", text[i:j], i))
+            i = j
+        elif ch.isdigit() or (ch == "." and text[i + 1 : i + 2].isdigit()):
+            j = i + 1
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if text[j : j + 1] in ("e", "E"):
+                k = j + 1 + (text[j + 1 : j + 2] in ("+", "-"))
+                if text[k : k + 1].isdigit():
+                    j = k + 1
+                    while j < n and text[j].isdigit():
+                        j += 1
+            tokens.append(("num", text[i:j], i))
+            i = j
+        else:  # an ASCII symbol, or no token at all
+            m = _TOKEN.match(text, i)
+            if m.lastgroup != "sym":
+                raise _bad_character(text, i)
+            tokens.append((m["sym"], m["sym"], i))
+            i = m.end()
+    return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        # end marker, kind None, placed where the last token starts
+        self.tokens.append((None, "", self.tokens[-1][2] if self.tokens else 0))
         self.pos = 0
         self.qreg: tuple[str, int] | None = None
         self.creg: tuple[str, int] | None = None
         self.gates: list[Gate] = []
         self.depth = 0  # unary minus and parentheses open in _factor
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _at(self, tok: _Tok) -> tuple[int, int]:
+        return _position(self.text, tok[2])
 
-    def _next(self, expect: str | None = None) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token(";", ";", 1, 1)
-            raise QasmSyntaxError("unexpected end of input", last.line, last.col)
-        if expect is not None and tok.kind != expect:
-            raise QasmSyntaxError(
-                f"expected {expect!r}, got {tok.text!r}", tok.line, tok.col
-            )
+    def _peek(self) -> str | None:  # the next token's kind; None at the end
+        return self.tokens[self.pos][0]
+
+    def _next(self, expect: str | None = None) -> _Tok:
+        tok = self.tokens[self.pos]
+        if tok[0] is None:
+            raise QasmSyntaxError("unexpected end of input", *self._at(tok))
+        if expect is not None and tok[0] != expect:
+            raise QasmSyntaxError(f"expected {expect!r}, got {tok[1]!r}", *self._at(tok))
         self.pos += 1
         return tok
+
+    def _literal(self, convert, tok: _Tok, what: str):
+        """``convert(tok text)``; a malformed literal is a syntax error."""
+        try:
+            return convert(tok[1])
+        except ValueError:
+            raise QasmSyntaxError(f"bad {what} {tok[1]!r}", *self._at(tok)) from None
 
     def parse(self) -> Circuit:
         while self._peek() is not None:
@@ -170,141 +180,129 @@ class _Parser:
 
     def _statement(self) -> None:
         tok = self._next()
-        if tok.kind != "id":
-            raise QasmSyntaxError(f"expected statement, got {tok.text!r}", tok.line, tok.col)
-        name = tok.text
-        if name == "OPENQASM":
-            version = self._next("num").text
+        name = tok[1]
+        if tok[0] != "id":
+            raise QasmSyntaxError(f"expected statement, got {name!r}", *self._at(tok))
+        kind = GATE_TABLE.get(name)
+        if kind is not None:
+            self._gate(kind, tok)
+        elif name == "OPENQASM":
+            version = self._next("num")[1]
             self._next(";")
             if version != "2.0":
-                raise UnsupportedConstructError(f"OPENQASM {version}", tok.line, tok.col)
-            return
-        if name == "include":
+                raise UnsupportedConstructError(f"OPENQASM {version}", *self._at(tok))
+        elif name == "include":
             self._next("str")
             self._next(";")
-            return
-        if name == "qreg":
+        elif name == "qreg":
             if self.qreg is not None:
-                raise UnsupportedConstructError("multiple quantum registers", tok.line, tok.col)
+                raise UnsupportedConstructError("multiple quantum registers", *self._at(tok))
             self.qreg = self._register_decl()
-            return
-        if name == "creg":
+        elif name == "creg":
             if self.creg is not None:
-                raise UnsupportedConstructError("multiple classical registers", tok.line, tok.col)
+                raise UnsupportedConstructError("multiple classical registers", *self._at(tok))
             self.creg = self._register_decl()
-            return
-        if name == "measure":
+        elif name == "measure":
             self._measure(tok)
-            return
-        if name == "barrier":
+        elif name == "barrier":
             self._barrier(tok)
-            return
-        if name in GATE_TABLE:
-            self._gate(tok)
-            return
-        raise UnsupportedConstructError(name, tok.line, tok.col)
+        else:
+            raise UnsupportedConstructError(name, *self._at(tok))
 
     def _register_decl(self) -> tuple[str, int]:
-        name = self._next("id").text
+        name = self._next("id")[1]
         self._next("[")
         size_tok = self._next("num")
         self._next("]")
         self._next(";")
-        size = _literal(int, size_tok, "register size")
+        size = self._literal(int, size_tok, "register size")
         if size < 1:
-            raise QasmSyntaxError("register size must be >= 1", size_tok.line, size_tok.col)
+            raise QasmSyntaxError("register size must be >= 1", *self._at(size_tok))
         return name, size
 
     def _qubit_operand(self) -> list[int]:
         """One quantum operand: q[i] -> [i]; bare q -> all indices."""
         tok = self._next("id")
         if self.qreg is None:
-            raise QasmSyntaxError("quantum register used before declaration", tok.line, tok.col)
+            raise QasmSyntaxError("quantum register used before declaration", *self._at(tok))
         reg_name, reg_size = self.qreg
-        if tok.text != reg_name:
-            raise QasmSyntaxError(f"unknown register {tok.text!r}", tok.line, tok.col)
-        nxt = self._peek()
-        if nxt is not None and nxt.kind == "[":
-            self._next("[")
+        if tok[1] != reg_name:
+            raise QasmSyntaxError(f"unknown register {tok[1]!r}", *self._at(tok))
+        if self._peek() == "[":
+            self.pos += 1
             idx_tok = self._next("num")
             self._next("]")
-            idx = _literal(int, idx_tok, "qubit index")
+            idx = self._literal(int, idx_tok, "qubit index")
             if not 0 <= idx < reg_size:
                 raise QasmSyntaxError(
-                    f"qubit index {idx} out of range [0, {reg_size})",
-                    idx_tok.line,
-                    idx_tok.col,
+                    f"qubit index {idx} out of range [0, {reg_size})", *self._at(idx_tok)
                 )
             return [idx]
         return list(range(reg_size))
 
-    def _gate(self, tok: _Token) -> None:
-        kind = GATE_TABLE[tok.text]
+    def _gate(self, kind: GateKind, tok: _Tok) -> None:
         angle = None
-        if self._peek() is not None and self._peek().kind == "(":
-            self._next("(")
+        if self._peek() == "(":
+            self.pos += 1
             angle = self._expr()
             self._next(")")
         if kind.takes_angle and angle is None:
-            raise QasmSyntaxError(f"{tok.text} needs an angle", tok.line, tok.col)
+            raise QasmSyntaxError(f"{tok[1]} needs an angle", *self._at(tok))
         if not kind.takes_angle and angle is not None:
-            raise QasmSyntaxError(f"{tok.text} takes no angle", tok.line, tok.col)
+            raise QasmSyntaxError(f"{tok[1]} takes no angle", *self._at(tok))
         operands = [self._qubit_operand()]
-        while self._peek() is not None and self._peek().kind == ",":
-            self._next(",")
+        while self._peek() == ",":
+            self.pos += 1
             operands.append(self._qubit_operand())
         self._next(";")
         if kind.n_qubits == 2:
             if len(operands) != 2 or any(len(o) != 1 for o in operands):
                 raise UnsupportedConstructError(
-                    f"register broadcast for {tok.text}", tok.line, tok.col
+                    f"register broadcast for {tok[1]}", *self._at(tok)
                 )
             self._append(kind, (operands[0][0], operands[1][0]), angle, tok)
         else:
             if len(operands) != 1:
-                raise QasmSyntaxError(
-                    f"{tok.text} takes one operand", tok.line, tok.col
-                )
+                raise QasmSyntaxError(f"{tok[1]} takes one operand", *self._at(tok))
             for q in operands[0]:
                 self._append(kind, (q,), angle, tok)
 
     def _append(
-        self, kind: GateKind, qubits: tuple[int, ...], angle: float | None, tok: _Token
+        self, kind: GateKind, qubits: tuple[int, ...], angle: float | None, tok: _Tok
     ) -> None:
         try:
             self.gates.append(Gate(kind, qubits, angle))
         except ValueError as exc:
-            raise QasmSyntaxError(str(exc), tok.line, tok.col) from None
+            raise QasmSyntaxError(str(exc), *self._at(tok)) from None
 
-    def _measure(self, tok: _Token) -> None:
+    def _measure(self, tok: _Tok) -> None:
         qubits = self._qubit_operand()
         self._next("->")
         if self.creg is None:
-            raise QasmSyntaxError("measure without classical register", tok.line, tok.col)
+            raise QasmSyntaxError("measure without classical register", *self._at(tok))
         creg_tok = self._next("id")
-        if creg_tok.text != self.creg[0]:
-            raise QasmSyntaxError(f"unknown register {creg_tok.text!r}", creg_tok.line, creg_tok.col)
-        if self._peek() is not None and self._peek().kind == "[":
-            self._next("[")
+        if creg_tok[1] != self.creg[0]:
+            raise QasmSyntaxError(f"unknown register {creg_tok[1]!r}", *self._at(creg_tok))
+        if self._peek() == "[":
+            self.pos += 1
             idx_tok = self._next("num")
             self._next("]")
-            if not 0 <= _literal(int, idx_tok, "bit index") < self.creg[1]:
+            if not 0 <= self._literal(int, idx_tok, "bit index") < self.creg[1]:
                 raise QasmSyntaxError(
-                    f"bit index {idx_tok.text} out of range", idx_tok.line, idx_tok.col
+                    f"bit index {idx_tok[1]} out of range", *self._at(idx_tok)
                 )
             if len(qubits) != 1:
                 raise QasmSyntaxError(
-                    "register measure needs a register target", tok.line, tok.col
+                    "register measure needs a register target", *self._at(tok)
                 )
         self._next(";")
         for q in qubits:
             self.gates.append(Gate(GateKind.MEASURE, (q,)))
 
-    def _barrier(self, tok: _Token) -> None:
-        qubits: list[int] = []
-        qubits.extend(self._qubit_operand())
-        while self._peek() is not None and self._peek().kind == ",":
-            self._next(",")
+    def _barrier(self, tok: _Tok) -> None:
+        qubits = self._qubit_operand()
+        while self._peek() == ",":
+            self.pos += 1
             qubits.extend(self._qubit_operand())
         self._next(";")
         self._append(GateKind.BARRIER, tuple(qubits), None, tok)
@@ -314,21 +312,22 @@ class _Parser:
     #                     factor := '-' factor | num | 'pi' | '(' expr ')'
     def _expr(self) -> float:
         value = self._term()
-        while self._peek() is not None and self._peek().kind in ("+", "-"):
-            op = self._next().kind
+        while self._peek() in ("+", "-"):
+            op = self._next()[0]
             rhs = self._term()
             value = value + rhs if op == "+" else value - rhs
         return value
 
     def _term(self) -> float:
         value = self._factor()
-        while self._peek() is not None and self._peek().kind in ("*", "/"):
-            op = self._next().kind
+        while self._peek() in ("*", "/"):
+            op = self._next()[0]
             rhs = self._factor()
             if op == "/":
                 if rhs == 0:
-                    tok = self.tokens[self.pos - 1]
-                    raise QasmSyntaxError("division by zero", tok.line, tok.col)
+                    raise QasmSyntaxError(
+                        "division by zero", *self._at(self.tokens[self.pos - 1])
+                    )
                 value = value / rhs
             else:
                 value = value * rhs
@@ -336,28 +335,29 @@ class _Parser:
 
     def _factor(self) -> float:
         tok = self._next()
-        if tok.kind in ("-", "("):
+        kind = tok[0]
+        if kind == "num":
+            return self._literal(float, tok, "number")
+        if kind in ("-", "("):
             # bounded, so deep nesting is a syntax error, not a RecursionError
             if self.depth == _MAX_NESTING:
-                raise QasmSyntaxError("expression nested too deeply", tok.line, tok.col)
+                raise QasmSyntaxError("expression nested too deeply", *self._at(tok))
             self.depth += 1
-            if tok.kind == "-":
+            if kind == "-":
                 value = -self._factor()
             else:
                 value = self._expr()
                 self._next(")")
             self.depth -= 1
             return value
-        if tok.kind == "num":
-            return _literal(float, tok, "number")
-        if tok.kind == "id" and tok.text == "pi":
+        if kind == "id" and tok[1] == "pi":
             return math.pi
-        raise QasmSyntaxError(f"bad expression token {tok.text!r}", tok.line, tok.col)
+        raise QasmSyntaxError(f"bad expression token {tok[1]!r}", *self._at(tok))
 
 
 def parse_qasm(text: str) -> Circuit:
     """Parse the OpenQASM 2.0 subset into a Circuit (gates in source order)."""
-    return _Parser(_tokenize(text)).parse()
+    return _Parser(text).parse()
 
 
 def export_qasm(c: Circuit) -> str:

@@ -52,6 +52,33 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Gate(GateKind.H, (0,), 1.0)  # spurious angle
 
+    @pytest.mark.parametrize(
+        "kind, qubits",
+        [
+            (GateKind.H, (0.5,)),
+            (GateKind.CZ, (True, 0)),
+            (GateKind.CX, (0, "1")),
+            (GateKind.H, (np.bool_(True),)),
+            (GateKind.BARRIER, (0, 1.0)),
+        ],
+    )
+    def test_non_integer_operands_rejected(self, kind, qubits):
+        with pytest.raises(TypeError, match="operands must be integers"):
+            Gate(kind, qubits)
+
+    def test_numpy_integer_operands_accepted(self):
+        g = Gate(GateKind.CZ, (np.int64(0), np.uint8(1)))
+        assert Circuit(2, (g,)).gates == (cz(0, 1),)
+
+    def test_kind_facts(self):
+        two = {GateKind.CZ, GateKind.CX, GateKind.SWAP}
+        angled = {GateKind.RX, GateKind.RY, GateKind.RZ}
+        for kind in GateKind:
+            expected = None if kind is GateKind.BARRIER else 2 if kind in two else 1
+            assert kind.n_qubits == expected
+            assert kind.takes_angle == (kind in angled)
+            assert GateKind(kind.value) is kind
+
     def test_barrier_variadic(self):
         Gate(GateKind.BARRIER, (0,))
         Gate(GateKind.BARRIER, (0, 1, 2, 3))

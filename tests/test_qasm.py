@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from spinbus.qasm import (
     export_qasm,
     parse_qasm,
 )
+
+from oracles import oracle_parse_qasm
 
 
 def test_minimal_circuit():
@@ -77,6 +80,22 @@ def test_syntax_error_carries_position():
     # the missing ';' is discovered at 'cx' on line 3
     assert info.value.line == 3
     assert info.value.col == 1
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ('include "a\nb"; @', 2, 5),
+        ('include "a\nb";\nqreg q[2];\nh q[3];', 4, 5),
+        ('include "\u00e9\nb"; @', 2, 5),  # the non-ASCII scanner
+        ('qreg q[1];\nh "x";', 2, 3),  # a string's position is its opening quote
+        ('include "a"', 1, 9),  # end of input, at the last token
+    ],
+)
+def test_error_position(text, line, col):
+    with pytest.raises(QasmSyntaxError) as info:
+        parse_qasm(text)
+    assert (info.value.line, info.value.col) == (line, col)
 
 
 def test_index_out_of_range_reported():
@@ -204,3 +223,55 @@ def test_parse_raises_only_qasm_errors(text):
         parse_qasm(text)
     except QasmError:
         pass
+
+
+def _outcome(parse, text):
+    """The circuit, or the error's type, message, line, column and construct."""
+    try:
+        return parse(text)
+    except QasmError as exc:
+        message = str(exc).partition(": ")[2]
+        return type(exc), message, exc.line, exc.col, getattr(exc, "construct", None)
+
+
+def _offset(text, line, col):
+    return sum(len(s) + 1 for s in text.split("\n")[: line - 1]) + col - 1
+
+
+# comments and string literals, found in the order the tokenizer meets them
+_SKIPPED = re.compile(r'//[^\n]*|"[^"]*"')
+
+_FREE_TEXT = st.lists(
+    st.sampled_from(
+        list("qch[](),;-+*/.0123456789eE pi->\"\t\r\n\u00e9\u00b2\u0663\u00bd\u00a0")
+        + ["//", "qreg q[3];", "creg c[3];", "include", "measure", "barrier", "OPENQASM 2.0;"]
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        _FREE_TEXT,
+        st.lists(st.one_of(_STATEMENTS, _FREE_TEXT), max_size=6).map(
+            lambda body: "OPENQASM 2.0; qreg q[3]; creg c[3]; " + " ".join(body)
+        ),
+        # the same statements through the non-ASCII scanner
+        st.lists(_STATEMENTS, max_size=6).map(
+            lambda body: "OPENQASM 2.0; qreg q[3]; creg c[3]; " + " ".join(body) + "//\u00e9"
+        ),
+    )
+)
+def test_parse_matches_oracle(text):
+    expected, got = _outcome(oracle_parse_qasm, text), _outcome(parse_qasm, text)
+    flat = _SKIPPED.sub(lambda m: m[0].replace("\n", " ") if m[0][0] == '"' else m[0], text)
+    if flat == text or isinstance(expected, Circuit):
+        assert got == expected
+        return
+    # A string literal spans a newline, which the oracle does not count:
+    # the error is the same, and its position is where the oracle puts it
+    # in the text with those newlines made blanks.
+    assert (got[0], got[1], got[4]) == (expected[0], expected[1], expected[4])
+    flat_error = _outcome(oracle_parse_qasm, flat)
+    assert _offset(text, *got[2:4]) == _offset(flat, *flat_error[2:4])
