@@ -78,6 +78,8 @@ class Gate:
 
     def __post_init__(self) -> None:
         kind, qubits, angle = self.kind, tuple(self.qubits), self.angle
+        if not isinstance(kind, GateKind):
+            raise TypeError(f"kind must be a GateKind, got {kind!r}")
         object.__setattr__(self, "qubits", qubits)
         for q in qubits:
             if type(q) is not int and (
@@ -105,20 +107,24 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over ``num_qubits`` virtual qubits."""
+    """Ordered gate list over ``num_qubits`` virtual qubits; ``num_qubits``
+    must be an integer (a bool is not), or TypeError is raised."""
 
     num_qubits: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
+        n = self.num_qubits
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"num_qubits must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"num_qubits must be >= 1, got {n}")
         for g in self.gates:
             for q in g.qubits:
-                if not 0 <= q < self.num_qubits:
+                if not 0 <= q < n:
                     raise ValueError(
-                        f"qubit {q} out of range for {self.num_qubits}-qubit circuit"
+                        f"qubit {q} out of range for {n}-qubit circuit"
                     )
 
     @property

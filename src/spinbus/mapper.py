@@ -28,13 +28,23 @@ together. Within a phase the shuttles are emitted in ascending qubit
 order. Phase duration is the maximum individual duration within it.
 Qubits untouched by a slice stay parked and accrue no error.
 
+The mapper runs in two passes. Pass 1, in Python, walks the layers and
+decides where every qubit goes: each episode's zone, each phase's
+(qubit, site, zone) moves, and the return sites. Pass 2 (``_timed_ops``)
+times every move at once as numpy columns: distances, each phase's
+longest move and velocity, durations, ``phase_error`` once per distinct
+(velocity, distance), the episode clock as a left fold, and each qubit's
+error as a sum in op order. Every float has the bits the op-by-op scalar
+arithmetic gives, so the schedules are unchanged.
+
 A schedule's ops are held as columns (``ScheduleOps``): one array per
 shuttle field, one per gate field, and an order string that interleaves
-the two. The mapper and ``schedule_from_json`` append rows to them, and
-the validator, ``metrics.summarize`` and ``schedule_to_json`` read the
-arrays. The validator is one pass over the columns: each rule is a
-boolean mask over the rows, and a violation is formatted only for a
-flagged row.
+the two. The mapper hands its arrays over as they are;
+``schedule_from_json`` and a tuple of ops go through rows
+(``ScheduleOps.from_rows``). The validator, ``metrics.summarize`` and
+``schedule_to_json`` read the arrays. The validator is one pass over the
+columns: each rule is a boolean mask over the rows, and a violation is
+formatted only for a flagged row.
 ``Schedule.ops`` is that column sequence: it has a length without building
 ops, and builds ``ShuttleOp``/``GateOp`` objects only when iterated or
 indexed. A ``Schedule`` given a tuple of ops turns it into columns.
@@ -43,11 +53,13 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import json
 import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +88,7 @@ STRATEGY_FLAGS = {
 STRATEGIES = tuple(STRATEGY_FLAGS)
 
 _EPS_T = 1e-15  # seconds; schedule times are exact accumulations
+_flat = itertools.chain.from_iterable
 
 
 @dataclass(frozen=True)
@@ -135,6 +148,7 @@ class GateColumns(NamedTuple):
 
 _LOCATION_KINDS = (LocationKind.STORAGE, LocationKind.ZONE)
 _DTYPES = {"q": np.int64, "d": np.float64}
+_TYPECODES = {ShuttleColumns: "qqqdddd", GateColumns: "qqdd"}
 
 
 def _location_code(loc: Location) -> int:
@@ -147,41 +161,54 @@ def _location(code: int) -> Location:
     return Location(_LOCATION_KINDS[code & 1], code >> 1)
 
 
-def _columns(cls, typecodes: str, rows: list[tuple]):
+def _columns(cls, rows: list[tuple]):
     """``rows`` transposed into ``cls``; ``array`` raises TypeError on a value
     that is not a number, or on a non-integer in an integer column, and
-    OverflowError on an integer beyond 64 bits. A NaN or an infinity in a
-    float column raises ValueError."""
+    OverflowError on an integer beyond 64 bits."""
+    typecodes = _TYPECODES[cls]
     cols = list(zip(*rows)) or [()] * len(typecodes)
-    out = []
-    for code, col in zip(typecodes, cols):
-        arr = np.frombuffer(array(code, col), dtype=_DTYPES[code])
-        if code == "d" and not np.isfinite(arr).all():
-            raise ValueError(f"{cls.__name__} column {cls._fields[len(out)]} is not finite")
-        arr.flags.writeable = False
-        out.append(arr)
-    return cls(*out)
+    return cls(*(np.frombuffer(array(code, col), dtype=_DTYPES[code]) for code, col in zip(typecodes, cols)))
+
+
+def _frozen(cols):
+    """``cols`` made read-only after checking that every column is a 1-D
+    array of its field's dtype, all of one length (TypeError otherwise),
+    and that the float columns hold finite numbers only (ValueError)."""
+    cls = type(cols)
+    for name, code, col in zip(cls._fields, _TYPECODES[cls], cols):
+        if not (isinstance(col, np.ndarray) and col.dtype == _DTYPES[code] and col.shape == (len(cols[0]),)):
+            raise TypeError(f"{cls.__name__} column {name} is not a 1-D {np.dtype(_DTYPES[code])} array of the rows")
+        if code == "d" and not np.isfinite(col).all():
+            raise ValueError(f"{cls.__name__} column {name} is not finite")
+        col.flags.writeable = False
+    return cols
 
 
 class ScheduleOps(Sequence):
     """``Schedule.ops``: the ops of a schedule held as columns.
 
     ``order`` has one character per op, ``"s"`` for the next shuttle row
-    and ``"g"`` for the next gate row. Float columns hold finite numbers
-    only (ValueError otherwise). Iterating or indexing builds
+    and ``"g"`` for the next gate row. The column arrays are taken, not
+    copied, and made read-only; float columns hold finite numbers only
+    (ValueError otherwise). Iterating or indexing builds
     ``ShuttleOp``/``GateOp`` objects; a slice is a plain tuple. It equals
     the tuple of the same ops, and ``+`` with a tuple gives a tuple.
     """
 
     __slots__ = ("order", "shuttles", "gates")
 
-    def __init__(self, order: str, shuttles: list[tuple], gates: list[tuple]):
-        counts = (order.count("s"), order.count("g"), len(order))
-        if counts != (len(shuttles), len(gates), len(shuttles) + len(gates)):
+    def __init__(self, order: str, shuttles: ShuttleColumns, gates: GateColumns):
+        self.shuttles, self.gates = _frozen(ShuttleColumns(*shuttles)), _frozen(GateColumns(*gates))
+        rows = (len(self.shuttles.qubit), len(self.gates.gate_index))
+        if (order.count("s"), order.count("g"), len(order)) != (*rows, sum(rows)):
             raise ValueError("op order does not match the shuttle and gate rows")
         self.order = order
-        self.shuttles = _columns(ShuttleColumns, "qqqdddd", shuttles)
-        self.gates = _columns(GateColumns, "qqdd", gates)
+
+    @classmethod
+    def from_rows(cls, order: str, shuttles: list[tuple], gates: list[tuple]) -> "ScheduleOps":
+        """The columns of shuttle rows and gate rows, each a tuple of its
+        ``ShuttleOp``/``GateOp`` fields with locations as codes."""
+        return cls(order, _columns(ShuttleColumns, shuttles), _columns(GateColumns, gates))
 
     @classmethod
     def of(cls, ops) -> "ScheduleOps":
@@ -201,7 +228,7 @@ class ScheduleOps(Sequence):
                 gates.append((op.gate_index, op.zone, op.start, op.duration))
             else:
                 raise TypeError(f"not a ShuttleOp or GateOp: {op!r}")
-        return cls("".join(order), shuttles, gates)
+        return cls.from_rows("".join(order), shuttles, gates)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -344,31 +371,6 @@ def _map(
     site_pos = [position(Location.site(s), spec) for s in range(spec.n_sites)]
     zone_pos = [position(Location.zone(z), spec) for z in range(spec.n_sites)]
     two_qubit = [g.is_two_qubit for g in c.gates]
-    order: list[str] = []
-    shuttles: list[tuple] = []
-    gates: list[tuple] = []
-    err = [0.0] * spec.n_sites
-    # (delta_c, duration) per (velocity, distance); phases repeat few pairs
-    memo: dict[tuple[float, float], tuple[float, float]] = {}
-
-    def phase(moves: list[tuple[int, int, int]], start: float, outward: bool) -> float:
-        """Shuttle every (qubit, site, zone) move from ``start``, in qubit
-        order, at one velocity; return the phase duration."""
-        moves = sorted(moves)
-        dists = [abs(site_pos[s] - zone_pos[z]) for _, s, z in moves]
-        longest = max(dists)
-        v = optimal_velocity(longest, errp) if tunable else spec.default_velocity
-        for (q, s, z), dist in zip(moves, dists):
-            src, dst = (2 * s, 2 * z + 1) if outward else (2 * z + 1, 2 * s)
-            known = memo.get((v, dist))
-            if known is None:
-                known = memo[v, dist] = (phase_error(v, dist, errp), shuttle_time(dist, v))
-            dc, dur = known
-            shuttles.append((q, src, dst, start, v, dur, dc))
-            err[q] += dc
-        order.append("s" * len(moves))
-        return shuttle_time(longest, v)
-
     sites: list[int | None] = list(placement.perm)  # None while in a zone
     layers = [(gate_idx,) for gate_idx in range(len(c.gates))] if sequential else sc.layers
 
@@ -382,7 +384,9 @@ def _map(
                     future[qa].append((layer_idx, qb))
                     future[qb].append((layer_idx, qa))
 
-    t = 0.0
+    # pass 1: every episode's zones and moves, phase by phase
+    phases: list[list[tuple[int, int, int]]] = []  # out, return, out, ...
+    timed: list[list[tuple[int, Gate, int]]] = []  # each phase pair's episodes
     for layer_idx, layer in enumerate(layers):
         episodes = []  # (gate_index, gate, zone)
         for gate_idx in layer:
@@ -400,44 +404,110 @@ def _map(
 
         # out phase: every operand shuttles to its zone simultaneously
         out_moves = [(q, sites[q], zone) for _, g, zone in episodes for q in g.qubits]
-        gate_start = t + phase(out_moves, t, True)
         for q, _, _ in out_moves:
             sites[q] = None
 
-        # gate phase: all gates start together
-        max_dur = 0.0
-        for gate_idx, g, zone in episodes:
-            if g.kind is GateKind.MEASURE:
-                g_dur = measure_duration
-            else:
-                g_dur = spec.t_2q if two_qubit[gate_idx] else spec.t_1q
-            gates.append((gate_idx, zone, gate_start, g_dur))
-            max_dur = max(max_dur, g_dur)
-        order.append("g" * len(episodes))
-        ret_start = gate_start + max_dur
-
-        # return phase: pick destination sites, then shuttle simultaneously
+        # return phase: pick destination sites
         if dynamic_return:
             returns = _assign_dynamic_returns(
                 episodes, sites, site_pos, zone_pos, swap_returns, future, layer_idx
             )
         else:
             returns = out_moves
-        t = ret_start + phase(returns, ret_start, False)
         for q, s, _ in returns:
             sites[q] = s
+        phases += (out_moves, returns)
+        timed.append(episodes)
 
+    gate_time = np.where(two_qubit, spec.t_2q, spec.t_1q).astype(np.float64)
+    if measure_duration is not None:
+        gate_time[[g.kind is GateKind.MEASURE for g in c.gates]] = measure_duration
+    ops, total_time, err = _timed_ops(phases, timed, gate_time, spec, errp, tunable)
     return Schedule(
         strategy=strategy,
         circuit=c,
         arch=spec,
         error_params=errp,
         initial_sites=placement.perm,
-        ops=ScheduleOps("".join(order), shuttles, gates),
-        total_time=t,
-        per_qubit_error=tuple(err),
+        ops=ops,
+        total_time=total_time,
+        per_qubit_error=err,
         final_sites=tuple(sites),
     )
+
+
+def _timed_ops(
+    phases: list[list[tuple[int, int, int]]],
+    timed: list[list[tuple[int, Gate, int]]],
+    gate_time: np.ndarray,
+    spec: ArchitectureSpec,
+    errp: ErrorModelParams,
+    tunable: bool,
+) -> tuple[ScheduleOps, float, tuple[float, ...]]:
+    """Pass 2: the ops, total time and per-qubit error of pass 1's phases
+    (out, return, out, ... as (qubit, site, zone) moves) and each phase
+    pair's episodes, computed as columns. ``gate_time`` is the duration of
+    every circuit gate.
+
+    Each phase shuttles its moves in qubit order at one velocity (the
+    optimum for its longest move if ``tunable``) and lasts as long as that
+    move. Every float has the bits of the scalar expressions: positions as
+    ``position()``, durations ``dist / v``, ``phase_error`` once per distinct
+    (velocity, distance), episode times a left fold over [out, longest
+    gate, return] per episode, and each qubit's error a sum in op order.
+    """
+    n_moves = np.fromiter(map(len, phases), np.int64, len(phases))
+    moves = np.fromiter(_flat(_flat(phases)), np.int64, 3 * int(n_moves.sum())).reshape(-1, 3)
+    phase = np.repeat(np.arange(len(phases)), n_moves)
+    q, s, z = np.ascontiguousarray(moves[np.lexsort((*moves.T[::-1], phase))].T)
+    dist = np.abs(s * spec.site_pitch - (z * spec.site_pitch + spec.zone_offset))
+    longest = np.maximum.reduceat(dist, np.cumsum(n_moves) - n_moves)
+    if tunable:
+        keys, which = np.unique(longest, return_inverse=True)
+        v = np.array([optimal_velocity(x, errp) for x in keys.tolist()], dtype=np.float64)[which]
+    else:
+        v = np.full(len(phases), spec.default_velocity, dtype=np.float64)
+    velocity = v[phase]
+    dc = _phase_errors(velocity, dist, errp)
+
+    episodes = list(_flat(timed))
+    n_gates = np.fromiter(map(len, timed), np.int64, len(timed))
+    gate_index = np.fromiter(map(itemgetter(0), episodes), np.int64, len(episodes))
+    gate_dur = gate_time[gate_index]
+    # max() from 0.0 over the gates: fmax keeps +0.0 over -0.0 and skips NaN
+    longest_gate = np.fmax(0.0, np.fmax.reduceat(gate_dur, np.cumsum(n_gates) - n_gates))
+    lasts = np.stack([longest[0::2] / v[0::2], longest_gate, longest[1::2] / v[1::2]], axis=1)
+    ends = np.add.accumulate(lasts.ravel()).reshape(-1, 3)  # out, gate and return ends
+    starts = np.stack([np.append(0.0, ends[:, 2])[:-1], ends[:, 1]], axis=1).ravel()
+
+    outward = phase % 2 == 0
+    site, zone = 2 * s, 2 * z + 1
+    runs = np.stack([n_moves[0::2], n_gates, n_moves[1::2]], axis=1).ravel()
+    ops = ScheduleOps(
+        np.repeat(np.tile(np.frombuffer(b"sgs", dtype=np.uint8), len(timed)), runs).tobytes().decode(),
+        ShuttleColumns(
+            q, np.where(outward, site, zone), np.where(outward, zone, site),
+            starts[phase], velocity, dist / velocity, dc,
+        ),
+        GateColumns(
+            gate_index, np.fromiter(map(itemgetter(2), episodes), np.int64, len(episodes)),
+            np.repeat(ends[:, 0], n_gates), gate_dur,
+        ),
+    )
+    err = np.bincount(q, weights=dc, minlength=spec.n_sites).astype(np.float64)
+    return ops, ends.item(-1) if len(ends) else 0.0, tuple(err.tolist())
+
+
+def _phase_errors(velocity: np.ndarray, dist: np.ndarray, errp: ErrorModelParams) -> np.ndarray:
+    """``phase_error`` of every (velocity, distance) row, run once per
+    distinct pair in the order the pairs first come. Each pair is one exact
+    complex, and its parts go in as Python floats, so a velocity
+    ``phase_error`` rejects raises as the scalar path does."""
+    keys, seen, which = np.unique(velocity + 1j * dist, return_index=True, return_inverse=True)
+    key_dc, keys = np.empty(len(keys)), keys.tolist()
+    for k in np.argsort(seen).tolist():
+        key_dc[k] = phase_error(keys[k].real, keys[k].imag, errp)
+    return key_dc[which]
 
 
 def _assign_dynamic_returns(
@@ -658,24 +728,20 @@ def _violations(s: Schedule, spec: ArchitectureSpec):
 
 
 def _shuttle_checks(s: Schedule, spec: ArchitectureSpec, dist, on_bus, op_index):
-    """Shuttle-op internal consistency. Each distinct (velocity, distance) of
-    a move on the bus is one exact complex; ``phase_error`` runs on them in
-    op order and, as ``shuttle_time`` would, rejects a velocity that is not
-    > 0, so the first shuttle that raises raises."""
+    """Shuttle-op internal consistency. ``phase_error`` runs once per
+    distinct (velocity, distance) of a move on the bus, in op order, and, as
+    ``shuttle_time`` would, rejects a velocity that is not > 0, so the first
+    shuttle that raises raises."""
     sh = s.ops.shuttles
     vel, dur, dc = sh.velocity, sh.duration, sh.delta_c
     moves = dist != 0
     stop = len(dist) if on_bus.all() else int(np.argmin(on_bus))
-    keys, seen, which = np.unique(
-        (vel + 1j * dist)[:stop][moves[:stop]], return_index=True, return_inverse=True
-    )
-    key_dc, keys = np.empty(len(keys)), keys.tolist()  # Python floats raise as the scalar path does
-    for k in np.argsort(seen).tolist():
-        key_dc[k] = phase_error(keys[k].real, keys[k].imag, s.error_params)
+    checked = moves[:stop]
+    moved_dc = _phase_errors(vel[:stop][checked], dist[:stop][checked], s.error_params)
     if stop < len(dist):  # position() raises ValueError here
         distance(_location(sh.src.item(stop)), _location(sh.dst.item(stop)), spec)
     want_dur, want_dc = dist / vel, np.zeros(len(dist))
-    want_dc[moves] = key_dc[which]
+    want_dc[moves] = moved_dc
     bad_dur, bad_dc = moves & (dur != want_dur), moves & (dc != want_dc)
     for r in np.flatnonzero(~moves | bad_dur | bad_dc).tolist():
         idx = op_index("s")[r]
@@ -823,10 +889,6 @@ def _crossings(sh: ShuttleColumns, p0, p1, op_index):
 # JSON serialization: header (strategy, architecture, placement, error
 # params), then the op array. Times round to 1 ps for cross-platform
 # byte-determinism.
-def _loc_json(loc: Location) -> dict:
-    return {"kind": loc.kind.value, "idx": loc.index}
-
-
 def _index(value) -> int:
     """A JSON integer index; ``int()`` would read 3.9 as 3 and true as 1."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -837,6 +899,7 @@ def _index(value) -> int:
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 _SHUTTLE_JSON = '{"dC":%s,"from":%s,"q":%s,"t0_ns":%s,"to":%s,"v_mps":%s}'
 _GATE_JSON = '{"dur_ns":%s,"gate":%s,"t0_ns":%s,"zone":%s}'
+_LOCATION_JSON = '{"idx":%d,"kind":"%s"}'
 
 
 def _texts(col: np.ndarray, fmt) -> list[str]:
@@ -857,7 +920,7 @@ def _ns_json(seconds: float) -> str:
 
 
 def _loc_text(code: int) -> str:
-    return _dumps(_loc_json(_location(code)))
+    return _LOCATION_JSON % (code >> 1, _LOCATION_KINDS[code & 1].value)
 
 
 def schedule_to_json(s: Schedule) -> str:
@@ -936,7 +999,7 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
             arch=arch,
             error_params=errp,
             initial_sites=tuple(_index(x) for x in doc["placement"]),
-            ops=ScheduleOps("".join(order), shuttles, gates),
+            ops=ScheduleOps.from_rows("".join(order), shuttles, gates),
             total_time=total_time,
             per_qubit_error=tuple(json_number(x, "per_qubit_error") for x in doc["per_qubit_error"]),
             final_sites=tuple(_index(x) for x in doc["final_sites"]),

@@ -3,7 +3,8 @@ qubit gate list (checks every decomposition rewrite), exact MinLA by
 enumerating all n! placements (bounds spectral placement), the analytic
 velocity derivative of the dephasing model (checks the optimizer's minimum),
 the op-by-op schedule writer and summary that the columnar
-``schedule_to_json`` and ``summarize`` must match bit for bit, and the
+``schedule_to_json`` and ``summarize`` must match bit for bit, the op-by-op
+mapper that the two-pass ``_map`` must match bit for bit, and the
 character-scanning QASM parser that ``parse_qasm`` must agree with.
 """
 from __future__ import annotations
@@ -15,10 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spinbus.architecture import distance
-from spinbus.circuit import Circuit, Gate, GateKind
-from spinbus.error_model import HBAR, ErrorModelParams, _check_v
-from spinbus.mapper import GateOp, Schedule, ShuttleOp
+from spinbus.architecture import ArchitectureSpec, Location, distance, position, shuttle_time
+from spinbus.circuit import Circuit, Gate, GateKind, SlicedCircuit
+from spinbus.error_model import HBAR, ErrorModelParams, _check_v, optimal_velocity, phase_error
+from spinbus.mapper import (
+    GateOp,
+    Schedule,
+    ScheduleOps,
+    ShuttleOp,
+    _assign_dynamic_returns,
+    _schedulable,
+)
 from spinbus.placement import InteractionGraph, Placement
 from spinbus.qasm import GATE_TABLE, QasmSyntaxError, UnsupportedConstructError
 
@@ -221,6 +229,129 @@ def oracle_summary_counts(s: Schedule) -> tuple[int, float, int, int]:
                 n_1q += 1
     return n_shuttles, total_distance, n_1q, n_2q
 
+
+def oracle_map(
+    sc: SlicedCircuit,
+    spec: ArchitectureSpec,
+    placement: Placement,
+    errp: ErrorModelParams,
+    strategy: str,
+    flags: tuple[bool, bool, bool, bool],
+    measure_duration: float | None = None,
+) -> Schedule:
+    """``_map`` as it was before its two passes: the timing arithmetic run
+    op by op in the ``phase`` closure, one row tuple per op, and the rows
+    turned into columns at the end."""
+    sequential, dynamic_return, tunable, swap_returns = flags
+    c = sc.circuit
+    if not c.is_native:
+        raise ValueError("mapper needs a native-basis circuit (run decompose first)")
+    if c.num_qubits != spec.n_sites:
+        raise ValueError(
+            f"circuit has {c.num_qubits} qubits but the architecture "
+            f"has {spec.n_sites} sites"
+        )
+    if placement.n != spec.n_sites:
+        raise ValueError(
+            f"placement covers {placement.n} qubits, architecture has {spec.n_sites}"
+        )
+    site_pos = [position(Location.site(s), spec) for s in range(spec.n_sites)]
+    zone_pos = [position(Location.zone(z), spec) for z in range(spec.n_sites)]
+    two_qubit = [g.is_two_qubit for g in c.gates]
+    order: list[str] = []
+    shuttles: list[tuple] = []
+    gates: list[tuple] = []
+    err = [0.0] * spec.n_sites
+    # (delta_c, duration) per (velocity, distance); phases repeat few pairs
+    memo: dict[tuple[float, float], tuple[float, float]] = {}
+
+    def phase(moves: list[tuple[int, int, int]], start: float, outward: bool) -> float:
+        """Shuttle every (qubit, site, zone) move from ``start``, in qubit
+        order, at one velocity; return the phase duration."""
+        moves = sorted(moves)
+        dists = [abs(site_pos[s] - zone_pos[z]) for _, s, z in moves]
+        longest = max(dists)
+        v = optimal_velocity(longest, errp) if tunable else spec.default_velocity
+        for (q, s, z), dist in zip(moves, dists):
+            src, dst = (2 * s, 2 * z + 1) if outward else (2 * z + 1, 2 * s)
+            known = memo.get((v, dist))
+            if known is None:
+                known = memo[v, dist] = (phase_error(v, dist, errp), shuttle_time(dist, v))
+            dc, dur = known
+            shuttles.append((q, src, dst, start, v, dur, dc))
+            err[q] += dc
+        order.append("s" * len(moves))
+        return shuttle_time(longest, v)
+
+    sites: list[int | None] = list(placement.perm)  # None while in a zone
+    layers = [(gate_idx,) for gate_idx in range(len(c.gates))] if sequential else sc.layers
+
+    # per-qubit future two-qubit interactions: (layer, partner), layer-sorted
+    future: list[list[tuple[int, int]]] = [[] for _ in range(c.num_qubits)]
+    if swap_returns:
+        for layer_idx, layer in enumerate(layers):
+            for gate_idx in layer:
+                if two_qubit[gate_idx]:
+                    qa, qb = c.gates[gate_idx].qubits
+                    future[qa].append((layer_idx, qb))
+                    future[qb].append((layer_idx, qa))
+
+    t = 0.0
+    for layer_idx, layer in enumerate(layers):
+        episodes = []  # (gate_index, gate, zone)
+        for gate_idx in layer:
+            g = c.gates[gate_idx]
+            if not _schedulable(g, measure_duration):
+                continue
+            if two_qubit[gate_idx]:
+                i, j = sites[g.qubits[0]], sites[g.qubits[1]]
+                zone = (i + j + 1) // 2 if sequential else max(i, j)
+            else:
+                zone = sites[g.qubits[0]]
+            episodes.append((gate_idx, g, zone))
+        if not episodes:
+            continue
+
+        # out phase: every operand shuttles to its zone simultaneously
+        out_moves = [(q, sites[q], zone) for _, g, zone in episodes for q in g.qubits]
+        gate_start = t + phase(out_moves, t, True)
+        for q, _, _ in out_moves:
+            sites[q] = None
+
+        # gate phase: all gates start together
+        max_dur = 0.0
+        for gate_idx, g, zone in episodes:
+            if g.kind is GateKind.MEASURE:
+                g_dur = measure_duration
+            else:
+                g_dur = spec.t_2q if two_qubit[gate_idx] else spec.t_1q
+            gates.append((gate_idx, zone, gate_start, g_dur))
+            max_dur = max(max_dur, g_dur)
+        order.append("g" * len(episodes))
+        ret_start = gate_start + max_dur
+
+        # return phase: pick destination sites, then shuttle simultaneously
+        if dynamic_return:
+            returns = _assign_dynamic_returns(
+                episodes, sites, site_pos, zone_pos, swap_returns, future, layer_idx
+            )
+        else:
+            returns = out_moves
+        t = ret_start + phase(returns, ret_start, False)
+        for q, s, _ in returns:
+            sites[q] = s
+
+    return Schedule(
+        strategy=strategy,
+        circuit=c,
+        arch=spec,
+        error_params=errp,
+        initial_sites=placement.perm,
+        ops=ScheduleOps.from_rows("".join(order), shuttles, gates),
+        total_time=t,
+        per_qubit_error=tuple(err),
+        final_sites=tuple(sites),
+    )
 
 # The QASM front end as it stood before its regex tokenizer: a character
 # scanner building one _Token per token, each carrying its line and column.

@@ -66,6 +66,11 @@ class TestGateValidation:
         with pytest.raises(TypeError, match="operands must be integers"):
             Gate(kind, qubits)
 
+    @pytest.mark.parametrize("kind", ["h", None, 1, GateKind])
+    def test_kind_that_is_not_a_gate_kind_rejected(self, kind):
+        with pytest.raises(TypeError, match="kind must be a GateKind"):
+            Gate(kind, (0,))
+
     def test_numpy_integer_operands_accepted(self):
         g = Gate(GateKind.CZ, (np.int64(0), np.uint8(1)))
         assert Circuit(2, (g,)).gates == (cz(0, 1),)
@@ -88,6 +93,16 @@ class TestGateValidation:
     def test_circuit_range_check(self):
         with pytest.raises(ValueError):
             Circuit(2, (cz(0, 2),))
+
+    @pytest.mark.parametrize("num_qubits", [2.5, 3.0, True, np.bool_(True), "3", None])
+    def test_non_integer_qubit_count_rejected(self, num_qubits):
+        # 2.5 once let qubit 2 through the range check, and slicing then
+        # failed with a raw TypeError
+        with pytest.raises(TypeError, match="num_qubits must be an integer"):
+            Circuit(num_qubits, (h(0), cz(0, 2)) if num_qubits == 2.5 else (h(0),))
+
+    def test_numpy_integer_qubit_count_accepted(self):
+        assert Circuit(np.int64(2), (cz(0, 1),)).num_qubits == 2
 
 
 class TestUnitaryOf:

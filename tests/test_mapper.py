@@ -3,6 +3,7 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from spinbus.mapper import (
     ScheduleOps,
     ShuttleOp,
     STRATEGIES,
+    STRATEGY_FLAGS,
     _map,
     map_strategy,
     schedule_from_json,
@@ -38,7 +40,7 @@ from spinbus.placement import (
     spectral_placement,
 )
 from spinbus.rng import SplitMix64
-from oracles import oracle_schedule_to_json, oracle_summary_counts
+from oracles import oracle_map, oracle_schedule_to_json, oracle_summary_counts
 from validator_oracle import oracle_validate_schedule
 
 US = 1e-6
@@ -417,6 +419,77 @@ class TestScheduleInvariants:
         sc = SlicedCircuit(Circuit(2, ()), ())
         with pytest.raises(ValueError):
             map_strategy("baseline", sc, arch(4), Placement.identity(4), errp)
+
+
+def _same_schedule(s, ref):
+    """Equal ops, bit-equal times and errors, equal final sites."""
+    assert s.ops == ref.ops
+    assert s.total_time.hex() == ref.total_time.hex()
+    assert [x.hex() for x in s.per_qubit_error] == [x.hex() for x in ref.per_qubit_error]
+    assert s.final_sites == ref.final_sites
+
+
+class TestTwoPassMapper:
+    """``_map`` decides the moves in Python and times them as columns; it
+    must give the op-by-op mapper's schedules bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        n=st.integers(2, 12),
+        seed=st.integers(0, 3),
+        strategy=st.sampled_from(STRATEGIES),
+        placement=st.sampled_from(("spectral", "random", "identity")),
+        measure_duration=st.sampled_from((None, 50 * NS)),
+    )
+    def test_matches_the_op_by_op_mapper(self, family, n, seed, strategy, placement, measure_duration):
+        c = decompose(generate(BenchmarkSpec(family=family, n=n, seed=seed)))
+        # a fenced measurement of every other qubit, timed only with a duration
+        tail = (Gate(GateKind.BARRIER, tuple(range(n))),)
+        tail += tuple(Gate(GateKind.MEASURE, (q,)) for q in range(0, n, 2))
+        sc = slice_circuit(Circuit(n, c.gates + tail))
+        if placement == "spectral":
+            pl = spectral_placement(build_interaction_graph(sc))
+        else:
+            pl = random_placement(n, seed) if placement == "random" else Placement.identity(n)
+        flags = STRATEGY_FLAGS[strategy]
+        s = _map(sc, arch(n), pl, ErrorModelParams(), strategy, flags, measure_duration)
+        _same_schedule(s, oracle_map(sc, arch(n), pl, ErrorModelParams(), strategy, flags, measure_duration))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            (Gate(GateKind.BARRIER, (0, 1, 2)),),
+            (Gate(GateKind.MEASURE, (1,)), Gate(GateKind.BARRIER, (0, 2)), Gate(GateKind.MEASURE, (0,))),
+            (),
+        ],
+    )
+    def test_nothing_to_schedule(self, errp, strategy, gates):
+        sc = slice_circuit(Circuit(3, gates))
+        s = map_strategy(strategy, sc, arch(3), Placement.identity(3), errp)
+        ref = oracle_map(sc, arch(3), Placement.identity(3), errp, strategy, STRATEGY_FLAGS[strategy])
+        _same_schedule(s, ref)
+        assert len(s.ops) == 0 and s.total_time == 0.0 and type(s.total_time) is float
+        dtypes = [col.dtype for col in s.ops.shuttles + s.ops.gates]
+        assert dtypes == [np.dtype(np.int64)] * 3 + [np.dtype(np.float64)] * 4 + [np.dtype(np.int64)] * 2 + [np.dtype(np.float64)] * 2
+        assert s.per_qubit_error == (0.0, 0.0, 0.0) and s.final_sites == (0, 1, 2)
+        assert validate_schedule(s, s.arch) == []
+        assert schedule_to_json(s) == oracle_schedule_to_json(s) == schedule_to_json(ref)
+
+    def test_columns_are_checked_and_read_only(self, errp):
+        s = run("swap_return", decompose(generate(BenchmarkSpec(family="qft", n=5, seed=0))), 5, errp)
+        for col in s.ops.shuttles + s.ops.gates:
+            assert not col.flags.writeable
+        sh, gt = s.ops.shuttles, s.ops.gates
+        with pytest.raises(ValueError, match="order"):
+            ScheduleOps(s.ops.order + "g", sh, gt)
+        with pytest.raises(ValueError, match="start is not finite"):
+            ScheduleOps(s.ops.order, sh._replace(start=np.full(len(sh.start), np.nan)), gt)
+        with pytest.raises(TypeError, match="zone"):
+            ScheduleOps(s.ops.order, sh, gt._replace(zone=gt.zone.astype(np.float64)))
+        with pytest.raises(TypeError, match="delta_c"):
+            ScheduleOps(s.ops.order, sh._replace(delta_c=sh.delta_c[:-1]), gt)
 
 
 def _ghz4_parallel():
