@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 UM = 1e-6
 NS = 1e-9
 
@@ -137,6 +139,16 @@ def position(loc: Location, spec: ArchitectureSpec) -> float:
     spec.check_location(loc)
     base = loc.index * spec.site_pitch
     return base if loc.is_site else base + spec.zone_offset
+
+
+def decode_locations(code: np.ndarray, spec: ArchitectureSpec):
+    """(is_zone, index, position, on_bus) columns of location codes ``2 *
+    index + is_zone``: ``position()`` as numpy, with its bits, where
+    ``on_bus`` holds (``position()``'s range check)."""
+    zone, index = (code & 1).astype(bool), code >> 1
+    base = index * spec.site_pitch
+    on_bus = (index >= 0) & (index < spec.n_sites)
+    return zone, index, np.where(zone, base + spec.zone_offset, base), on_bus
 
 
 def distance(a: Location, b: Location, spec: ArchitectureSpec) -> float:

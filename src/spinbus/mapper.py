@@ -13,8 +13,12 @@ Five strategies, each an improvement on the last:
                     right to left), so the layout evolves
   tunable_velocity  min_return movements with a per-phase velocity chosen
                     to minimize the dephasing of the longest shuttle
-  swap_return       tunable_velocity plus future-aware assignment of the
-                    two occupants of a zone to their two return sites
+  swap_return       tunable_velocity, but a zone's two occupants take its
+                    two return sites by their next partners: the one whose
+                    next partner sits further left takes the left site; if
+                    only one has a partner, it takes the site nearer that
+                    partner; otherwise (and on ties) the smaller qubit
+                    takes the right site, as in min_return
 
 ``map_strategy`` is the one entry point. The five strategies are the five
 rows of ``STRATEGY_FLAGS``, each a flag tuple (sequential, dynamic_return,
@@ -30,7 +34,9 @@ Qubits untouched by a slice stay parked and accrue no error.
 
 The mapper runs in two passes. Pass 1, in Python, walks the layers and
 decides where every qubit goes: each episode's zone, each phase's
-(qubit, site, zone) moves, and the return sites. Pass 2 (``_timed_ops``)
+(qubit, site, zone) moves, and the return sites. It keeps one position
+per qubit, and a backward sweep over the layers first gives every
+two-qubit gate its operands' next partners. Pass 2 (``_timed_ops``)
 times every move at once as numpy columns: distances, each phase's
 longest move and velocity, durations, ``phase_error`` once per distinct
 (velocity, distance), the episode clock as a left fold, and each qubit's
@@ -56,6 +62,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -68,6 +75,7 @@ from .architecture import (
     ArchitectureSpec,
     Location,
     LocationKind,
+    decode_locations,
     distance,
     json_number,
     position,
@@ -340,7 +348,11 @@ def map_strategy(
     errp: ErrorModelParams,
     measure_duration: float | None = None,
 ) -> Schedule:
-    """Map ``sc`` with the named strategy, one row of ``STRATEGY_FLAGS``."""
+    """Map ``sc`` with the named strategy, one row of ``STRATEGY_FLAGS``.
+
+    Measurements are scheduled only with a ``measure_duration`` in seconds:
+    a bool or a non-number raises TypeError, a negative or non-finite value
+    ValueError."""
     if strategy not in STRATEGY_FLAGS:
         raise ValueError(f"unknown strategy {strategy!r}")
     return _map(sc, spec, placement, errp, strategy, STRATEGY_FLAGS[strategy], measure_duration)
@@ -368,26 +380,34 @@ def _map(
         raise ValueError(
             f"placement covers {placement.n} qubits, architecture has {spec.n_sites}"
         )
+    if measure_duration is not None:
+        if isinstance(measure_duration, bool) or not isinstance(measure_duration, numbers.Real):
+            raise TypeError(f"measure_duration must be a number of seconds, got {measure_duration!r}")
+        if not 0 <= measure_duration < math.inf:
+            raise ValueError(f"measure_duration must be finite and >= 0, got {measure_duration!r}")
     site_pos = [position(Location.site(s), spec) for s in range(spec.n_sites)]
     zone_pos = [position(Location.zone(z), spec) for z in range(spec.n_sites)]
     two_qubit = [g.is_two_qubit for g in c.gates]
-    sites: list[int | None] = list(placement.perm)  # None while in a zone
+    sites = list(placement.perm)
+    pos = [site_pos[s] for s in sites]  # a site's position, or a zone's while out
     layers = [(gate_idx,) for gate_idx in range(len(c.gates))] if sequential else sc.layers
 
-    # per-qubit future two-qubit interactions: (layer, partner), layer-sorted
-    future: list[list[tuple[int, int]]] = [[] for _ in range(c.num_qubits)]
+    # each two-qubit gate's operands' next partners after its layer, by one
+    # backward sweep; layers are qubit-disjoint
+    next_partners: dict[int, tuple[int | None, int | None]] = {}
     if swap_returns:
-        for layer_idx, layer in enumerate(layers):
+        later: list[int | None] = [None] * c.num_qubits
+        for layer in reversed(layers):
             for gate_idx in layer:
                 if two_qubit[gate_idx]:
                     qa, qb = c.gates[gate_idx].qubits
-                    future[qa].append((layer_idx, qb))
-                    future[qb].append((layer_idx, qa))
+                    next_partners[gate_idx] = (later[qa], later[qb])
+                    later[qa], later[qb] = qb, qa
 
     # pass 1: every episode's zones and moves, phase by phase
     phases: list[list[tuple[int, int, int]]] = []  # out, return, out, ...
     timed: list[list[tuple[int, Gate, int]]] = []  # each phase pair's episodes
-    for layer_idx, layer in enumerate(layers):
+    for layer in layers:
         episodes = []  # (gate_index, gate, zone)
         for gate_idx in layer:
             g = c.gates[gate_idx]
@@ -404,18 +424,17 @@ def _map(
 
         # out phase: every operand shuttles to its zone simultaneously
         out_moves = [(q, sites[q], zone) for _, g, zone in episodes for q in g.qubits]
-        for q, _, _ in out_moves:
-            sites[q] = None
+        for q, _, zone in out_moves:
+            pos[q] = zone_pos[zone]
 
-        # return phase: pick destination sites
+        # return phase: the free sites are the ones the out phase vacated
         if dynamic_return:
-            returns = _assign_dynamic_returns(
-                episodes, sites, site_pos, zone_pos, swap_returns, future, layer_idx
-            )
+            free = sorted(s for _, s, _ in out_moves)
+            returns = _assign_dynamic_returns(episodes, free, pos, site_pos, next_partners)
         else:
             returns = out_moves
         for q, s, _ in returns:
-            sites[q] = s
+            sites[q], pos[q] = s, site_pos[s]
         phases += (out_moves, returns)
         timed.append(episodes)
 
@@ -451,8 +470,8 @@ def _timed_ops(
 
     Each phase shuttles its moves in qubit order at one velocity (the
     optimum for its longest move if ``tunable``) and lasts as long as that
-    move. Every float has the bits of the scalar expressions: positions as
-    ``position()``, durations ``dist / v``, ``phase_error`` once per distinct
+    move. Every float has the bits of the scalar expressions: positions from
+    ``decode_locations``, durations ``dist / v``, ``phase_error`` once per distinct
     (velocity, distance), episode times a left fold over [out, longest
     gate, return] per episode, and each qubit's error a sum in op order.
     """
@@ -460,7 +479,8 @@ def _timed_ops(
     moves = np.fromiter(_flat(_flat(phases)), np.int64, 3 * int(n_moves.sum())).reshape(-1, 3)
     phase = np.repeat(np.arange(len(phases)), n_moves)
     q, s, z = np.ascontiguousarray(moves[np.lexsort((*moves.T[::-1], phase))].T)
-    dist = np.abs(s * spec.site_pitch - (z * spec.site_pitch + spec.zone_offset))
+    site, zone = 2 * s, 2 * z + 1
+    dist = np.abs(decode_locations(site, spec)[2] - decode_locations(zone, spec)[2])
     longest = np.maximum.reduceat(dist, np.cumsum(n_moves) - n_moves)
     if tunable:
         keys, which = np.unique(longest, return_inverse=True)
@@ -481,7 +501,6 @@ def _timed_ops(
     starts = np.stack([np.append(0.0, ends[:, 2])[:-1], ends[:, 1]], axis=1).ravel()
 
     outward = phase % 2 == 0
-    site, zone = 2 * s, 2 * z + 1
     runs = np.stack([n_moves[0::2], n_gates, n_moves[1::2]], axis=1).ravel()
     ops = ScheduleOps(
         np.repeat(np.tile(np.frombuffer(b"sgs", dtype=np.uint8), len(timed)), runs).tobytes().decode(),
@@ -510,104 +529,47 @@ def _phase_errors(velocity: np.ndarray, dist: np.ndarray, errp: ErrorModelParams
     return key_dc[which]
 
 
-def _assign_dynamic_returns(
-    episodes,
-    sites: list[int | None],
-    site_pos: list[float],
-    zone_pos: list[float],
-    swap_returns: bool,
-    future: list[list[tuple[int, int]]],
-    layer_idx: int,
-) -> list[tuple[int, int, int]]:
-    """Assign each zone occupant a return site, zones right to left; the
-    moves come back as (qubit, site, zone).
+def _assign_dynamic_returns(episodes, free: list[int], pos: list[float], site_pos: list[float], next_partners):
+    """Assign each zone occupant a return site from the sorted ``free``
+    sites, zones right to left; the moves come back as (qubit, site, zone).
 
-    Every occupant takes the rightmost free site left of its zone. With two
-    occupants the default gives the smaller virtual index the rightmost
-    site; swap_returns instead matches occupants to the two sites in order
-    of their next partner's position, so each returns toward its upcoming
-    interaction.
+    Every occupant takes the rightmost free site left of its zone. A pair's
+    two occupants take its two sites in the order ``_right_then_left`` gives
+    from the positions of their ``next_partners`` (by gate index; a gate not
+    in it has none). ``pos`` follows each qubit to its return site.
     """
-    free = sorted(set(range(len(sites))).difference(sites))
-    in_zone = {q: zone for _, g, zone in episodes for q in g.qubits}
-    assigned: dict[int, int] = {}
-
-    def current_pos(q: int) -> float:
-        if q in assigned:
-            return site_pos[assigned[q]]
-        if q in in_zone:
-            return zone_pos[in_zone[q]]
-        return site_pos[sites[q]]
-
-    def next_partner_pos(q: int) -> float | None:
-        entries = future[q]
-        i = bisect.bisect_right(entries, (layer_idx, float("inf")))
-        if i >= len(entries):
-            return None
-        return current_pos(entries[i][1])
-
     returns: list[tuple[int, int, int]] = []
     for gate_idx, g, zone in sorted(episodes, key=lambda e: -e[2]):
         # eligible sites sit at positions <= the zone's: site index <= zone index
-        cut = bisect.bisect_right(free, zone)
-        occupants = list(g.qubits)
-        if cut < len(occupants):
-            raise RuntimeError(
-                f"no free site left of zone {zone} for gate {gate_idx}"
-            )
-        if len(occupants) == 1:
-            chosen = {occupants[0]: free[cut - 1]}
-        else:
-            s_hi, s_lo = free[cut - 1], free[cut - 2]
-            qa, qb = occupants
-            chosen = _assign_pair(
-                qa, qb, s_hi, s_lo, site_pos, swap_returns, next_partner_pos
-            )
-        for q, s in chosen.items():
-            assigned[q] = s
-            free.remove(s)
+        cut, k = bisect.bisect_right(free, zone), len(g.qubits)
+        if cut < k:
+            raise RuntimeError(f"no free site left of zone {zone} for gate {gate_idx}")
+        taken = free[cut - k:cut][::-1]  # right to left
+        del free[cut - k:cut]
+        qubits = g.qubits
+        if k == 2:
+            pa, pb = (None if p is None else pos[p] for p in next_partners.get(gate_idx, (None, None)))
+            qubits = _right_then_left(*qubits, pa, pb, site_pos[taken[0]], site_pos[taken[1]])
+        for q, s in zip(qubits, taken):
+            pos[q] = site_pos[s]
             returns.append((q, s, zone))
     return returns
 
 
-def _assign_pair(
-    qa: int,
-    qb: int,
-    s_hi: int,
-    s_lo: int,
-    site_pos: list[float],
-    swap_returns: bool,
-    next_partner_pos,
-) -> dict[int, int]:
-    def default() -> dict[int, int]:
-        # arbitrary but fixed: smaller virtual index takes the rightmost site
-        if qa < qb:
-            return {qa: s_hi, qb: s_lo}
-        return {qa: s_lo, qb: s_hi}
-
-    if not swap_returns:
-        return default()
-    pa = next_partner_pos(qa)
-    pb = next_partner_pos(qb)
-    if pa is None and pb is None:
-        return default()
-    pos_hi, pos_lo = site_pos[s_hi], site_pos[s_lo]
-    if pa is None or pb is None:
-        # the qubit with a future interaction takes its distance-minimizing site
-        q_with, p = (qa, pa) if pa is not None else (qb, pb)
-        q_other = qb if q_with == qa else qa
-        if abs(pos_hi - p) < abs(pos_lo - p):
-            return {q_with: s_hi, q_other: s_lo}
-        if abs(pos_hi - p) > abs(pos_lo - p):
-            return {q_with: s_lo, q_other: s_hi}
-        return default()
-    if pa == pb:
-        return default()
-    # order-preserving matching: the qubit whose next partner sits further
-    # left takes the left site (minimizes the pair's future travel)
-    if pa < pb:
-        return {qa: s_lo, qb: s_hi}
-    return {qa: s_hi, qb: s_lo}
+def _right_then_left(qa: int, qb: int, pa: float | None, pb: float | None, right: float, left: float):
+    """The pair (qa, qb) in the order its qubits take the site at ``right``,
+    then the one at ``left``, given their next partners' positions (None for
+    no partner). The one whose partner sits further left takes the left
+    site; a lone qubit with a partner takes the nearer site; otherwise, ties
+    included, the smaller qubit takes the right site."""
+    if pa is None:
+        lean = 0.0 if pb is None else abs(left - pb) - abs(right - pb)
+    elif pb is None:
+        lean = abs(right - pa) - abs(left - pa)
+    else:
+        lean = pb - pa
+    # lean > 0: qa belongs on the left
+    return (qb, qa) if lean > 0 or (lean == 0 and qb < qa) else (qa, qb)
 
 
 def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
@@ -645,16 +607,6 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     """
     with np.errstate(all="ignore"):  # masked-out rows may hold any value
         return list(_violations(s, spec))
-
-
-def decode_locations(code: np.ndarray, spec: ArchitectureSpec):
-    """(is_zone, index, position, on_bus) columns of location codes ``2 *
-    index + is_zone``: ``position()`` as numpy, with its bits, where
-    ``on_bus`` holds (``position()``'s range check)."""
-    zone, index = (code & 1).astype(bool), code >> 1
-    base = index * spec.site_pitch
-    on_bus = (index >= 0) & (index < spec.n_sites)
-    return zone, index, np.where(zone, base + spec.zone_offset, base), on_bus
 
 
 class _Stays(NamedTuple):

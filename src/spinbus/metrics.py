@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapper import Schedule, decode_locations
+from .architecture import decode_locations
+from .mapper import Schedule
 
 CSV_HEADER = "strategy,total_time_ns,mean_dC,std_dC,n_shuttles,total_distance_um"
 

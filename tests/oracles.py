@@ -9,6 +9,7 @@ character-scanning QASM parser that ``parse_qasm`` must agree with.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -24,7 +25,6 @@ from spinbus.mapper import (
     Schedule,
     ScheduleOps,
     ShuttleOp,
-    _assign_dynamic_returns,
     _schedulable,
 )
 from spinbus.placement import InteractionGraph, Placement
@@ -241,7 +241,11 @@ def oracle_map(
 ) -> Schedule:
     """``_map`` as it was before its two passes: the timing arithmetic run
     op by op in the ``phase`` closure, one row tuple per op, and the rows
-    turned into columns at the end."""
+    turned into columns at the end. Return sites come from
+    ``_assign_dynamic_returns`` and ``_assign_pair`` as they were before
+    the next-partner sweep: free sites rebuilt per layer, each operand's
+    next partner bisected from its future interactions, and its position
+    looked up from the layer's zones and assignments."""
     sequential, dynamic_return, tunable, swap_returns = flags
     c = sc.circuit
     if not c.is_native:
@@ -352,6 +356,107 @@ def oracle_map(
         per_qubit_error=tuple(err),
         final_sites=tuple(sites),
     )
+
+
+def _assign_dynamic_returns(
+    episodes,
+    sites: list[int | None],
+    site_pos: list[float],
+    zone_pos: list[float],
+    swap_returns: bool,
+    future: list[list[tuple[int, int]]],
+    layer_idx: int,
+) -> list[tuple[int, int, int]]:
+    """Assign each zone occupant a return site, zones right to left; the
+    moves come back as (qubit, site, zone).
+
+    Every occupant takes the rightmost free site left of its zone. With two
+    occupants the default gives the smaller virtual index the rightmost
+    site; swap_returns instead matches occupants to the two sites in order
+    of their next partner's position, so each returns toward its upcoming
+    interaction.
+    """
+    free = sorted(set(range(len(sites))).difference(sites))
+    in_zone = {q: zone for _, g, zone in episodes for q in g.qubits}
+    assigned: dict[int, int] = {}
+
+    def current_pos(q: int) -> float:
+        if q in assigned:
+            return site_pos[assigned[q]]
+        if q in in_zone:
+            return zone_pos[in_zone[q]]
+        return site_pos[sites[q]]
+
+    def next_partner_pos(q: int) -> float | None:
+        entries = future[q]
+        i = bisect.bisect_right(entries, (layer_idx, float("inf")))
+        if i >= len(entries):
+            return None
+        return current_pos(entries[i][1])
+
+    returns: list[tuple[int, int, int]] = []
+    for gate_idx, g, zone in sorted(episodes, key=lambda e: -e[2]):
+        # eligible sites sit at positions <= the zone's: site index <= zone index
+        cut = bisect.bisect_right(free, zone)
+        occupants = list(g.qubits)
+        if cut < len(occupants):
+            raise RuntimeError(
+                f"no free site left of zone {zone} for gate {gate_idx}"
+            )
+        if len(occupants) == 1:
+            chosen = {occupants[0]: free[cut - 1]}
+        else:
+            s_hi, s_lo = free[cut - 1], free[cut - 2]
+            qa, qb = occupants
+            chosen = _assign_pair(
+                qa, qb, s_hi, s_lo, site_pos, swap_returns, next_partner_pos
+            )
+        for q, s in chosen.items():
+            assigned[q] = s
+            free.remove(s)
+            returns.append((q, s, zone))
+    return returns
+
+
+def _assign_pair(
+    qa: int,
+    qb: int,
+    s_hi: int,
+    s_lo: int,
+    site_pos: list[float],
+    swap_returns: bool,
+    next_partner_pos,
+) -> dict[int, int]:
+    def default() -> dict[int, int]:
+        # arbitrary but fixed: smaller virtual index takes the rightmost site
+        if qa < qb:
+            return {qa: s_hi, qb: s_lo}
+        return {qa: s_lo, qb: s_hi}
+
+    if not swap_returns:
+        return default()
+    pa = next_partner_pos(qa)
+    pb = next_partner_pos(qb)
+    if pa is None and pb is None:
+        return default()
+    pos_hi, pos_lo = site_pos[s_hi], site_pos[s_lo]
+    if pa is None or pb is None:
+        # the qubit with a future interaction takes its distance-minimizing site
+        q_with, p = (qa, pa) if pa is not None else (qb, pb)
+        q_other = qb if q_with == qa else qa
+        if abs(pos_hi - p) < abs(pos_lo - p):
+            return {q_with: s_hi, q_other: s_lo}
+        if abs(pos_hi - p) > abs(pos_lo - p):
+            return {q_with: s_lo, q_other: s_hi}
+        return default()
+    if pa == pb:
+        return default()
+    # order-preserving matching: the qubit whose next partner sits further
+    # left takes the left site (minimizes the pair's future travel)
+    if pa < pb:
+        return {qa: s_lo, qb: s_hi}
+    return {qa: s_hi, qb: s_lo}
+
 
 # The QASM front end as it stood before its regex tokenizer: a character
 # scanner building one _Token per token, each carrying its line and column.

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 import math
 
@@ -403,6 +404,20 @@ class TestScheduleInvariants:
         measure_op = ops_of(timed, GateOp)[1]
         assert measure_op.duration == pytest.approx(100 * NS)
 
+    @pytest.mark.parametrize(
+        "value, error",
+        [(-50 * NS, ValueError), (math.nan, ValueError), (math.inf, ValueError),
+         ("5", TypeError), (True, TypeError), (None, None), (0, None), (np.float32(5e-8), None)],
+    )
+    def test_measure_duration_checked(self, errp, value, error):
+        sc = slice_circuit(Circuit(3, (h(0), Gate(GateKind.MEASURE, (1,)))))
+        args = ("parallel", sc, arch(3), Placement.identity(3), errp, value)
+        if error is None:
+            assert validate_schedule(map_strategy(*args), arch(3)) == []
+        else:
+            with pytest.raises(error, match="measure_duration"):
+                map_strategy(*args)
+
     def test_barrier_consumes_no_time(self, errp):
         plain = run("parallel", Circuit(3, (h(0), h(0))), 3, errp)
         fenced = run(
@@ -429,6 +444,22 @@ def _same_schedule(s, ref):
     assert s.final_sites == ref.final_sites
 
 
+ALL_FLAGS = tuple(itertools.product((False, True), repeat=4))
+
+
+def _same_as_oracle(sc, pl, flags, measure_duration):
+    """``_map`` gives the op-by-op mapper's schedule, or raises what it raises."""
+    n, errp = sc.circuit.num_qubits, ErrorModelParams()
+    try:
+        ref = oracle_map(sc, arch(n), pl, errp, "flags", flags, measure_duration)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            _map(sc, arch(n), pl, errp, "flags", flags, measure_duration)
+        assert type(got.value) is type(exc) and got.value.args == exc.args
+        return
+    _same_schedule(_map(sc, arch(n), pl, errp, "flags", flags, measure_duration), ref)
+
+
 class TestTwoPassMapper:
     """``_map`` decides the moves in Python and times them as columns; it
     must give the op-by-op mapper's schedules bit for bit."""
@@ -438,11 +469,11 @@ class TestTwoPassMapper:
         family=st.sampled_from(FAMILIES),
         n=st.integers(2, 12),
         seed=st.integers(0, 3),
-        strategy=st.sampled_from(STRATEGIES),
+        flags=st.sampled_from(ALL_FLAGS),
         placement=st.sampled_from(("spectral", "random", "identity")),
         measure_duration=st.sampled_from((None, 50 * NS)),
     )
-    def test_matches_the_op_by_op_mapper(self, family, n, seed, strategy, placement, measure_duration):
+    def test_matches_the_op_by_op_mapper(self, family, n, seed, flags, placement, measure_duration):
         c = decompose(generate(BenchmarkSpec(family=family, n=n, seed=seed)))
         # a fenced measurement of every other qubit, timed only with a duration
         tail = (Gate(GateKind.BARRIER, tuple(range(n))),)
@@ -452,9 +483,7 @@ class TestTwoPassMapper:
             pl = spectral_placement(build_interaction_graph(sc))
         else:
             pl = random_placement(n, seed) if placement == "random" else Placement.identity(n)
-        flags = STRATEGY_FLAGS[strategy]
-        s = _map(sc, arch(n), pl, ErrorModelParams(), strategy, flags, measure_duration)
-        _same_schedule(s, oracle_map(sc, arch(n), pl, ErrorModelParams(), strategy, flags, measure_duration))
+        _same_as_oracle(sc, pl, flags, measure_duration)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize(
