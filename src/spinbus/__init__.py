@@ -22,18 +22,7 @@ from .error_model import (
     phase_error,
     phase_error_terms,
 )
-from .mapper import (
-    STRATEGIES,
-    STRATEGY_FLAGS,
-    GateOp,
-    Schedule,
-    ShuttleOp,
-    Violation,
-    map_strategy,
-    schedule_from_json,
-    schedule_to_json,
-    validate_schedule,
-)
+from .mapper import STRATEGIES, STRATEGY_FLAGS, map_strategy
 from .metrics import CompilationReport, StrategyRatios, compare, summarize
 from .placement import (
     InteractionGraph,
@@ -46,5 +35,7 @@ from .placement import (
     spectral_placement,
 )
 from .qasm import QasmError, QasmSyntaxError, UnsupportedConstructError, export_qasm, parse_qasm
+from .schedule import GateOp, Schedule, ShuttleOp, schedule_from_json, schedule_to_json
+from .validate import Violation, validate_schedule
 
 __version__ = "0.1.0"

@@ -69,9 +69,11 @@ class Location:
 class ArchitectureSpec:
     """Geometry and timing constants of the bus.
 
-    n_sites equals both the qubit count and the manipulation-zone count.
-    Defaults: 2 um site pitch, 1 um site-to-zone offset, 10 m/s shuttle
-    velocity, 20 ns single-qubit and 45 ns two-qubit gates.
+    n_sites equals both the qubit count and the manipulation-zone count;
+    it must be an integer (a bool is not), or construction raises
+    TypeError, and a numpy integer is stored as an ``int``. Defaults: 2 um
+    site pitch, 1 um site-to-zone offset, 10 m/s shuttle velocity, 20 ns
+    single-qubit and 45 ns two-qubit gates.
     """
 
     n_sites: int
@@ -82,6 +84,10 @@ class ArchitectureSpec:
     t_2q: float = 45 * NS
 
     def __post_init__(self) -> None:
+        n = self.n_sites
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"n_sites must be an integer, got {n!r}")
+        object.__setattr__(self, "n_sites", int(n))
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
         for name in ("site_pitch", "zone_offset", "default_velocity", "t_1q", "t_2q"):
@@ -139,6 +145,19 @@ def position(loc: Location, spec: ArchitectureSpec) -> float:
     spec.check_location(loc)
     base = loc.index * spec.site_pitch
     return base if loc.is_site else base + spec.zone_offset
+
+
+_LOCATION_KINDS = (LocationKind.STORAGE, LocationKind.ZONE)
+
+
+def _location_code(loc: Location) -> int:
+    if not isinstance(loc, Location) or loc.kind not in _LOCATION_KINDS:
+        raise TypeError(f"not a Location: {loc!r}")
+    return 2 * loc.index + (loc.kind is LocationKind.ZONE)
+
+
+def _location(code: int) -> Location:
+    return Location(_LOCATION_KINDS[code & 1], code >> 1)
 
 
 def decode_locations(code: np.ndarray, spec: ArchitectureSpec):

@@ -9,6 +9,7 @@ instead). Controlled-phase rotations are emitted pre-expanded into
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind
@@ -26,6 +27,13 @@ class BenchmarkSpec:
     depth: int | None = None  # random family; defaults to 2n
 
     def __post_init__(self) -> None:
+        for name in ("n", "seed", "qaoa_rounds", "depth"):
+            value = getattr(self, name)
+            if value is None and name == "depth":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; pick from {FAMILIES}")
         if not 2 <= self.n <= 64:

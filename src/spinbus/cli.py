@@ -21,7 +21,7 @@ from .architecture import ArchitectureSpec
 from .benchgen import FAMILIES, BenchmarkSpec, generate
 from .circuit import Circuit, decompose, slice_circuit
 from .error_model import ErrorModelParams
-from .mapper import STRATEGIES, map_strategy, schedule_to_json, validate_schedule
+from .mapper import STRATEGIES, map_strategy
 from .metrics import compare, left_sum, mean_std, reports_to_csv, reports_to_json, summarize
 from .placement import (
     Placement,
@@ -30,6 +30,8 @@ from .placement import (
     spectral_placement,
 )
 from .qasm import QasmError, parse_qasm
+from .schedule import schedule_to_json
+from .validate import validate_schedule
 
 PLACEMENT_MODES = ("spectral", "random", "identity")
 

@@ -20,6 +20,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .architecture import json_number
 
 HBAR = 1.054571817e-34  # J*s
@@ -109,6 +111,18 @@ def phase_error(v: float, l_s: float, p: ErrorModelParams) -> float:
     """Total phase error of one shuttle: sum of the four terms."""
     t1, t2, t3, t4 = phase_error_terms(v, l_s, p)
     return t1 + t2 + t3 + t4
+
+
+def _phase_errors(velocity: np.ndarray, dist: np.ndarray, errp: ErrorModelParams) -> np.ndarray:
+    """``phase_error`` of every (velocity, distance) row, run once per
+    distinct pair in the order the pairs first come. Each pair is one exact
+    complex, and its parts go in as Python floats, so a velocity
+    ``phase_error`` rejects raises as the scalar path does."""
+    keys, seen, which = np.unique(velocity + 1j * dist, return_index=True, return_inverse=True)
+    key_dc, keys = np.empty(len(keys)), keys.tolist()
+    for k in np.argsort(seen).tolist():
+        key_dc[k] = phase_error(keys[k].real, keys[k].imag, errp)
+    return key_dc[which]
 
 
 @functools.lru_cache(maxsize=4096)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .architecture import decode_locations
-from .mapper import Schedule
+from .schedule import Schedule
 
 CSV_HEADER = "strategy,total_time_ns,mean_dC,std_dC,n_shuttles,total_distance_um"
 

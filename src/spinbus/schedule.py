@@ -1,0 +1,372 @@
+"""Schedules: the ops of a mapped circuit as columns, and their wire format.
+
+A schedule's ops are held as columns (``ScheduleOps``): one array per
+shuttle field, one per gate field, and an order string that interleaves
+the two. The mapper hands its arrays over as they are;
+``schedule_from_json`` and a tuple of ops go through rows
+(``ScheduleOps.from_rows``). The validator, ``metrics.summarize`` and
+``schedule_to_json`` read the arrays.
+``Schedule.ops`` is that column sequence: it has a length without building
+ops, and builds ``ShuttleOp``/``GateOp`` objects only when iterated or
+indexed. A ``Schedule`` given a tuple of ops turns it into columns.
+"""
+from __future__ import annotations
+
+import functools
+import json
+import math
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from .architecture import (
+    _LOCATION_KINDS,
+    ArchitectureSpec,
+    Location,
+    LocationKind,
+    _location,
+    _location_code,
+    json_number,
+    position,
+    shuttle_time,
+)
+from .circuit import Circuit
+from .error_model import ErrorModelParams
+
+
+@dataclass(frozen=True)
+class ShuttleOp:
+    """One qubit moving src -> dst at constant velocity, incurring delta_c."""
+
+    qubit: int
+    src: Location
+    dst: Location
+    start: float
+    velocity: float
+    duration: float
+    delta_c: float
+
+    @property
+    def end(self) -> float:
+        return self.start + self.duration
+
+
+@dataclass(frozen=True)
+class GateOp:
+    """Gate ``gate_index`` of the circuit executing in ``zone``."""
+
+    gate_index: int
+    zone: int
+    start: float
+    duration: float
+
+    @property
+    def end(self) -> float:
+        return self.start + self.duration
+
+
+class ShuttleColumns(NamedTuple):
+    """One read-only array per ``ShuttleOp`` field, in op order.
+
+    ``src`` and ``dst`` hold locations as ``2 * index + is_zone``.
+    """
+
+    qubit: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    start: np.ndarray
+    velocity: np.ndarray
+    duration: np.ndarray
+    delta_c: np.ndarray
+
+
+class GateColumns(NamedTuple):
+    """One read-only array per ``GateOp`` field, in op order."""
+
+    gate_index: np.ndarray
+    zone: np.ndarray
+    start: np.ndarray
+    duration: np.ndarray
+
+
+_DTYPES = {"q": np.int64, "d": np.float64}
+_TYPECODES = {ShuttleColumns: "qqqdddd", GateColumns: "qqdd"}
+
+
+def _columns(cls, rows: list[tuple]):
+    """``rows`` transposed into ``cls``; ``array`` raises TypeError on a value
+    that is not a number, or on a non-integer in an integer column, and
+    OverflowError on an integer beyond 64 bits."""
+    typecodes = _TYPECODES[cls]
+    cols = list(zip(*rows)) or [()] * len(typecodes)
+    return cls(*(np.frombuffer(array(code, col), dtype=_DTYPES[code]) for code, col in zip(typecodes, cols)))
+
+
+def _frozen(cols):
+    """``cols`` made read-only after checking that every column is a 1-D
+    array of its field's dtype, all of one length (TypeError otherwise),
+    and that the float columns hold finite numbers only (ValueError)."""
+    cls = type(cols)
+    for name, code, col in zip(cls._fields, _TYPECODES[cls], cols):
+        if not (isinstance(col, np.ndarray) and col.dtype == _DTYPES[code] and col.shape == (len(cols[0]),)):
+            raise TypeError(f"{cls.__name__} column {name} is not a 1-D {np.dtype(_DTYPES[code])} array of the rows")
+        if code == "d" and not np.isfinite(col).all():
+            raise ValueError(f"{cls.__name__} column {name} is not finite")
+        col.flags.writeable = False
+    return cols
+
+
+class ScheduleOps(Sequence):
+    """``Schedule.ops``: the ops of a schedule held as columns.
+
+    ``order`` has one character per op, ``"s"`` for the next shuttle row
+    and ``"g"`` for the next gate row. The column arrays are taken, not
+    copied, and made read-only; float columns hold finite numbers only
+    (ValueError otherwise). Iterating or indexing builds
+    ``ShuttleOp``/``GateOp`` objects; a slice is a plain tuple. It equals
+    the tuple of the same ops, and ``+`` with a tuple gives a tuple.
+    """
+
+    __slots__ = ("order", "shuttles", "gates")
+
+    def __init__(self, order: str, shuttles: ShuttleColumns, gates: GateColumns):
+        self.shuttles, self.gates = _frozen(ShuttleColumns(*shuttles)), _frozen(GateColumns(*gates))
+        rows = (len(self.shuttles.qubit), len(self.gates.gate_index))
+        if (order.count("s"), order.count("g"), len(order)) != (*rows, sum(rows)):
+            raise ValueError("op order does not match the shuttle and gate rows")
+        self.order = order
+
+    @classmethod
+    def from_rows(cls, order: str, shuttles: list[tuple], gates: list[tuple]) -> "ScheduleOps":
+        """The columns of shuttle rows and gate rows, each a tuple of its
+        ``ShuttleOp``/``GateOp`` fields with locations as codes."""
+        return cls(order, _columns(ShuttleColumns, shuttles), _columns(GateColumns, gates))
+
+    @classmethod
+    def of(cls, ops) -> "ScheduleOps":
+        """The columns of a sequence of ``ShuttleOp``s and ``GateOp``s."""
+        if isinstance(ops, ScheduleOps):
+            return ops
+        order, shuttles, gates = [], [], []
+        for op in ops:
+            if isinstance(op, ShuttleOp):
+                order.append("s")
+                shuttles.append(
+                    (op.qubit, _location_code(op.src), _location_code(op.dst),
+                     op.start, op.velocity, op.duration, op.delta_c)
+                )
+            elif isinstance(op, GateOp):
+                order.append("g")
+                gates.append((op.gate_index, op.zone, op.start, op.duration))
+            else:
+                raise TypeError(f"not a ShuttleOp or GateOp: {op!r}")
+        return cls.from_rows("".join(order), shuttles, gates)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self):
+        q, src, dst, *rest = (col.tolist() for col in self.shuttles)
+        loc = {code: _location(code) for code in {*src, *dst}}
+        src, dst = map(loc.__getitem__, src), map(loc.__getitem__, dst)
+        nexts = {
+            "s": map(ShuttleOp, q, src, dst, *rest).__next__,
+            "g": map(GateOp, *(col.tolist() for col in self.gates)).__next__,
+        }
+        for kind in self.order:
+            yield nexts[kind]()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        index = range(len(self))[index]
+        k = self.order.count("s", 0, index)
+        if self.order[index] == "g":
+            return GateOp(*(col.item(index - k) for col in self.gates))
+        q, src, dst, *rest = (col.item(k) for col in self.shuttles)
+        return ShuttleOp(q, _location(src), _location(dst), *rest)
+
+    def __eq__(self, other):
+        if isinstance(other, ScheduleOps):
+            return self.order == other.order and all(
+                np.array_equal(a, b)
+                for a, b in zip(self.shuttles + self.gates, other.shuttles + other.gates)
+            )
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        if isinstance(other, (tuple, ScheduleOps)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, tuple):
+            return other + tuple(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ScheduleOps({tuple(self)!r})"
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """A validated plan: time-ordered ops plus accumulated per-qubit error.
+
+    ``ops`` may be given as any sequence of ``ShuttleOp``/``GateOp``; it is
+    held as ``ScheduleOps``. Op fields must be numbers that fit the columns
+    (integer fields 64-bit integers), or construction raises TypeError or
+    OverflowError. Float op fields, ``total_time`` and every
+    ``per_qubit_error`` entry must be finite, or it raises ValueError. Every
+    ``initial_sites`` and ``final_sites`` entry must be a 64-bit integer (a
+    bool is not), or it raises TypeError or OverflowError.
+    """
+
+    strategy: str
+    circuit: Circuit
+    arch: ArchitectureSpec
+    error_params: ErrorModelParams
+    initial_sites: tuple[int, ...]
+    ops: ScheduleOps
+    total_time: float
+    per_qubit_error: tuple[float, ...]
+    final_sites: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ops", ScheduleOps.of(self.ops))
+        for name in ("initial_sites", "final_sites"):
+            sites = getattr(self, name)
+            if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in sites):
+                raise TypeError(f"{name} entries must be integers, got {sites!r}")
+            object.__setattr__(self, name, tuple(array("q", sites).tolist()))
+        if not all(map(math.isfinite, (self.total_time, *self.per_qubit_error))):
+            raise ValueError("total_time and per_qubit_error must be finite")
+
+
+# JSON serialization: header (strategy, architecture, placement, error
+# params), then the op array. Times round to 1 ps for cross-platform
+# byte-determinism.
+def _index(value) -> int:
+    """A JSON integer index; ``int()`` would read 3.9 as 3 and true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"index must be an integer, got {value!r}")
+    return value
+
+
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+_SHUTTLE_JSON = '{"dC":%s,"from":%s,"q":%s,"t0_ns":%s,"to":%s,"v_mps":%s}'
+_GATE_JSON = '{"dur_ns":%s,"gate":%s,"t0_ns":%s,"zone":%s}'
+_LOCATION_JSON = '{"idx":%d,"kind":"%s"}'
+
+
+def _texts(col: np.ndarray, fmt) -> list[str]:
+    """``fmt(x)`` for every value of ``col``, called once per distinct bit
+    pattern (so 0.0 and -0.0 stay apart)."""
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    texts = [fmt(x) for x in keys.view(col.dtype).tolist()]
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _number_json(x: float) -> str:
+    """``json.dumps(x)`` of a Python int or float, without building an encoder."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _ns_json(seconds: float) -> str:
+    return _number_json(round(seconds * 1e9, 3))
+
+
+def _loc_text(code: int) -> str:
+    return _LOCATION_JSON % (code >> 1, _LOCATION_KINDS[code & 1].value)
+
+
+def schedule_to_json(s: Schedule) -> str:
+    """The schedule's JSON text: keys sorted, no spaces, one newline.
+
+    The op array is written from the columns: each distinct location,
+    number and rounded time is formatted once, as ``json.dumps`` formats
+    it, and the op objects are filled in from fixed templates in
+    sorted-key order.
+    """
+    sh, gt = s.ops.shuttles, s.ops.gates
+    shuttles = map(_SHUTTLE_JSON.__mod__, zip(
+        _texts(sh.delta_c, _number_json), _texts(sh.src, _loc_text), _texts(sh.qubit, _number_json),
+        _texts(sh.start, _ns_json), _texts(sh.dst, _loc_text), _texts(sh.velocity, _number_json),
+    ))
+    gates = map(_GATE_JSON.__mod__, zip(
+        _texts(gt.duration, _ns_json), _texts(gt.gate_index, _number_json),
+        _texts(gt.start, _ns_json), _texts(gt.zone, _number_json),
+    ))
+    nexts = {"s": shuttles.__next__, "g": gates.__next__}
+    fields = {
+        "strategy": _dumps(s.strategy),
+        "arch": _dumps(s.arch.to_config()),
+        "placement": _dumps(list(s.initial_sites)),
+        "error_params": _dumps(s.error_params.to_config()),
+        "ops": "[" + ",".join([nexts[kind]() for kind in s.ops.order]) + "]",
+        "total_time_ns": _dumps(round(s.total_time * 1e9, 3)),
+        "per_qubit_error": _dumps(list(s.per_qubit_error)),
+        "final_sites": _dumps(list(s.final_sites)),
+    }
+    return "{" + ",".join(f"{_dumps(k)}:{v}" for k, v in sorted(fields.items())) + "}\n"
+
+
+def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
+    """Rebuild a Schedule from its JSON form and the circuit it was mapped from.
+
+    Every index field must be a JSON integer (one that fits 64 bits in an
+    op) and every other numeric field a finite JSON number (not a bool, a
+    string, NaN, an infinity or an integer too large for a float), or
+    ValueError is raised. Start times come back rounded to 1 ps and the
+    error parameters pass through their nm/us/ueV form, so the result need
+    not revalidate: a move can start before the previous one ends, and a
+    stored ``dC`` can differ in its last bits from the one the reloaded
+    parameters give.
+    """
+    doc = json.loads(text)
+    arch = ArchitectureSpec.from_config(doc["arch"])
+    errp = ErrorModelParams.from_config(doc["error_params"])
+    positions: dict[int, float] = {}
+
+    def location(obj: dict) -> int:
+        """The location code of ``obj``; position() rejects one off the bus."""
+        code = 2 * _index(obj["idx"]) + (LocationKind(obj["kind"]) is LocationKind.ZONE)
+        if code not in positions:
+            positions[code] = position(_location(code), arch)
+        return code
+
+    order, shuttles, gates = [], [], []
+    for entry in doc["ops"]:
+        start = json_number(entry["t0_ns"], "t0_ns") * 1e-9
+        if "q" in entry:
+            src, dst = location(entry["from"]), location(entry["to"])
+            v = json_number(entry["v_mps"], "v_mps")
+            dur = shuttle_time(abs(positions[src] - positions[dst]), v)
+            shuttles.append((_index(entry["q"]), src, dst, start, v, dur, json_number(entry["dC"], "dC")))
+            order.append("s")
+        else:
+            dur = json_number(entry["dur_ns"], "dur_ns") * 1e-9
+            gates.append((_index(entry["gate"]), _index(entry["zone"]), start, dur))
+            order.append("g")
+    total_time = json_number(doc["total_time_ns"], "total_time_ns") * 1e-9
+    try:
+        return Schedule(
+            strategy=doc["strategy"],
+            circuit=circuit,
+            arch=arch,
+            error_params=errp,
+            initial_sites=tuple(_index(x) for x in doc["placement"]),
+            ops=ScheduleOps.from_rows("".join(order), shuttles, gates),
+            total_time=total_time,
+            per_qubit_error=tuple(json_number(x, "per_qubit_error") for x in doc["per_qubit_error"]),
+            final_sites=tuple(_index(x) for x in doc["final_sites"]),
+        )
+    except OverflowError as exc:  # an op index beyond the columns' 64 bits
+        raise ValueError(f"index too large: {exc}") from exc

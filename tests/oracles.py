@@ -20,15 +20,10 @@ import numpy as np
 from spinbus.architecture import ArchitectureSpec, Location, distance, position, shuttle_time
 from spinbus.circuit import Circuit, Gate, GateKind, SlicedCircuit
 from spinbus.error_model import HBAR, ErrorModelParams, _check_v, optimal_velocity, phase_error
-from spinbus.mapper import (
-    GateOp,
-    Schedule,
-    ScheduleOps,
-    ShuttleOp,
-    _schedulable,
-)
+from spinbus.mapper import _schedulable
 from spinbus.placement import InteractionGraph, Placement
 from spinbus.qasm import GATE_TABLE, QasmSyntaxError, UnsupportedConstructError
+from spinbus.schedule import GateOp, Schedule, ScheduleOps, ShuttleOp
 
 _BRUTE_FORCE_LIMIT = 9
 _PERM_CACHE: dict[int, np.ndarray] = {}

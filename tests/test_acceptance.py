@@ -43,7 +43,7 @@ from spinbus.error_model import (
     phase_error,
     phase_error_terms,
 )
-from spinbus.mapper import STRATEGIES, map_strategy, validate_schedule
+from spinbus.mapper import STRATEGIES, map_strategy
 from spinbus.metrics import summarize
 from spinbus.placement import (
     InteractionGraph,
@@ -55,6 +55,7 @@ from spinbus.placement import (
     spectral_placement,
 )
 from spinbus.rng import SplitMix64
+from spinbus.validate import validate_schedule
 
 from oracles import (
     brute_force_minla,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from spinbus.architecture import (
@@ -9,6 +10,12 @@ from spinbus.architecture import (
     position,
     shuttle_time,
 )
+from spinbus.circuit import Circuit, Gate, GateKind, slice_circuit
+from spinbus.error_model import ErrorModelParams
+from spinbus.mapper import map_strategy
+from spinbus.placement import Placement
+from spinbus.schedule import schedule_from_json, schedule_to_json
+from spinbus.validate import validate_schedule
 
 UM = 1e-6
 
@@ -89,6 +96,32 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         # zones must lie strictly between neighbouring sites
         ArchitectureSpec(n_sites=4, zone_offset=2e-6, site_pitch=2e-6)
+
+
+@pytest.mark.parametrize("n_sites", [2.5, 3.0, True, "4", None])
+def test_n_sites_must_be_an_integer(n_sites):
+    # 2.5 once failed only in map_strategy, and to_config wrote a value
+    # from_config rejects
+    with pytest.raises(TypeError, match="n_sites must be an integer"):
+        ArchitectureSpec(n_sites=n_sites)
+
+
+def test_numpy_n_sites_is_stored_as_int():
+    spec = ArchitectureSpec(n_sites=np.int64(4))
+    assert type(spec.n_sites) is int and spec == ArchitectureSpec(n_sites=4)
+    assert ArchitectureSpec.from_config(json.loads(json.dumps(spec.to_config()))) == spec
+
+
+def test_numpy_qubit_count_schedule_writes_json():
+    # a numpy qubit count once mapped and validated, then failed in
+    # schedule_to_json: "Object of type int64 is not JSON serializable"
+    c = Circuit(np.int64(4), (Gate(GateKind.H, (0,)), Gate(GateKind.CZ, (1, 3))))
+    spec, errp = ArchitectureSpec(n_sites=c.num_qubits), ErrorModelParams()
+    s = map_strategy("parallel", slice_circuit(c), spec, Placement.identity(4), errp)
+    assert validate_schedule(s, spec) == []
+    text = schedule_to_json(s)
+    assert json.loads(text)["arch"]["n_sites"] == 4
+    assert schedule_from_json(text, c).arch == spec
 
 
 def test_config_round_trip(spec):

@@ -13,9 +13,10 @@ from spinbus.circuit import (
     slice_circuit,
 )
 from spinbus.error_model import ErrorModelParams
-from spinbus.mapper import STRATEGIES, map_strategy, validate_schedule
+from spinbus.mapper import STRATEGIES, map_strategy
 from spinbus.placement import Placement
 from spinbus.rng import SplitMix64
+from spinbus.validate import validate_schedule
 
 from oracles import phase_aligned_distance, unitary_of
 
@@ -29,6 +30,23 @@ def test_spec_validation():
         BenchmarkSpec(family="ghz", n=100)
     with pytest.raises(ValueError):
         BenchmarkSpec(family="qaoa", n=4, qaoa_rounds=0)
+
+
+@pytest.mark.parametrize("field", ["n", "seed", "qaoa_rounds", "depth"])
+@pytest.mark.parametrize("value", [True, 1.5, 4.0, "4"])
+def test_spec_fields_must_be_integers(field, value):
+    # seed=True and qaoa_rounds=True were accepted, and seed=1.5 failed
+    # inside SplitMix64
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        BenchmarkSpec(**{"family": "qaoa", "n": 4, field: value})
+
+
+def test_numpy_integer_fields_are_stored_as_int():
+    # a numpy seed once overflowed in SplitMix64
+    spec = BenchmarkSpec("random", np.int64(4), seed=np.int64(3), qaoa_rounds=np.int32(1), depth=np.int64(5))
+    assert spec == BenchmarkSpec("random", 4, seed=3, depth=5)
+    assert all(type(getattr(spec, f)) is int for f in ("n", "seed", "qaoa_rounds", "depth"))
+    assert generate(spec) == generate(BenchmarkSpec("random", 4, seed=3, depth=5))
 
 
 def test_ghz_structure():

@@ -20,19 +20,7 @@ from spinbus.circuit import (
 )
 from spinbus.error_model import ErrorModelParams, optimal_velocity, phase_error
 from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
-from spinbus.mapper import (
-    GateOp,
-    Schedule,
-    ScheduleOps,
-    ShuttleOp,
-    STRATEGIES,
-    STRATEGY_FLAGS,
-    _map,
-    map_strategy,
-    schedule_from_json,
-    schedule_to_json,
-    validate_schedule,
-)
+from spinbus.mapper import STRATEGIES, STRATEGY_FLAGS, _map, map_strategy
 from spinbus.metrics import summarize
 from spinbus.placement import (
     Placement,
@@ -41,6 +29,8 @@ from spinbus.placement import (
     spectral_placement,
 )
 from spinbus.rng import SplitMix64
+from spinbus.schedule import GateOp, Schedule, ScheduleOps, ShuttleOp, schedule_from_json, schedule_to_json
+from spinbus.validate import validate_schedule
 from oracles import oracle_map, oracle_schedule_to_json, oracle_summary_counts
 from validator_oracle import oracle_validate_schedule
 

@@ -7,13 +7,7 @@ from spinbus.architecture import ArchitectureSpec, Location, distance
 from spinbus.circuit import Circuit, Gate, GateKind, decompose, slice_circuit
 from spinbus.error_model import ErrorModelParams, phase_error
 from spinbus.benchgen import BenchmarkSpec, generate
-from spinbus.mapper import (
-    Schedule,
-    ShuttleOp,
-    map_strategy,
-    schedule_to_json,
-    STRATEGIES,
-)
+from spinbus.mapper import STRATEGIES, map_strategy
 from spinbus.metrics import (
     CSV_HEADER,
     compare,
@@ -24,6 +18,7 @@ from spinbus.metrics import (
     summarize,
 )
 from spinbus.placement import Placement
+from spinbus.schedule import Schedule, ShuttleOp, schedule_to_json
 
 GOLDEN_SUM = 9.931956096912723e-05  # phase error of one 3 um shuttle at 10 m/s
 

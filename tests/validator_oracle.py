@@ -1,4 +1,4 @@
-"""Reference oracle for ``spinbus.mapper.validate_schedule``.
+"""Reference oracle for ``spinbus.validate.validate_schedule``.
 
 This is the straightforward validator the library shipped before its
 validator was made near-linear, kept word for word (only renamed). It
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from spinbus.architecture import ArchitectureSpec, Location, distance, position, shuttle_time
 from spinbus.error_model import phase_error
-from spinbus.mapper import GateOp, Schedule, ShuttleOp, Violation
+from spinbus.schedule import GateOp, Schedule, ShuttleOp
+from spinbus.validate import Violation
 
-_EPS_T = 1e-15  # seconds, as in spinbus.mapper
+_EPS_T = 1e-15  # seconds, as in spinbus.validate
 
 
 def oracle_validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
