@@ -56,13 +56,16 @@ def summarize(s: Schedule) -> CompilationReport:
 
     Counts come from the op columns; ``total_distance`` adds the shuttles'
     distances left to right in op order (``np.sum`` adds pairwise, so its
-    bits would differ).
+    bits would differ). Raises ValueError for a shuttle location off the bus
+    or a gate index outside the circuit's gates.
     """
     sh, gate_index = s.ops.shuttles, s.ops.gates.gate_index
     _, _, p0, src_ok = decode_locations(sh.src, s.arch)
     _, _, p1, dst_ok = decode_locations(sh.dst, s.arch)
     if not (src_ok & dst_ok).all():
         raise ValueError("location out of range")
+    if ((gate_index < 0) | (gate_index >= len(s.circuit.gates))).any():
+        raise ValueError("gate index out of range")
     two_qubit = np.array([g.is_two_qubit for g in s.circuit.gates], dtype=bool)
     n_2q = int(np.count_nonzero(two_qubit[gate_index]))
     mean, std = mean_std(s.per_qubit_error)

@@ -261,57 +261,87 @@ def _index(value) -> int:
 
 
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-_SHUTTLE_JSON = '{"dC":%s,"from":%s,"q":%s,"t0_ns":%s,"to":%s,"v_mps":%s}'
-_GATE_JSON = '{"dur_ns":%s,"gate":%s,"t0_ns":%s,"zone":%s}'
 _LOCATION_JSON = '{"idx":%d,"kind":"%s"}'
 
 
-def _texts(col: np.ndarray, fmt) -> list[str]:
-    """``fmt(x)`` for every value of ``col``, called once per distinct bit
-    pattern (so 0.0 and -0.0 stay apart)."""
-    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    texts = [fmt(x) for x in keys.view(col.dtype).tolist()]
-    return list(map(texts.__getitem__, inverse.tolist()))
+def _ns_json(seconds: float, name: str) -> str:
+    """``json.dumps`` of ``seconds`` in ns rounded to 1 ps; ValueError if
+    that is not a finite number."""
+    ns = round(seconds * 1e9, 3)
+    if not math.isfinite(ns):
+        raise ValueError(f"{name} {seconds!r} s is too large to write in ns")
+    return repr(ns)
 
 
-def _number_json(x: float) -> str:
-    """``json.dumps(x)`` of a Python int or float, without building an encoder."""
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
-def _ns_json(seconds: float) -> str:
-    return _number_json(round(seconds * 1e9, 3))
-
-
-def _loc_text(code: int) -> str:
+def _loc_json(code: int) -> str:
     return _LOCATION_JSON % (code >> 1, _LOCATION_KINDS[code & 1].value)
+
+
+def _fields(cols, fields):
+    """The text of every row of each field, in ``fields`` order: ``fields``
+    holds (column name, text before the value, formatter, text after).
+    Each distinct value (bit pattern, so 0.0 and -0.0 stay apart) is
+    formatted once, and the rows gather their texts by array indexing."""
+    for name, before, fmt, after in fields:
+        col = getattr(cols, name)
+        keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        texts = [before + fmt(x) + after for x in keys.view(col.dtype).tolist()]
+        yield np.array(texts, dtype=object)[inverse]
+
+
+# The fields of each op kind in key order. Each op opens with a comma; the
+# array's first op drops it.
+_SHUTTLE_FIELDS = (
+    ("delta_c", ',{"dC":', repr, ""),
+    ("src", ',"from":', _loc_json, ""),
+    ("qubit", ',"q":', repr, ""),
+    ("start", ',"t0_ns":', functools.partial(_ns_json, name="t0_ns"), ""),
+    ("dst", ',"to":', _loc_json, ""),
+    ("velocity", ',"v_mps":', repr, "}"),
+)
+_GATE_FIELDS = (
+    ("duration", ',{"dur_ns":', functools.partial(_ns_json, name="dur_ns"), ""),
+    ("gate_index", ',"gate":', repr, ""),
+    ("start", ',"t0_ns":', functools.partial(_ns_json, name="t0_ns"), ""),
+    ("zone", ',"zone":', repr, "}"),
+)
+
+
+def _ops_json(ops: ScheduleOps) -> str:
+    """The op array: one text fragment per op field, laid out in op order
+    and joined once."""
+    shuttle = np.frombuffer(ops.order.encode(), dtype=np.uint8) == ord("s")
+    width = np.where(shuttle, len(_SHUTTLE_FIELDS), len(_GATE_FIELDS))
+    first = np.cumsum(width) - width
+    fragments = np.empty(int(width.sum()), dtype=object)
+    kinds = ((first[shuttle], ops.shuttles, _SHUTTLE_FIELDS), (first[~shuttle], ops.gates, _GATE_FIELDS))
+    for rows, cols, fields in kinds:
+        for k, texts in enumerate(_fields(cols, fields)):
+            fragments[rows + k] = texts
+    if len(fragments):
+        fragments[0] = fragments[0][1:]
+    return "[" + "".join(fragments.tolist()) + "]"
 
 
 def schedule_to_json(s: Schedule) -> str:
     """The schedule's JSON text: keys sorted, no spaces, one newline.
 
-    The op array is written from the columns: each distinct location,
-    number and rounded time is formatted once, as ``json.dumps`` formats
-    it, and the op objects are filled in from fixed templates in
-    sorted-key order.
+    The op array is built from the columns: each distinct location, number
+    and rounded time is formatted once, with its key, as ``json.dumps``
+    formats it; the rows gather these texts by array indexing, they are
+    laid out in op order as one array of fragments, and one ``join`` makes
+    the text. Times are written in ns rounded to 1 ps; one too large for
+    that to be a finite number (an op start, a gate duration or
+    ``total_time`` of about 1.8e299 s or more) raises ValueError naming its
+    field, where ``json.dumps`` would write the non-JSON ``Infinity``.
     """
-    sh, gt = s.ops.shuttles, s.ops.gates
-    shuttles = map(_SHUTTLE_JSON.__mod__, zip(
-        _texts(sh.delta_c, _number_json), _texts(sh.src, _loc_text), _texts(sh.qubit, _number_json),
-        _texts(sh.start, _ns_json), _texts(sh.dst, _loc_text), _texts(sh.velocity, _number_json),
-    ))
-    gates = map(_GATE_JSON.__mod__, zip(
-        _texts(gt.duration, _ns_json), _texts(gt.gate_index, _number_json),
-        _texts(gt.start, _ns_json), _texts(gt.zone, _number_json),
-    ))
-    nexts = {"s": shuttles.__next__, "g": gates.__next__}
     fields = {
         "strategy": _dumps(s.strategy),
         "arch": _dumps(s.arch.to_config()),
         "placement": _dumps(list(s.initial_sites)),
         "error_params": _dumps(s.error_params.to_config()),
-        "ops": "[" + ",".join([nexts[kind]() for kind in s.ops.order]) + "]",
-        "total_time_ns": _dumps(round(s.total_time * 1e9, 3)),
+        "ops": _ops_json(s.ops),
+        "total_time_ns": _ns_json(s.total_time, "total_time_ns"),
         "per_qubit_error": _dumps(list(s.per_qubit_error)),
         "final_sites": _dumps(list(s.final_sites)),
     }

@@ -16,6 +16,7 @@ from .error_model import _phase_errors
 from .schedule import Schedule, ShuttleColumns
 
 _EPS_T = 1e-15  # seconds; schedule times are exact accumulations
+_PAIRS = 1 << 16  # rule (d) expands about this many window moves at once
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,10 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     shuttle or gate rows, and a ``Violation`` is formatted only for a
     flagged row. Every float expression is evaluated elementwise with the
     bits of its scalar form, and ``phase_error`` runs once per distinct
-    (velocity, distance). Rule (d) tests every pair of moves that overlap
-    in time, so a phase of k simultaneous shuttles costs k^2 float tests,
-    run as array operations. The list holds, in this order: the shuttle
+    (velocity, distance). Rule (d) tests only pairs of moves that overlap
+    in time and have different slopes, or whose rounding a bound cannot
+    rule out (see ``_crossings``), so a phase of k simultaneous shuttles at
+    one velocity costs O(k). The list holds, in this order: the shuttle
     checks (distance, duration, delta_c) by op; the placement check;
     unknown qubits by op; each qubit's chain (departure site, then time) in
     qubit order; (a) by gate op and operand; (b), then (c), by location in
@@ -264,30 +266,87 @@ def _capacity(stays: _Stays):
 def _crossings(sh: ShuttleColumns, p0, p1, op_index):
     """(d) Every move j and each earlier move i (by start, then op index)
     still moving after start_j + _EPS_T keep their order. The moves after i
-    in that order that start before end_i - _EPS_T are a run, so the pairs
-    are taken lag j - i at a time over the moves whose run reaches that
-    far."""
+    in that order that start before end_i - _EPS_T are i's window. A pair
+    is flagged when hi - lo > _EPS_T and the gaps d(lo) and d(hi) at the
+    ends of the common interval have opposite signs and both exceed 1e-12
+    in size, so only if |d(hi) - d(lo)| > 2e-12.
+
+    Two moves of one slope class cannot get there, so they are not tested.
+    A move k joins the class named by the bits of ``dp_k / dur_k`` when
+    2^-900 <= dur_k <= 2^900, |start_k| <= 2^52 dur_k, the slope is
+    normal or dp_k is 0, and b_k = 2^-48 (|dp_k| + P_k) + 2^-170 <= 1e-12,
+    with P_k the larger of |p0_k| and |p1_k|. Any other move is a class of
+    its own. The proof, with u = 2^-53, for a flagged pair, whose lo and hi
+    lie within [start_k, end_k] of both moves:
+
+    - end_k - start_k <= (1 + u) dur_k + u |start_k| <= 2 dur_k, so the
+      exact fraction (t - start_k) / dur_k at t = lo, hi is in [0, 2], the
+      exact position within P_k + |dp_k| of 0, and no step overflows;
+    - ``t - start``, ``* dp`` and ``/ dur`` each round by a factor of at
+      most 1 + u, which puts the quotient off by 6.02 u |dp_k|; adding p0
+      and subtracting the two positions add u (P_k + 1.01 |dp_k|) each, so
+      a computed gap is off from the exact one by at most the sum over both
+      moves of u (8.05 |dp_k| + 2.01 P_k). A product or quotient that
+      underflows is off by 2^-1075 instead, 2^-1075 / dur_k <= 2^-175 in
+      the position; over the four positions, under 2^-172;
+    - both exact slopes round to one float, so they differ by at most
+      u (|slope_i| + |slope_j|), and over hi - lo <= 2 dur_k the exact
+      gap changes by at most 2 u (|dp_i| + |dp_j|).
+
+    So |d(hi) - d(lo)| <= u (18.1 |dp_i| + 4.02 P_i + 18.1 |dp_j| + 4.02
+    P_j) + 2^-172 <= b_i + b_j <= 2e-12. The bound holds on any bus within
+    about 100 m of position 0, and fails where a position's ulp nears
+    1e-12; a move there is tested against every move its window reaches.
+
+    In start order, runs of one class are taken whole: for each move, only
+    the runs of other classes that its window reaches are expanded into
+    pairs, so a phase of k moves of one slope costs O(k). Windows are
+    expanded in blocks of about ``_PAIRS`` moves, so memory stays bounded.
+    """
     q, start, dur = sh.qubit, sh.start, sh.duration
     end, dp = start + dur, p1 - p0
+    slope = dp / dur + 0.0  # -0.0 joins 0.0
+    shared = (dur >= 2.0**-900) & (dur <= 2.0**900) & (np.abs(start) <= 2.0**52 * dur)
+    shared &= (np.abs(slope) >= 2.0**-1022) | (dp == 0)
+    shared &= 2.0**-48 * (np.abs(dp) + np.maximum(np.abs(p0), np.abs(p1))) + 2.0**-170 <= 1e-12
+    keys, rank = np.unique(slope[shared].view(np.int64), return_inverse=True)
+    classes = len(keys) + np.arange(len(start))  # a class of its own
+    classes[shared] = rank
+
     by_start = np.argsort(start, kind="stable")
+    cls, m = classes[by_start], len(by_start)
     reach = np.searchsorted(start[by_start] + _EPS_T, end[by_start], side="left")
-    span = np.maximum(reach - np.arange(len(reach)) - 1, 0)
-    widest = np.argsort(-span, kind="stable")
-    narrowing = -span[widest]
+    last = np.maximum(reach - 1, np.arange(m))  # a window's last move, or its own
+    head = np.append(True, cls[1:] != cls[:-1])[:m]
+    run, run_start = np.cumsum(head) - 1, np.flatnonzero(head)
+    run_stop = np.append(run_start[1:], m)
 
     def gap(t, i, j):
         return (p0[j] + dp[j] * (t - start[j]) / dur[j]) - (p0[i] + dp[i] * (t - start[i]) / dur[i])
 
     crossings = []
-    for lag in range(1, int(span.max(initial=0)) + 1):
-        a = widest[: np.searchsorted(narrowing, -lag, side="right")]
-        i, j = by_start[a], by_start[a + lag]
+    width = np.cumsum(last - np.arange(m))
+    blocks = np.searchsorted(width, np.arange(0, width[-1] if m else 0, _PAIRS), side="right")
+    for first, stop in zip(blocks.tolist(), np.append(blocks[1:], m).tolist()):
+        own = run[first:stop]
+        a, r = _ragged(np.arange(first, stop), own + 1, run[last[first:stop]] - own)
+        other = cls[run_start[r]] != cls[a]
+        a, r = a[other], r[other]
+        a, b = _ragged(a, run_start[r], np.minimum(run_stop[r], reach[a]) - run_start[r])
+        i, j = by_start[a], by_start[b]
         lo = np.where(start[i] > start[j], start[i], start[j])
         hi = np.where(end[i] < end[j], end[i], end[j])
         d0, d1 = gap(lo, i, j), gap(hi, i, j)
         cross = (q[i] != q[j]) & ~(hi - lo <= _EPS_T) & (d0 * d1 < 0)
         cross &= np.minimum(np.abs(d0), np.abs(d1)) > 1e-12
-        crossings += zip((a[cross] + lag).tolist(), a[cross].tolist())
+        crossings += zip(b[cross].tolist(), a[cross].tolist())
     for b, a in sorted(crossings):
         j, i = by_start.item(b), by_start.item(a)
         yield Violation("d", op_index("s")[j], f"qubits {q.item(j)} and {q.item(i)} cross mid-flight")
+
+
+def _ragged(rows, first, counts):
+    """Each of ``rows`` paired with ``first, first + 1, ...``, ``counts`` of
+    them, as two flat columns."""
+    k = np.repeat(np.arange(len(rows)), counts)
+    return rows[k], first[k] + np.arange(len(k)) - (np.cumsum(counts) - counts)[k]

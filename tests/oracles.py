@@ -170,7 +170,8 @@ def _loc_json(loc) -> dict:
 
 def oracle_schedule_to_json(s: Schedule) -> str:
     """The schedule JSON writer as it was before the op columns: one dict
-    per op, iterating ``s.ops``, and one ``json.dumps`` of the document."""
+    per op, iterating ``s.ops``, and one ``json.dumps`` of the document,
+    which raises ValueError on a time too large to be finite in ns."""
     ops = []
     for op in s.ops:
         if isinstance(op, ShuttleOp):
@@ -203,7 +204,7 @@ def oracle_schedule_to_json(s: Schedule) -> str:
         "per_qubit_error": list(s.per_qubit_error),
         "final_sites": list(s.final_sites),
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def oracle_summary_counts(s: Schedule) -> tuple[int, float, int, int]:

@@ -30,6 +30,7 @@ from spinbus.placement import (
 )
 from spinbus.rng import SplitMix64
 from spinbus.schedule import GateOp, Schedule, ScheduleOps, ShuttleOp, schedule_from_json, schedule_to_json
+import spinbus.validate as validate_module
 from spinbus.validate import validate_schedule
 from oracles import oracle_map, oracle_schedule_to_json, oracle_summary_counts
 from validator_oracle import oracle_validate_schedule
@@ -1128,6 +1129,146 @@ class TestValidatorMatchesOracle:
                 assert _outcome(validate_schedule, schedule) == want
 
 
+# Rule (d) near its skip bound: moves set against a leading one on buses
+# from the default 2 um pitch to 2 km, where a position's ulp passes 1e-12
+# and two moves of one slope can read as crossing.
+_PITCHES = (2 * US, 1.0, 10.0, 2e4, 2e6)
+_VELOCITIES = (10.0, 7.3, 3.7)
+
+
+def _code_location(code):
+    return Location.zone(code // 2) if code % 2 else Location.site(code // 2)
+
+
+def _bus_schedule(spec, ops):
+    """Moves of distinct qubits 0..3 on ``spec``, from sites 0..3, with the
+    error fold and makespan they give."""
+    folded = [0.0] * 4
+    for op in ops:
+        folded[op.qubit] += op.delta_c
+    return Schedule(
+        strategy="handmade", circuit=Circuit(4, ()), arch=spec, error_params=ErrorModelParams(),
+        initial_sites=(0, 1, 2, 3), ops=tuple(ops), total_time=max(op.end for op in ops),
+        per_qubit_error=tuple(folded), final_sites=(0, 1, 2, 3),
+    )
+
+
+def _bus_move(spec, q, src, dst, start, v, nudge=0):
+    """A move at ``v`` whose duration is ``nudge`` ulps off distance / v."""
+    d = distance(src, dst, spec)
+    dur = d / v
+    for _ in range(abs(nudge)):
+        dur = math.nextafter(dur, math.copysign(math.inf, nudge))
+    return ShuttleOp(q, src, dst, start, v, dur, phase_error(v, d, ErrorModelParams()))
+
+
+def _lockstep(spec, q, leader, via, nudge=0, lag=0.0):
+    """A move at the leader's velocity from ``via`` on its path to its
+    destination, leaving ``lag`` seconds after the leader passes: with no
+    lag, one exact position in exact arithmetic; one slope, or ``nudge``
+    ulps of duration off it."""
+    pa, pc = position(leader.src, spec), position(via, spec)
+    start = leader.start + abs(pc - pa) / leader.velocity + lag
+    return _bus_move(spec, q, via, leader.dst, start, leader.velocity, nudge)
+
+
+@st.composite
+def _moves_against_a_leader(draw):
+    """A leading move and one to three others: in any direction at any
+    velocity, back along its path, in lockstep with it, a few ulps of slope
+    off it, or starting or ending within a few _EPS_T of its end or start."""
+    pitch = draw(st.sampled_from(_PITCHES))
+    spec = ArchitectureSpec(n_sites=8, site_pitch=pitch, zone_offset=pitch / 2)
+    code = st.integers(0, 15)
+    a = draw(code)
+    b = draw(code.filter(lambda c: c != a))
+    src, dst = _code_location(a), _code_location(b)
+    v = draw(st.sampled_from(_VELOCITIES))
+    leader = _bus_move(spec, 0, src, dst, draw(st.floats(0, 3)) * pitch / v, v)
+    ops = [leader]
+    for q in range(1, draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(("any", "opposite", "lockstep", "ulp", "touch")))
+        frac = draw(st.floats(-1, 1.5))
+        v = draw(st.sampled_from(_VELOCITIES))
+        c = draw(code)
+        other = _code_location(draw(code.filter(lambda x: x != c)))
+        if kind == "any":  # any direction, any velocity
+            op = _bus_move(spec, q, _code_location(c), other, leader.start + frac * leader.duration, v)
+        elif kind == "opposite":
+            op = _bus_move(spec, q, dst, src, leader.start + frac * leader.duration, v)
+        elif kind in ("lockstep", "ulp"):  # "ulp": slopes a few ulps apart
+            between = [x for x in range(16) if min(a, b) < x < max(a, b)] or [a]
+            via = _code_location(draw(st.sampled_from(between)))
+            nudge = draw(st.sampled_from((-4096, -2, -1, 1, 2, 4096))) if kind == "ulp" else 0
+            lag = draw(st.sampled_from((0.0, 3e-12, -3e-12))) / leader.velocity  # 3 pm behind or ahead
+            op = _lockstep(spec, q, leader, via, nudge, lag)
+        else:  # starting, or ending, within a few _EPS_T of the leader's end or start
+            op = _bus_move(spec, q, _code_location(c), other, 0.0, v)
+            k = draw(st.sampled_from((-2, -1, 0, 1, 2)))
+            start = leader.end + k * 1e-15 if draw(st.booleans()) else leader.start + k * 1e-15 - op.duration
+            op = dataclasses.replace(op, start=start)
+        ops.append(op)
+    return _bus_schedule(spec, ops)
+
+
+class TestCrossingsNearTheBound:
+    """Rule (d) skips only pairs whose computed gap cannot cross the 1e-12
+    guard, and gives the oracle's list wherever the bound does not hold."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=_moves_against_a_leader())
+    def test_moves_against_a_leader(self, s):
+        for schedule in (s, _reloaded(s)):
+            if schedule is not None:
+                assert _outcome(validate_schedule, schedule) == _outcome(oracle_validate_schedule, schedule)
+
+    @pytest.mark.parametrize(
+        "pitch, leader, via, nudge, lag",
+        [
+            # one slope to the bit and, in exact arithmetic, one position: on
+            # a 150 km bus the rounding of the positions alone reads as a
+            # crossing, so the bound must fail and the pair be tested
+            (2e4, (Location.zone(2), Location.site(0), 26.65880457380435, 3.7), Location.zone(0), 0, 0.0),
+            # on a 75 m bus, slopes 4096 ulps apart drift through a 3 pm lag
+            (10.0, (Location.zone(3), Location.zone(6), 2.8307428854833936, 10.0), Location.site(4), -4096, 3e-13),
+        ],
+    )
+    def test_lockstep_moves_that_cross(self, pitch, leader, via, nudge, lag):
+        spec = ArchitectureSpec(n_sites=8, site_pitch=pitch, zone_offset=pitch / 2)
+        leader = _bus_move(spec, 0, *leader)
+        follower = _lockstep(spec, 1, leader, via, nudge, lag)
+        slopes = [(position(op.dst, spec) - position(op.src, spec)) / op.duration for op in (leader, follower)]
+        assert (slopes[0] == slopes[1]) is (nudge == 0)
+        s = _bus_schedule(spec, [leader, follower])
+        want = oracle_validate_schedule(s, spec)
+        assert "d" in {v.rule for v in want}
+        assert validate_schedule(s, spec) == want
+
+    def test_a_phase_of_one_slope_tests_no_pair(self, monkeypatch):
+        # 2,000 qubits leave for their zones at once and come back: about
+        # 4 million overlapping pairs, all of one slope out and one back
+        n = 2000
+        spec, errp = arch(n), ErrorModelParams()
+        out = [_bus_move(spec, q, Location.site(q), Location.zone(q), 0.0, 10.0) for q in range(n)]
+        back = [_bus_move(spec, q, Location.zone(q), Location.site(q), 1 * US, 10.0) for q in range(n)]
+        dc = out[0].delta_c + back[0].delta_c
+        s = Schedule(
+            strategy="handmade", circuit=Circuit(n, ()), arch=spec, error_params=errp,
+            initial_sites=tuple(range(n)), ops=tuple(out + back), total_time=back[0].end,
+            per_qubit_error=(dc,) * n, final_sites=tuple(range(n)),
+        )
+        expanded = []
+        ragged = validate_module._ragged
+
+        def counted(rows, first, counts):
+            expanded.append(int(counts.sum()))
+            return ragged(rows, first, counts)
+
+        monkeypatch.setattr(validate_module, "_ragged", counted)
+        assert validate_schedule(s, spec) == []
+        assert expanded and sum(expanded) == 0
+
+
 def _acceptance_corpus(errp):
     """The schedules acceptance criterion 7 validates: the 16-qubit suite
     at spectral and random placement, and 200 seeded random circuits."""
@@ -1246,3 +1387,78 @@ class TestScheduleOps:
         assert "e" in {v.rule for v in want} and validate_schedule(edited, s.arch) == want
         assert summarize(edited).n_shuttles == summarize(s).n_shuttles - 1
         assert schedule_to_json(edited) == oracle_schedule_to_json(edited) != schedule_to_json(s)
+
+
+_TIMES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5e-12, 1.5e-12, 2.5e-12, -2.5e-12,
+    1.0000005e-6, 1.7e299, 1.8e299, 1e300, -1e300,
+)
+_INT64 = (-(2**63), -1, 0, 1, 2**63 - 1)
+
+
+def _writer_floats():
+    # edge values, any finite float, and the half-way points of the 1 ps grid
+    half_ps = st.integers(-(10**12), 10**12).map(lambda k: (k + 0.5) * 1e-12)
+    return st.one_of(st.sampled_from(_TIMES), st.floats(allow_nan=False, allow_infinity=False), half_ps)
+
+
+def _writer_ints():
+    return st.one_of(st.sampled_from(_INT64), st.integers(-(2**63), 2**63 - 1))
+
+
+@st.composite
+def _handmade_columns(draw):
+    """A schedule of hand-built op columns: any 64-bit qubit, gate, zone and
+    location code (negative indices too) and any finite float, with only
+    shuttles, only gates, both or no ops."""
+    f, i = _writer_floats(), _writer_ints()
+    shuttle = st.tuples(i, i, i, f, f, f, f).map(lambda row: ("s", row))
+    gate = st.tuples(i, i, f, f).map(lambda row: ("g", row))
+    kinds = draw(st.sampled_from(((shuttle, gate), (shuttle,), (gate,), ())))
+    rows = draw(st.lists(st.one_of(*kinds), max_size=8)) if kinds else []
+    ops = ScheduleOps.from_rows(
+        "".join(kind for kind, _ in rows),
+        [row for kind, row in rows if kind == "s"],
+        [row for kind, row in rows if kind == "g"],
+    )
+    return Schedule(
+        strategy="handmade", circuit=Circuit(2, ()), arch=arch(2), error_params=ErrorModelParams(),
+        initial_sites=(0, 1), ops=ops, total_time=draw(f), per_qubit_error=(draw(f), draw(f)),
+        final_sites=(0, 1),
+    )
+
+
+def _written(write, s):
+    """The JSON text, or ValueError if the writer raises it."""
+    try:
+        return write(s)
+    except ValueError:
+        return ValueError
+
+
+class TestWriter:
+    """``schedule_to_json`` writes what the dict-per-op reference writes,
+    and raises ValueError where that would not be JSON."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(s=_handmade_columns())
+    def test_handmade_columns_match_the_reference(self, s):
+        assert _written(schedule_to_json, s) == _written(oracle_schedule_to_json, s)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("t0_ns", lambda s: _replace_op(s, _nth(s, ShuttleOp, 3), start=1e300)),
+            ("t0_ns", lambda s: _replace_op(s, _nth(s, GateOp, 0), start=-1e300)),
+            ("dur_ns", lambda s: _replace_op(s, _nth(s, GateOp, 1), duration=1e300)),
+            ("total_time_ns", lambda s: dataclasses.replace(s, total_time=1e300)),
+        ],
+    )
+    def test_time_too_large_for_ns_raises(self, field, edit):
+        # 1e300 s is finite, but not in ns: the writer once wrote Infinity,
+        # which schedule_from_json rejects
+        s = edit(_valid_schedules()[0])
+        with pytest.raises(ValueError, match=field):
+            schedule_to_json(s)
+        with pytest.raises(ValueError):
+            oracle_schedule_to_json(s)

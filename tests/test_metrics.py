@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -18,7 +19,7 @@ from spinbus.metrics import (
     summarize,
 )
 from spinbus.placement import Placement
-from spinbus.schedule import Schedule, ShuttleOp, schedule_to_json
+from spinbus.schedule import GateOp, Schedule, ShuttleOp, schedule_to_json
 
 GOLDEN_SUM = 9.931956096912723e-05  # phase error of one 3 um shuttle at 10 m/s
 
@@ -125,6 +126,20 @@ def test_gate_counts(errp):
                      Placement.identity(4), errp)
     r = summarize(s)
     assert r.n_gates_1q == 2 and r.n_gates_2q == 1
+
+
+@pytest.mark.parametrize("gate_index", [-1, 10, 99])
+def test_gate_index_out_of_range_rejected(errp, gate_index):
+    # numpy would read -1 as the circuit's last gate, and 99 would raise a
+    # bare IndexError
+    sc = slice_circuit(decompose(generate(BenchmarkSpec(family="ghz", n=4, seed=0))))
+    s = map_strategy("parallel", sc, ArchitectureSpec(n_sites=4), Placement.identity(4), errp)
+    assert len(s.circuit.gates) == 10
+    ops = list(s.ops)
+    k = next(k for k, op in enumerate(ops) if isinstance(op, GateOp))
+    ops[k] = dataclasses.replace(ops[k], gate_index=gate_index)
+    with pytest.raises(ValueError, match="gate index out of range"):
+        summarize(dataclasses.replace(s, ops=tuple(ops)))
 
 
 class TestCompare:
