@@ -9,6 +9,7 @@ tests, in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -127,9 +128,42 @@ class Circuit:
                         f"qubit {q} out of range for {n}-qubit circuit"
                     )
 
-    @property
+    # Per-gate data, derived once per circuit: the circuit and its gates are
+    # frozen, so nothing can make it stale. The arrays are read-only.
+
+    @functools.cached_property
     def is_native(self) -> bool:
         return all(g.kind in SCHEDULABLE_BASIS for g in self.gates)
+
+    @functools.cached_property
+    def gate_entries(self) -> tuple[tuple[tuple[int, ...] | None, bool], ...]:
+        """Per gate, what the scheduler needs: the gate's own ``qubits``
+        (None for a BARRIER, which is never scheduled) and whether it is a
+        MEASURE."""
+        barrier, measure = GateKind.BARRIER, GateKind.MEASURE
+        return tuple(
+            (None if g.kind is barrier else g.qubits, g.kind is measure) for g in self.gates
+        )
+
+    @functools.cached_property
+    def two_qubit(self) -> np.ndarray:
+        """Which gates are two-qubit gates, by kind: a BARRIER over two
+        qubits is not one."""
+        return _read_only(np.fromiter((g.is_two_qubit for g in self.gates), bool, len(self.gates)))
+
+    @functools.cached_property
+    def operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every gate's operands, BARRIERs' included, as CSR columns: gate
+        ``k``'s qubits are ``qubits[offsets[k]:offsets[k + 1]]``."""
+        counts = np.fromiter((len(g.qubits) for g in self.gates), np.int64, len(self.gates))
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        qubits = np.fromiter((q for g in self.gates for q in g.qubits), np.int64, int(offsets[-1]))
+        return _read_only(offsets), _read_only(qubits)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

@@ -34,18 +34,23 @@ Qubits untouched by a slice stay parked and accrue no error.
 
 The mapper runs in two passes. Pass 1, in Python, walks the layers and
 decides where every qubit goes: each episode's zone, each phase's
-(qubit, site, zone) moves, and the return sites. It keeps one position
-per qubit, and a backward sweep over the layers first gives every
-two-qubit gate its operands' next partners. Pass 2 (``_timed_ops``)
-times every move at once as numpy columns: distances, each phase's
-longest move and velocity, durations, ``phase_error`` once per distinct
-(velocity, distance), the episode clock as a left fold, and each qubit's
-error as a sum in op order. Every float has the bits the op-by-op scalar
-arithmetic gives, so the schedules are unchanged.
+(qubit, site, zone) moves, and the return sites. It reads the operands
+from per-gate data each ``Circuit`` derives once, keeps one position per
+qubit, and first sweeps the layers backward for every two-qubit gate's
+next partners. A layer's vacated sites are dealt out in descending order
+to its zones, right to left: outside sequential a zone is never left of
+its operands' sites and the zones are distinct, so the free sites right
+of a zone went to zones dealt before it, and each occupant gets the
+rightmost free site left of its zone. A sequential layer, one gate, has
+none exactly when its first dealt site lies right of the zone. Pass 2
+(``_timed_ops``) times every move at once as numpy columns: distances,
+each phase's longest move and velocity, durations, ``phase_error`` once
+per distinct (velocity, distance), the episode clock as a left fold, and
+each qubit's error as a sum in op order, every float with the bits of
+the op-by-op scalar arithmetic.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import numbers
@@ -79,11 +84,8 @@ _flat = itertools.chain.from_iterable
 
 
 def _schedulable(g: Gate, measure_duration: float | None) -> bool:
-    if g.kind is GateKind.BARRIER:
-        return False
-    if g.kind is GateKind.MEASURE:
-        return measure_duration is not None
-    return True
+    """Whether ``g`` is scheduled: a BARRIER never, a MEASURE only with a duration."""
+    return g.kind is not GateKind.BARRIER and (g.kind is not GateKind.MEASURE or measure_duration is not None)
 
 
 def map_strategy(
@@ -118,14 +120,9 @@ def _map(
     if not c.is_native:
         raise ValueError("mapper needs a native-basis circuit (run decompose first)")
     if c.num_qubits != spec.n_sites:
-        raise ValueError(
-            f"circuit has {c.num_qubits} qubits but the architecture "
-            f"has {spec.n_sites} sites"
-        )
+        raise ValueError(f"circuit has {c.num_qubits} qubits but the architecture has {spec.n_sites} sites")
     if placement.n != spec.n_sites:
-        raise ValueError(
-            f"placement covers {placement.n} qubits, architecture has {spec.n_sites}"
-        )
+        raise ValueError(f"placement covers {placement.n} qubits, architecture has {spec.n_sites}")
     if measure_duration is not None:
         if isinstance(measure_duration, bool) or not isinstance(measure_duration, numbers.Real):
             raise TypeError(f"measure_duration must be a number of seconds, got {measure_duration!r}")
@@ -133,10 +130,15 @@ def _map(
             raise ValueError(f"measure_duration must be finite and >= 0, got {measure_duration!r}")
     site_pos = [position(Location.site(s), spec) for s in range(spec.n_sites)]
     zone_pos = [position(Location.zone(z), spec) for z in range(spec.n_sites)]
-    two_qubit = [g.is_two_qubit for g in c.gates]
     sites = list(placement.perm)
     pos = [site_pos[s] for s in sites]  # a site's position, or a zone's while out
-    layers = [(gate_idx,) for gate_idx in range(len(c.gates))] if sequential else sc.layers
+    # each layer's scheduled gates as (gate index, qubits); see _schedulable
+    entries, skip_measures = c.gate_entries, measure_duration is None
+    scheduled = [None if qs is None or m and skip_measures else (k, qs) for k, (qs, m) in enumerate(entries)]
+    if sequential:
+        layers = [[gate] for gate in scheduled if gate]
+    else:
+        layers = [list(filter(None, map(scheduled.__getitem__, layer))) for layer in sc.layers]
 
     # each two-qubit gate's operands' next partners after its layer, by one
     # backward sweep; layers are qubit-disjoint
@@ -144,39 +146,35 @@ def _map(
     if swap_returns:
         later: list[int | None] = [None] * c.num_qubits
         for layer in reversed(layers):
-            for gate_idx in layer:
-                if two_qubit[gate_idx]:
-                    qa, qb = c.gates[gate_idx].qubits
+            for gate_idx, qubits in layer:
+                if len(qubits) == 2:
+                    qa, qb = qubits
                     next_partners[gate_idx] = (later[qa], later[qb])
                     later[qa], later[qb] = qb, qa
 
     # pass 1: every episode's zones and moves, phase by phase
     phases: list[list[tuple[int, int, int]]] = []  # out, return, out, ...
-    timed: list[list[tuple[int, Gate, int]]] = []  # each phase pair's episodes
+    timed: list[list[tuple[int, tuple[int, ...], int]]] = []  # each phase pair's episodes
     for layer in layers:
-        episodes = []  # (gate_index, gate, zone)
-        for gate_idx in layer:
-            g = c.gates[gate_idx]
-            if not _schedulable(g, measure_duration):
-                continue
-            if two_qubit[gate_idx]:
-                i, j = sites[g.qubits[0]], sites[g.qubits[1]]
+        if not layer:
+            continue
+        episodes = []  # (gate_index, qubits, zone)
+        for gate_idx, qubits in layer:
+            if len(qubits) == 2:
+                i, j = sites[qubits[0]], sites[qubits[1]]
                 zone = (i + j + 1) // 2 if sequential else max(i, j)
             else:
-                zone = sites[g.qubits[0]]
-            episodes.append((gate_idx, g, zone))
-        if not episodes:
-            continue
+                zone = sites[qubits[0]]
+            episodes.append((gate_idx, qubits, zone))
 
         # out phase: every operand shuttles to its zone simultaneously
-        out_moves = [(q, sites[q], zone) for _, g, zone in episodes for q in g.qubits]
+        out_moves = [(q, sites[q], zone) for _, qubits, zone in episodes for q in qubits]
         for q, _, zone in out_moves:
             pos[q] = zone_pos[zone]
 
         # return phase: the free sites are the ones the out phase vacated
         if dynamic_return:
-            free = sorted(s for _, s, _ in out_moves)
-            returns = _assign_dynamic_returns(episodes, free, pos, site_pos, next_partners)
+            returns = _assign_dynamic_returns(episodes, out_moves, pos, site_pos, next_partners)
         else:
             returns = out_moves
         for q, s, _ in returns:
@@ -184,9 +182,9 @@ def _map(
         phases += (out_moves, returns)
         timed.append(episodes)
 
-    gate_time = np.where(two_qubit, spec.t_2q, spec.t_1q).astype(np.float64)
+    gate_time = np.where(c.two_qubit, spec.t_2q, spec.t_1q).astype(np.float64)
     if measure_duration is not None:
-        gate_time[[g.kind is GateKind.MEASURE for g in c.gates]] = measure_duration
+        gate_time[[measure for _, measure in entries]] = measure_duration
     ops, total_time, err = _timed_ops(phases, timed, gate_time, spec, errp, tunable)
     return Schedule(
         strategy=strategy,
@@ -203,7 +201,7 @@ def _map(
 
 def _timed_ops(
     phases: list[list[tuple[int, int, int]]],
-    timed: list[list[tuple[int, Gate, int]]],
+    timed: list[list[tuple[int, tuple[int, ...], int]]],
     gate_time: np.ndarray,
     spec: ArchitectureSpec,
     errp: ErrorModelParams,
@@ -224,7 +222,8 @@ def _timed_ops(
     n_moves = np.fromiter(map(len, phases), np.int64, len(phases))
     moves = np.fromiter(_flat(_flat(phases)), np.int64, 3 * int(n_moves.sum())).reshape(-1, 3)
     phase = np.repeat(np.arange(len(phases)), n_moves)
-    q, s, z = np.ascontiguousarray(moves[np.lexsort((*moves.T[::-1], phase))].T)
+    # a qubit moves at most once a phase, so (phase, qubit) is a unique key
+    q, s, z = np.ascontiguousarray(moves[np.argsort(phase * spec.n_sites + moves[:, 0], kind="stable")].T)
     site, zone = 2 * s, 2 * z + 1
     dist = np.abs(decode_locations(site, spec)[2] - decode_locations(zone, spec)[2])
     longest = np.maximum.reduceat(dist, np.cumsum(n_moves) - n_moves)
@@ -263,26 +262,24 @@ def _timed_ops(
     return ops, ends.item(-1) if len(ends) else 0.0, tuple(err.tolist())
 
 
-def _assign_dynamic_returns(episodes, free: list[int], pos: list[float], site_pos: list[float], next_partners):
-    """Assign each zone occupant a return site from the sorted ``free``
-    sites, zones right to left; the moves come back as (qubit, site, zone).
-
-    Every occupant takes the rightmost free site left of its zone. A pair's
-    two occupants take its two sites in the order ``_right_then_left`` gives
-    from the positions of their ``next_partners`` (by gate index; a gate not
-    in it has none). ``pos`` follows each qubit to its return site.
-    """
+def _assign_dynamic_returns(episodes, out_moves, pos: list[float], site_pos: list[float], next_partners):
+    """Deal the sites the ``out_moves`` vacated, in descending order, to the
+    zone occupants, zones right to left, as (qubit, site, zone) moves. A
+    pair's occupants take its sites in the order ``_right_then_left`` gives
+    from their ``next_partners``' positions (a gate not in it has none).
+    ``pos`` follows each qubit to its return site."""
+    free = sorted([s for _, s, _ in out_moves], reverse=True)
     returns: list[tuple[int, int, int]] = []
-    for gate_idx, g, zone in sorted(episodes, key=lambda e: -e[2]):
+    dealt = 0
+    for gate_idx, qubits, zone in sorted(episodes, key=itemgetter(2), reverse=True):
+        taken = free[dealt:dealt + len(qubits)]  # right to left
+        dealt += len(qubits)
         # eligible sites sit at positions <= the zone's: site index <= zone index
-        cut, k = bisect.bisect_right(free, zone), len(g.qubits)
-        if cut < k:
+        if taken[0] > zone:
             raise RuntimeError(f"no free site left of zone {zone} for gate {gate_idx}")
-        taken = free[cut - k:cut][::-1]  # right to left
-        del free[cut - k:cut]
-        qubits = g.qubits
-        if k == 2:
-            pa, pb = (None if p is None else pos[p] for p in next_partners.get(gate_idx, (None, None)))
+        if len(qubits) == 2:
+            na, nb = next_partners.get(gate_idx, (None, None))
+            pa, pb = None if na is None else pos[na], None if nb is None else pos[nb]
             qubits = _right_then_left(*qubits, pa, pb, site_pos[taken[0]], site_pos[taken[1]])
         for q, s in zip(qubits, taken):
             pos[q] = site_pos[s]

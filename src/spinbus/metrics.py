@@ -66,8 +66,7 @@ def summarize(s: Schedule) -> CompilationReport:
         raise ValueError("location out of range")
     if ((gate_index < 0) | (gate_index >= len(s.circuit.gates))).any():
         raise ValueError("gate index out of range")
-    two_qubit = np.array([g.is_two_qubit for g in s.circuit.gates], dtype=bool)
-    n_2q = int(np.count_nonzero(two_qubit[gate_index]))
+    n_2q = int(np.count_nonzero(s.circuit.two_qubit[gate_index]))
     mean, std = mean_std(s.per_qubit_error)
     return CompilationReport(
         strategy=s.strategy,

@@ -206,9 +206,13 @@ def _coverage(s: Schedule, stays: _Stays, op_index):
     gt = s.ops.gates
     gate_index, g_zone, g_start = gt.gate_index, gt.zone, gt.start
     g_known = (gate_index >= 0) & (gate_index < len(s.circuit.gates))
-    operands = [s.circuit.gates[k].qubits for k in gate_index[g_known].tolist()]
-    oq = np.array([x for qs in operands for x in qs], dtype=np.int64)
-    og = np.repeat(np.flatnonzero(g_known), np.array([len(qs) for qs in operands], dtype=np.int64))
+    offsets, qubits = s.circuit.operands
+    rows = np.flatnonzero(g_known)
+    first = offsets[gate_index[rows]]
+    count = offsets[gate_index[rows] + 1] - first
+    og = np.repeat(rows, count)  # each operand's gate row
+    # the j-th operand of a gate sits at its gate's first + j in the CSR columns
+    oq = qubits[np.arange(len(og)) + np.repeat(first - np.cumsum(count) + count, count)]
     zs = np.flatnonzero(stays.zone)
     zones = np.sort(np.append(-1, stays.index[zs]))
     zones = zones[np.append(True, zones[1:] != zones[:-1])]

@@ -51,11 +51,6 @@ def arch(n):
     return ArchitectureSpec(n_sites=n)
 
 
-@pytest.fixture(scope="module")
-def errp():
-    return ErrorModelParams()
-
-
 def ops_of(s, kind):
     return [op for op in s.ops if isinstance(op, kind)]
 
@@ -438,6 +433,14 @@ def _same_schedule(s, ref):
 ALL_FLAGS = tuple(itertools.product((False, True), repeat=4))
 
 
+def _with_measured_tail(c):
+    """``c`` with a fence and then a measurement of every other qubit."""
+    n = c.num_qubits
+    tail = (Gate(GateKind.BARRIER, tuple(range(n))),)
+    tail += tuple(Gate(GateKind.MEASURE, (q,)) for q in range(0, n, 2))
+    return Circuit(n, c.gates + tail)
+
+
 def _same_as_oracle(sc, pl, flags, measure_duration):
     """``_map`` gives the op-by-op mapper's schedule, or raises what it raises."""
     n, errp = sc.circuit.num_qubits, ErrorModelParams()
@@ -465,11 +468,8 @@ class TestTwoPassMapper:
         measure_duration=st.sampled_from((None, 50 * NS)),
     )
     def test_matches_the_op_by_op_mapper(self, family, n, seed, flags, placement, measure_duration):
-        c = decompose(generate(BenchmarkSpec(family=family, n=n, seed=seed)))
-        # a fenced measurement of every other qubit, timed only with a duration
-        tail = (Gate(GateKind.BARRIER, tuple(range(n))),)
-        tail += tuple(Gate(GateKind.MEASURE, (q,)) for q in range(0, n, 2))
-        sc = slice_circuit(Circuit(n, c.gates + tail))
+        # measurements are timed only with a duration
+        sc = slice_circuit(_with_measured_tail(decompose(generate(BenchmarkSpec(family=family, n=n, seed=seed)))))
         if placement == "spectral":
             pl = spectral_placement(build_interaction_graph(sc))
         else:
@@ -510,6 +510,121 @@ class TestTwoPassMapper:
             ScheduleOps(s.ops.order, sh, gt._replace(zone=gt.zone.astype(np.float64)))
         with pytest.raises(TypeError, match="delta_c"):
             ScheduleOps(s.ops.order, sh._replace(delta_c=sh.delta_c[:-1]), gt)
+
+
+def _map_or_raise(*args):
+    """What ``_map(*args)`` returns, or the type and args of what it raises."""
+    try:
+        return _map(*args)
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+class TestPerCircuitData:
+    """``Circuit`` derives its per-gate data once; every schedule mapped from
+    one circuit must equal the one a freshly built, equal circuit gives."""
+
+    def test_one_circuit_under_every_setting_matches_fresh_ones(self, errp):
+        n = 8
+        sc = slice_circuit(_with_measured_tail(decompose(generate(BenchmarkSpec(family="qaoa", n=n, seed=2)))))
+        settings_ = list(itertools.product(ALL_FLAGS, (None, 50 * NS), ("identity", "random")))
+        SplitMix64(7).shuffle(settings_)  # interleaved, not grouped by setting
+        raised = 0
+        for flags, measure_duration, placement in settings_:
+            pl = random_placement(n, 3) if placement == "random" else Placement.identity(n)
+            fresh = slice_circuit(Circuit(n, tuple(sc.circuit.gates)))
+            assert fresh.circuit == sc.circuit and fresh.circuit is not sc.circuit
+            args = (arch(n), pl, errp, "flags", flags, measure_duration)
+            got, want = _map_or_raise(sc, *args), _map_or_raise(fresh, *args)
+            _same_as_oracle(sc, pl, flags, measure_duration)
+            if isinstance(want, tuple):
+                assert got == want
+                raised += 1
+                continue
+            _same_schedule(got, want)
+            assert schedule_to_json(got) == schedule_to_json(want)
+            assert validate_schedule(got, got.arch) == validate_schedule(want, want.arch) == []
+            assert summarize(got) == summarize(want)
+        assert 0 < raised < len(settings_)
+
+    def test_two_operand_barrier_named_by_a_gate_op(self, errp):
+        c = Circuit(3, (h(0), Gate(GateKind.BARRIER, (0, 1)), cz(1, 2)))
+        assert not c.two_qubit[1] and c.gate_entries[1] == (None, False)
+        s = Schedule(
+            strategy="handmade", circuit=c, arch=arch(3),
+            error_params=errp, initial_sites=(0, 1, 2),
+            ops=(GateOp(1, 1, 0.0, 20e-9),),
+            total_time=20e-9, per_qubit_error=(0.0, 0.0, 0.0), final_sites=(0, 1, 2),
+        )
+        report = summarize(s)
+        assert (report.n_gates_1q, report.n_gates_2q) == (1, 0)
+        assert oracle_summary_counts(s)[2:] == (1, 0)
+        violations = validate_schedule(s, s.arch)
+        assert [(v.rule, v.op_index) for v in violations] == [("a", 0), ("a", 0)]
+        assert ["qubit 0 not" in violations[0].message, "qubit 1 not" in violations[1].message] == [True, True]
+        assert violations == oracle_validate_schedule(s, s.arch)
+
+    def test_derived_data_is_read_only(self):
+        c = decompose(generate(BenchmarkSpec(family="qft", n=4, seed=0)))
+        offsets, qubits = c.operands
+        for a in (c.two_qubit, offsets, qubits):
+            assert not a.flags.writeable
+        assert c.gate_entries[0][0] is c.gates[0].qubits
+        assert [tuple(qubits[offsets[k]:offsets[k + 1]].tolist()) for k in range(len(c.gates))] == [g.qubits for g in c.gates]
+
+
+class TestReturnSites:
+    """Pass 1 deals the vacated sites out in descending order, zones right to
+    left, instead of searching for each zone's free sites."""
+
+    @pytest.mark.parametrize("placement", ("spectral", "random"))
+    @pytest.mark.parametrize("family", ("qaoa", "qft"))
+    def test_matches_the_op_by_op_mapper_at_64_qubits(self, family, placement):
+        sc = slice_circuit(decompose(generate(BenchmarkSpec(family=family, n=64, seed=0))))
+        pl = spectral_placement(build_interaction_graph(sc)) if placement == "spectral" else random_placement(64, 5)
+        for strategy in STRATEGIES:
+            _same_as_oracle(sc, pl, STRATEGY_FLAGS[strategy], None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        gates=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.booleans()), max_size=12),
+    )
+    def test_sequential_returns_fail_exactly_at_a_distant_pair(self, errp, n, seed, gates):
+        """Under (sequential, dynamic_return) a gate's operands take back
+        their own sites, the smaller qubit the right one; a two-qubit gate
+        whose operand sites are 2 or more apart has no free site left of its
+        central zone."""
+        circuit = Circuit(n, tuple(
+            cz(a % n, b % n) if two and a % n != b % n else h(a % n) for a, b, two in gates
+        ))
+        pl = random_placement(n, seed)
+        sites, expected = list(pl.perm), None
+        for gate_idx, g in enumerate(circuit.gates):
+            if len(g.qubits) == 2:
+                (i, qa), (j, qb) = sorted((sites[q], q) for q in g.qubits)
+                if j - i >= 2:
+                    expected = f"no free site left of zone {(i + j + 1) // 2} for gate {gate_idx}"
+                    break
+                sites[min(qa, qb)], sites[max(qa, qb)] = j, i
+        flags = (True, True, False, False)
+        if expected is None:
+            s = _map(slice_circuit(circuit), arch(n), pl, errp, "flags", flags)
+            assert s.final_sites == tuple(sites)
+        else:
+            with pytest.raises(RuntimeError) as got:
+                _map(slice_circuit(circuit), arch(n), pl, errp, "flags", flags)
+            assert got.value.args == (expected,)
+
+    def test_strategies_never_run_out_of_sites(self, bench16, errp):
+        """The fixture maps every strategy at spectral placement and criterion
+        7 at random placement 0; further random placements raise nothing."""
+        for arch16, sc, schedules in bench16.values():
+            assert set(schedules) == set(STRATEGIES)
+            for seed in range(1, 4):
+                for strategy in STRATEGIES:
+                    map_strategy(strategy, sc, arch16, random_placement(16, seed), errp)
 
 
 def _ghz4_parallel():
