@@ -71,9 +71,11 @@ class ArchitectureSpec:
 
     n_sites equals both the qubit count and the manipulation-zone count;
     it must be an integer (a bool is not), or construction raises
-    TypeError, and a numpy integer is stored as an ``int``. Defaults: 2 um
-    site pitch, 1 um site-to-zone offset, 10 m/s shuttle velocity, 20 ns
-    single-qubit and 45 ns two-qubit gates.
+    TypeError, and a numpy integer is stored as an ``int``. The positions
+    must stay strictly increasing, site j < zone j < site j+1, with room
+    for their rounding all along the bus, or it raises ValueError.
+    Defaults: 2 um site pitch, 1 um site-to-zone offset, 10 m/s shuttle
+    velocity, 20 ns single-qubit and 45 ns two-qubit gates.
     """
 
     n_sites: int
@@ -100,6 +102,21 @@ class ArchitectureSpec:
             raise ValueError(
                 f"zone_offset ({self.zone_offset}) must be smaller than "
                 f"site_pitch ({self.site_pitch})"
+            )
+        # Positions are index * site_pitch (+ zone_offset). Each is within
+        # half the float spacing at the far end of the bus of its exact
+        # value, so gaps of more than half that spacing (site to zone) and
+        # twice it (zone to next site) keep site j < zone j < site j+1.
+        try:
+            far = (self.n_sites - 1) * self.site_pitch + self.zone_offset
+        except OverflowError:  # n_sites beyond any float
+            far = math.inf
+        spacing = math.ulp(far)
+        if not (self.zone_offset > spacing / 2 and self.site_pitch - self.zone_offset > 2 * spacing):
+            raise ValueError(
+                f"positions site j < zone j < site j+1 do not stay increasing: zone_offset "
+                f"{self.zone_offset} and site_pitch {self.site_pitch} are not clear of the "
+                f"float spacing {spacing} at the far end of {self.n_sites} sites"
             )
 
     def check_location(self, loc: Location) -> None:

@@ -12,16 +12,17 @@ repr, newlines fixed to "\n".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from pathlib import Path
 
-from .architecture import ArchitectureSpec
+from .architecture import ArchitectureSpec, Location, distance
 from .benchgen import FAMILIES, BenchmarkSpec, generate
 from .circuit import Circuit, decompose, slice_circuit
-from .error_model import ErrorModelParams
-from .mapper import STRATEGIES, map_strategy
+from .error_model import V_BRACKET, ErrorModelParams, optimal_velocity, phase_error
+from .mapper import STRATEGIES, STRATEGY_FLAGS, map_strategy
 from .metrics import compare, left_sum, mean_std, reports_to_csv, reports_to_json, summarize
 from .placement import (
     Placement,
@@ -172,6 +173,41 @@ def _build_errp(path: str | None) -> ErrorModelParams:
         raise ConfigError(f"bad error-model config: {exc}") from exc
 
 
+def _check_model(arch: ArchitectureSpec, errp: ErrorModelParams, strategies, sliced, measure_duration) -> None:
+    """ConfigError unless every schedule of ``sliced`` keeps its times and
+    errors, and the reports their sums and squares, finite.
+
+    The error model must evaluate, without raising and to a finite value,
+    over the longest move on the bus (site 0 to the last zone) at every
+    velocity the strategies shuttle at: the default velocity, and for a
+    tunable strategy the optimum, whose search evaluates the model across
+    its whole velocity bracket (a shorter move's optimum does no worse).
+    A schedule has fewer than ``ops`` ops, none longer than that move at
+    the slowest velocity or the longest gate, so ``ops`` times the longest
+    op bounds its time, and ``ops`` times the worst error bounds a qubit's
+    error, twice that its distance from the mean.
+    """
+    longest = distance(Location.site(0), Location.zone(arch.n_sites - 1), arch)
+    slowest, errors = [], []
+    try:
+        for tunable in sorted({STRATEGY_FLAGS[s][2] for s in strategies}):
+            v = optimal_velocity(longest, errp) if tunable else arch.default_velocity
+            slowest.append(V_BRACKET[0] if tunable else v)
+            errors.append(phase_error(v, longest, errp))
+    except ArithmeticError as exc:  # ZeroDivisionError, OverflowError
+        raise ConfigError(f"the error model fails at the velocities in use: {exc!r}") from exc
+    if not all(map(math.isfinite, errors)):
+        raise ConfigError(f"the error model is not finite over the longest move, {longest} m")
+    ops = 4 * len(sliced.circuit.gates) + 1
+    worst_time = ops * max(longest / min(slowest), arch.t_1q, arch.t_2q, measure_duration or 0.0)
+    worst_spread = 2 * ops * max(errors)
+    if not (math.isfinite(worst_time * 1e9) and math.isfinite(worst_spread * worst_spread * arch.n_sites)):
+        raise ConfigError(
+            f"schedule times or errors of this circuit could overflow a float: up to {ops} ops of "
+            f"up to {worst_time / ops} s, each shuttle adding up to {max(errors)}"
+        )
+
+
 def _out_dir(path: str) -> Path:
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
@@ -248,6 +284,7 @@ def _run_matrix(cases, modes, strategies, args, errp, measure_duration=None):
     one schedule alive (the peak memory of a long compile).
     """
     for tag, sliced, arch in cases:
+        _check_model(arch, errp, strategies, sliced, measure_duration)
         placements = [
             row
             for mode in modes
@@ -428,7 +465,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="spinbus",
         description="Compile quantum circuits onto a 1D spin-qubit shuttling bus.",

@@ -89,13 +89,21 @@ def _check_v(v: float) -> None:
         raise ValueError(f"velocity must be strictly positive, got {v}")
 
 
-def phase_error_terms(
-    v: float, l_s: float, p: ErrorModelParams
-) -> tuple[float, float, float, float]:
-    """The four dephasing contributions at velocity ``v`` and distance ``l_s``."""
-    _check_v(v)
+def _check_l_s(l_s) -> None:
+    """Reject a negative distance; ``l_s`` is a float or an array."""
+    if isinstance(l_s, np.ndarray):
+        negative = l_s[l_s < 0]
+        l_s = negative.item(0) if len(negative) else 0.0
     if l_s < 0:
         raise ValueError(f"distance must be nonnegative, got {l_s}")
+
+
+def phase_error_terms(v: float, l_s, p: ErrorModelParams) -> tuple:
+    """The four dephasing contributions at velocity ``v`` and distance
+    ``l_s``. ``l_s`` may be an array of distances: t1 and t4 are then
+    arrays, each element with the bits of the float expression."""
+    _check_v(v)
+    _check_l_s(l_s)
     t1 = 2.0 * p.l_c * l_s / (v * p.t2_star) ** 2
     t2 = 1e-4 / v
     t3 = 0.01 * 0.5 * (HBAR * p.a_x * v) ** 2 / p.e_vs0**2 * math.exp(
@@ -107,22 +115,34 @@ def phase_error_terms(
     return t1, t2, t3, t4
 
 
-def phase_error(v: float, l_s: float, p: ErrorModelParams) -> float:
-    """Total phase error of one shuttle: sum of the four terms."""
+def phase_error(v: float, l_s, p: ErrorModelParams):
+    """Total phase error of one shuttle: sum of the four terms (an array
+    for an array of distances ``l_s``)."""
     t1, t2, t3, t4 = phase_error_terms(v, l_s, p)
     return t1 + t2 + t3 + t4
 
 
 def _phase_errors(velocity: np.ndarray, dist: np.ndarray, errp: ErrorModelParams) -> np.ndarray:
-    """``phase_error`` of every (velocity, distance) row, run once per
-    distinct pair in the order the pairs first come. Each pair is one exact
-    complex, and its parts go in as Python floats, so a velocity
-    ``phase_error`` rejects raises as the scalar path does."""
-    keys, seen, which = np.unique(velocity + 1j * dist, return_index=True, return_inverse=True)
-    key_dc, keys = np.empty(len(keys)), keys.tolist()
-    for k in np.argsort(seen).tolist():
-        key_dc[k] = phase_error(keys[k].real, keys[k].imag, errp)
-    return key_dc[which]
+    """``phase_error`` of every (velocity, distance) row, with the bits of
+    the scalar calls: one call per distinct velocity, in the order the
+    velocities first come, over that velocity's distances as an array.
+
+    Every division in the formula has a denominator of the velocity and
+    the parameters alone, and ``math.exp`` stays per velocity. Each
+    velocity's first row goes through the scalar path first, so a velocity
+    ``phase_error`` cannot evaluate raises, at the first row that has it,
+    what the scalar path raises (an array divided by zero would give inf,
+    not ZeroDivisionError)."""
+    keys, first, which = np.unique(velocity.view(np.int64), return_index=True, return_inverse=True)
+    rows = np.argsort(which, kind="stable")  # grouped by velocity
+    bounds = np.append(0, np.cumsum(np.bincount(which))).tolist()
+    dc, vs = np.empty(len(velocity)), keys.view(np.float64).tolist()
+    with np.errstate(all="ignore"):  # Python floats overflow to inf silently
+        for k in np.argsort(first).tolist():
+            phase_error(vs[k], dist.item(first[k]), errp)
+            group = rows[bounds[k]:bounds[k + 1]]
+            dc[group] = phase_error(vs[k], dist[group], errp)
+    return dc
 
 
 @functools.lru_cache(maxsize=4096)

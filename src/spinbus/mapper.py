@@ -45,9 +45,9 @@ rightmost free site left of its zone. A sequential layer, one gate, has
 none exactly when its first dealt site lies right of the zone. Pass 2
 (``_timed_ops``) times every move at once as numpy columns: distances,
 each phase's longest move and velocity, durations, ``phase_error`` once
-per distinct (velocity, distance), the episode clock as a left fold, and
-each qubit's error as a sum in op order, every float with the bits of
-the op-by-op scalar arithmetic.
+per distinct velocity over an array of its distances, the episode clock
+as a left fold, and each qubit's error as a sum in op order, every float
+with the bits of the op-by-op scalar arithmetic.
 """
 from __future__ import annotations
 
@@ -215,9 +215,10 @@ def _timed_ops(
     Each phase shuttles its moves in qubit order at one velocity (the
     optimum for its longest move if ``tunable``) and lasts as long as that
     move. Every float has the bits of the scalar expressions: positions from
-    ``decode_locations``, durations ``dist / v``, ``phase_error`` once per distinct
-    (velocity, distance), episode times a left fold over [out, longest
-    gate, return] per episode, and each qubit's error a sum in op order.
+    ``decode_locations``, durations ``dist / v``, ``phase_error`` once per
+    distinct velocity over an array of its distances (``_phase_errors``),
+    episode times a left fold over [out, longest gate, return] per
+    episode, and each qubit's error a sum in op order.
     """
     n_moves = np.fromiter(map(len, phases), np.int64, len(phases))
     moves = np.fromiter(_flat(_flat(phases)), np.int64, 3 * int(n_moves.sum())).reshape(-1, 3)

@@ -273,43 +273,88 @@ def _ns_json(seconds: float, name: str) -> str:
     return repr(ns)
 
 
-def _loc_json(code: int) -> str:
-    return _LOCATION_JSON % (code >> 1, _LOCATION_KINDS[code & 1].value)
+# Below 2**43 ns a double's spacing is under 1 ps, so no decimal shorter
+# than a whole number of ps reads back as the same double.
+_PS_EXACT_NS = 2.0**43
+
+
+@functools.cache
+def _ps_decimals() -> np.ndarray:
+    """The text after the whole ns of each remainder of 0-999 ps, as
+    ``repr`` writes it: ".0", ".001", ..., ".5", ..., ".999"."""
+    return np.array([repr(r / 1000)[1:] for r in range(1000)], dtype=object)
+
+
+def _ns_texts(seconds: np.ndarray, name: str) -> np.ndarray:
+    """``_ns_json`` of every value of ``seconds``, by integer picoseconds.
+
+    ``ps = seconds * 1e9 * 1000`` is within half its spacing of the exact
+    product of the ns value and 1000. Where it lies more than one spacing
+    from a half-integer, ``rint(ps)`` is therefore the whole number of ps
+    that ``round(ns, 3)`` takes, and below ``_PS_EXACT_NS`` ``repr`` writes
+    it as its whole ns and stripped remainder. Any other value (a near-tie,
+    one too large, or one that overflows) goes through ``_ns_json``, which
+    raises ValueError naming ``name`` for a value it cannot write.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ns = seconds * 1e9
+        ps = ns * 1000.0
+        exact = (np.abs(ns) < _PS_EXACT_NS) & (np.abs(ps - np.floor(ps) - 0.5) > np.spacing(np.abs(ps)))
+    whole = np.rint(ps[exact])
+    ns_part, ps_part = np.divmod(np.abs(whole).astype(np.int64), 1000)
+    texts = np.empty(len(seconds), dtype=object)
+    texts[exact] = (
+        np.array(["", "-"], dtype=object)[np.signbit(whole).view(np.uint8)]
+        + np.array(list(map(str, ns_part.tolist())), dtype=object)
+        + _ps_decimals()[ps_part]
+    )
+    for i in np.flatnonzero(~exact).tolist():
+        texts[i] = _ns_json(seconds.item(i), name)
+    return texts
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))
+
+
+def _loc_texts(codes: np.ndarray) -> list[str]:
+    return [_LOCATION_JSON % (code >> 1, _LOCATION_KINDS[code & 1].value) for code in codes.tolist()]
 
 
 def _fields(cols, fields):
     """The text of every row of each field, in ``fields`` order: ``fields``
-    holds (column name, text before the value, formatter, text after).
-    Each distinct value (bit pattern, so 0.0 and -0.0 stay apart) is
-    formatted once, and the rows gather their texts by array indexing."""
+    holds (column name, text before the value, formatter, text after), and
+    a formatter turns an array of values into their texts. Each distinct
+    value (bit pattern, so 0.0 and -0.0 stay apart) is formatted once, and
+    the rows gather their texts by array indexing."""
     for name, before, fmt, after in fields:
         col = getattr(cols, name)
         keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        texts = [before + fmt(x) + after for x in keys.view(col.dtype).tolist()]
-        yield np.array(texts, dtype=object)[inverse]
+        texts = before + np.array(fmt(keys.view(col.dtype)), dtype=object)
+        yield (texts + after if after else texts)[inverse]
 
 
 # The fields of each op kind in key order. Each op opens with a comma; the
 # array's first op drops it.
 _SHUTTLE_FIELDS = (
-    ("delta_c", ',{"dC":', repr, ""),
-    ("src", ',"from":', _loc_json, ""),
-    ("qubit", ',"q":', repr, ""),
-    ("start", ',"t0_ns":', functools.partial(_ns_json, name="t0_ns"), ""),
-    ("dst", ',"to":', _loc_json, ""),
-    ("velocity", ',"v_mps":', repr, "}"),
+    ("delta_c", ',{"dC":', _reprs, ""),
+    ("src", ',"from":', _loc_texts, ""),
+    ("qubit", ',"q":', _reprs, ""),
+    ("start", ',"t0_ns":', functools.partial(_ns_texts, name="t0_ns"), ""),
+    ("dst", ',"to":', _loc_texts, ""),
+    ("velocity", ',"v_mps":', _reprs, "}"),
 )
 _GATE_FIELDS = (
-    ("duration", ',{"dur_ns":', functools.partial(_ns_json, name="dur_ns"), ""),
-    ("gate_index", ',"gate":', repr, ""),
-    ("start", ',"t0_ns":', functools.partial(_ns_json, name="t0_ns"), ""),
-    ("zone", ',"zone":', repr, "}"),
+    ("duration", ',{"dur_ns":', functools.partial(_ns_texts, name="dur_ns"), ""),
+    ("gate_index", ',"gate":', _reprs, ""),
+    ("start", ',"t0_ns":', functools.partial(_ns_texts, name="t0_ns"), ""),
+    ("zone", ',"zone":', _reprs, "}"),
 )
 
 
-def _ops_json(ops: ScheduleOps) -> str:
-    """The op array: one text fragment per op field, laid out in op order
-    and joined once."""
+def _ops_json(ops: ScheduleOps) -> list[str]:
+    """The op array's fragments, one per op field, in op order; joined,
+    they are the array's text without its brackets."""
     shuttle = np.frombuffer(ops.order.encode(), dtype=np.uint8) == ord("s")
     width = np.where(shuttle, len(_SHUTTLE_FIELDS), len(_GATE_FIELDS))
     first = np.cumsum(width) - width
@@ -320,20 +365,22 @@ def _ops_json(ops: ScheduleOps) -> str:
             fragments[rows + k] = texts
     if len(fragments):
         fragments[0] = fragments[0][1:]
-    return "[" + "".join(fragments.tolist()) + "]"
+    return fragments.tolist()
 
 
 def schedule_to_json(s: Schedule) -> str:
     """The schedule's JSON text: keys sorted, no spaces, one newline.
 
-    The op array is built from the columns: each distinct location, number
-    and rounded time is formatted once, with its key, as ``json.dumps``
-    formats it; the rows gather these texts by array indexing, they are
-    laid out in op order as one array of fragments, and one ``join`` makes
-    the text. Times are written in ns rounded to 1 ps; one too large for
-    that to be a finite number (an op start, a gate duration or
-    ``total_time`` of about 1.8e299 s or more) raises ValueError naming its
-    field, where ``json.dumps`` would write the non-JSON ``Infinity``.
+    The op array is built from the columns: each distinct location and
+    number is formatted once, with its key, as ``json.dumps`` formats it,
+    and each distinct time by integer picosecond arithmetic
+    (``_ns_texts``); the rows gather these texts by array indexing into a
+    list of fragments in op order. One ``join`` of the fields before the op
+    array, its fragments and the fields after it makes the text. Times are
+    written in ns rounded to 1 ps; one too large for that to be a finite
+    number (an op start, a gate duration or ``total_time`` of about 1.8e299
+    s or more) raises ValueError naming its field, where ``json.dumps``
+    would write the non-JSON ``Infinity``.
     """
     fields = {
         "strategy": _dumps(s.strategy),
@@ -345,7 +392,12 @@ def schedule_to_json(s: Schedule) -> str:
         "per_qubit_error": _dumps(list(s.per_qubit_error)),
         "final_sites": _dumps(list(s.final_sites)),
     }
-    return "{" + ",".join(f"{_dumps(k)}:{v}" for k, v in sorted(fields.items())) + "}\n"
+    fragments = fields.pop("ops")
+    items = [f"{_dumps(k)}:{v}" for k, v in sorted(fields.items())]
+    split = sum(key < "ops" for key in fields)  # the fields before the op array
+    fragments.insert(0, "{" + ",".join(items[:split]) + ',"ops":[')
+    fragments.append("]," + ",".join(items[split:]) + "}\n")
+    return "".join(fragments)
 
 
 def schedule_from_json(text: str, circuit: Circuit) -> Schedule:

@@ -44,10 +44,10 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     shuttle or gate rows, and a ``Violation`` is formatted only for a
     flagged row. Every float expression is evaluated elementwise with the
     bits of its scalar form, and ``phase_error`` runs once per distinct
-    (velocity, distance). Rule (d) tests only pairs of moves that overlap
-    in time and have different slopes, or whose rounding a bound cannot
-    rule out (see ``_crossings``), so a phase of k simultaneous shuttles at
-    one velocity costs O(k). The list holds, in this order: the shuttle
+    velocity over an array of its distances. Rule (d) tests only pairs of
+    moves that overlap in time and have different slopes, or whose rounding
+    a bound cannot rule out (see ``_crossings``), so a phase of k
+    simultaneous shuttles at one velocity costs O(k). The list holds, in this order: the shuttle
     checks (distance, duration, delta_c) by op; the placement check;
     unknown qubits by op; each qubit's chain (departure site, then time) in
     qubit order; (a) by gate op and operand; (b), then (c), by location in
@@ -138,9 +138,9 @@ def _violations(s: Schedule, spec: ArchitectureSpec):
 
 def _shuttle_checks(s: Schedule, spec: ArchitectureSpec, dist, on_bus, op_index):
     """Shuttle-op internal consistency. ``phase_error`` runs once per
-    distinct (velocity, distance) of a move on the bus, in op order, and, as
-    ``shuttle_time`` would, rejects a velocity that is not > 0, so the first
-    shuttle that raises raises."""
+    distinct velocity of the moves on the bus, in op order, over an array of
+    that velocity's distances, and, as ``shuttle_time`` would, rejects a
+    velocity that is not > 0, so the first shuttle that raises raises."""
     sh = s.ops.shuttles
     vel, dur, dc = sh.velocity, sh.duration, sh.delta_c
     moves = dist != 0

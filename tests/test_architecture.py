@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbus.architecture import (
     ArchitectureSpec,
     Location,
+    decode_locations,
     distance,
     position,
     shuttle_time,
@@ -96,6 +99,40 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         # zones must lie strictly between neighbouring sites
         ArchitectureSpec(n_sites=4, zone_offset=2e-6, site_pitch=2e-6)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # the offset is absorbed in rounding: zone j == site j
+        {"n_sites": 6, "site_pitch": 1e244, "zone_offset": 1e-6},
+        {"n_sites": 6, "site_pitch": 2.9e22, "zone_offset": 1e-6},
+        # zone j == site j+1 after rounding
+        {"n_sites": 6, "site_pitch": 1e10 + 1e-6, "zone_offset": 1e10},
+        # positions beyond a float
+        {"n_sites": 6, "site_pitch": 1e308, "zone_offset": 1.0},
+        {"n_sites": 10**400},
+    ],
+)
+def test_positions_must_stay_increasing(fields):
+    with pytest.raises(ValueError, match="do not stay increasing"):
+        ArchitectureSpec(**fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_sites=st.integers(2, 64),
+    pitch=st.floats(-300, 300).map(lambda e: 10.0**e),
+    share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_accepted_positions_increase(n_sites, pitch, share):
+    try:
+        spec = ArchitectureSpec(n_sites=n_sites, site_pitch=pitch, zone_offset=pitch * share)
+    except ValueError:
+        return
+    codes = np.arange(2 * n_sites, dtype=np.int64)  # site 0, zone 0, site 1, ...
+    assert (np.diff(decode_locations(codes, spec)[2]) > 0).all()
+    assert [position(Location.zone(j), spec) for j in range(n_sites)] == decode_locations(codes, spec)[2][1::2].tolist()
 
 
 @pytest.mark.parametrize("n_sites", [2.5, 3.0, True, "4", None])

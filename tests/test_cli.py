@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from spinbus.benchgen import FAMILIES
 from spinbus.cli import (
-    BENCH_HEADER, COMPARE_HEADER, OPTIONS, PLACEMENT_MODES, SWEEP_HEADER, main,
+    BENCH_HEADER, COMPARE_HEADER, OPTIONS, PLACEMENT_MODES, SWEEP_HEADER, _build_parser, main,
 )
 from spinbus.mapper import STRATEGIES
 
@@ -383,6 +383,75 @@ class TestConfigFiles:
         assert run_cli("compile", "--input", qasm, "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_ARCH_KEYS = ("n_sites", "site_pitch_um", "zone_offset_um", "default_velocity_mps", "t_1q_ns", "t_2q_ns")
+_ERROR_KEYS = ("l_c_nm", "t2_star_us", "l_dot_nm", "e_vs0_uev", "d_bar_nm", "a_x_pi_per_nm")
+
+
+def _compile_with_config(tmp_path, capsys, option, cfg, strategy):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run_cli(
+        "compile", "--gen", "qaoa", "--n", 6, "--strategy", strategy, option, path,
+        "--out", tmp_path / "out",
+    )
+    return code, capsys.readouterr().err
+
+
+class TestExtremeConfigs:
+    """Finite but extreme config values exit 0 or 2, never a traceback or 3."""
+
+    @pytest.mark.parametrize(
+        "option, cfg, message, strategies",
+        [
+            # the error model once raised ZeroDivisionError and OverflowError;
+            # the tunable strategies never shuttle at the default velocity
+            ("--arch-config", {"default_velocity_mps": 1e-160}, "ZeroDivisionError", ["baseline"]),
+            ("--arch-config", {"default_velocity_mps": 1e160}, "OverflowError", ["baseline"]),
+            ("--error-config", {"t2_star_us": 1e-300}, "ZeroDivisionError", ["baseline", "swap_return"]),
+            # the offset was absorbed in rounding: exit 3, zero-distance shuttle
+            ("--arch-config", {"site_pitch_um": 1e250, "zone_offset_um": 1.0}, "do not stay increasing",
+             ["baseline", "swap_return"]),
+            ("--arch-config", {"site_pitch_um": 2.9e28, "zone_offset_um": 1.0}, "do not stay increasing",
+             ["baseline", "swap_return"]),
+            # finite errors whose squares overflowed in the report's std
+            ("--error-config", {"l_c_nm": 7.8e183}, "could overflow", ["baseline", "swap_return"]),
+            ("--arch-config", {"default_velocity_mps": 1.9e-84}, "could overflow", ["baseline"]),
+        ],
+    )
+    def test_reproducers_exit_2(self, tmp_path, capsys, option, cfg, message, strategies):
+        for strategy in strategies:
+            code, err = _compile_with_config(tmp_path, capsys, option, cfg, strategy)
+            assert code == 2
+            assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        key=st.sampled_from(_ARCH_KEYS + _ERROR_KEYS),
+        value=st.floats(-300, 300).map(lambda e: 10.0**e),
+    )
+    def test_any_single_key_exits_0_or_2(self, key, value):
+        option = "--arch-config" if key in _ARCH_KEYS else "--error-config"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/cfg.json"
+            with open(path, "w") as fh:
+                json.dump({key: value}, fh)
+            for strategy in ("baseline", "swap_return"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = run_cli(
+                        "compile", "--gen", "qaoa", "--n", 6, "--strategy", strategy,
+                        option, path, "--out", f"{tmp}/out",
+                    )
+                err = err.getvalue()
+                assert (code, err) == (0, "") or (
+                    code == 2 and err.startswith("error: ") and err.count("\n") == 1
+                ), (key, value, strategy, code, err)
+
+
+def test_parser_built_once():
+    assert _build_parser() is _build_parser()
 
 
 # JSON values of every kind the exit-code property draws from

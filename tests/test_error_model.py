@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbus.error_model import (
     ErrorModelParams,
+    _phase_errors,
     HBAR,
     UEV,
     V_BRACKET,
@@ -214,3 +217,62 @@ def _vectorized_delta_c(v, l_s, p):
         -0.03 * np.log(10.0) * p.e_vs0 * p.l_dot / (HBAR * v)
     )
     return t1 + t2 + t3 + t4
+
+
+def _scalar_loop(velocity, dist, p):
+    """The reference: ``phase_error`` of every row, one scalar call each."""
+    return np.array([phase_error(v, d, p) for v, d in zip(velocity.tolist(), dist.tolist())])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).view(np.int64).tolist()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), exc.args
+
+
+_RAISING_VELOCITIES = [0.0, -0.0, -1.0, math.nan, 1e-160, 1e160]
+
+
+class TestPhaseErrorsByVelocity:
+    """``_phase_errors`` groups rows by velocity and evaluates each group as
+    an array: every bit, and the first exception, as the scalar loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        velocities=st.lists(st.floats(0.01, 1000.0), min_size=1, max_size=6),
+        picks=st.lists(st.tuples(st.integers(0, 5), st.floats(0.0, 1e-3)), max_size=60),
+    )
+    def test_bits_match_the_scalar_loop(self, p, velocities, picks):
+        velocity = np.array([velocities[i % len(velocities)] for i, _ in picks], dtype=np.float64)
+        dist = np.array([d for _, d in picks], dtype=np.float64)
+        assert _outcome(_phase_errors, velocity, dist, p) == _outcome(_scalar_loop, velocity, dist, p)
+
+    def test_extreme_parameters_match_the_scalar_loop(self):
+        # terms that overflow to inf or give inf * 0 = nan in Python floats
+        # do so silently in the array path too, without a RuntimeWarning
+        velocity = np.array([0.01, 1000.0, 0.01, 5.0, 1000.0])
+        dist = np.array([1e-6, 1e300, 1e308, 0.0, 1e-6])
+        for p in (ErrorModelParams(d_bar=1e-300), ErrorModelParams(l_c=1e300), ErrorModelParams(d_bar=5e-324)):
+            assert _outcome(_phase_errors, velocity, dist, p) == _outcome(_scalar_loop, velocity, dist, p)
+
+    @pytest.mark.parametrize("bad", _RAISING_VELOCITIES)
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    def test_first_failing_velocity_raises_as_the_scalar_loop(self, p, bad, at):
+        velocity = np.array([10.0, 3.0, 10.0, 7.0, 3.0, 10.0, 7.0, 3.0])
+        velocity[at] = bad
+        velocity[-1 if at != 7 else 0] = 1e-160 if bad != 1e-160 else 1e160
+        dist = np.arange(1, 9) * 1e-6
+        got, want = _outcome(_phase_errors, velocity, dist, p), _outcome(_scalar_loop, velocity, dist, p)
+        assert want[0] in (ValueError, ZeroDivisionError, OverflowError)
+        assert got == want
+
+    def test_array_distances_rejected_when_negative(self, p):
+        with pytest.raises(ValueError, match="-2e-06"):
+            phase_error(10.0, np.array([1e-6, -2e-6, -3e-6]), p)
+
+    def test_array_distances_match_scalar_terms(self, p):
+        dist = np.array([0.0, 1e-6, 3e-6, 1e-3])
+        terms = phase_error_terms(10.0, dist, p)
+        for i, d in enumerate(dist.tolist()):
+            assert [np.float64(t if np.ndim(t) == 0 else t[i]) for t in terms] == list(phase_error_terms(10.0, d, p))

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from spinbus.placement import (
     spectral_placement,
 )
 from spinbus.rng import SplitMix64
-from spinbus.schedule import GateOp, Schedule, ScheduleOps, ShuttleOp, schedule_from_json, schedule_to_json
+from spinbus.schedule import (
+    GateOp, Schedule, ScheduleOps, ShuttleOp, _ns_json, _ns_texts, schedule_from_json, schedule_to_json,
+)
 import spinbus.validate as validate_module
 from spinbus.validate import validate_schedule
 from oracles import oracle_map, oracle_schedule_to_json, oracle_summary_counts
@@ -1577,3 +1580,73 @@ class TestWriter:
             schedule_to_json(s)
         with pytest.raises(ValueError):
             oracle_schedule_to_json(s)
+
+
+def _ns_edges():
+    """Times where the picosecond kernel must hand over to ``_ns_json`` or
+    must match it exactly: half-ps ties, signed zeros, subnormals, either
+    side of 2**43 ns, and where ns stop being finite."""
+    ties = [(k + 0.5) * 1e-12 for k in (0, 1, 2, -3, 12345, 10**9, 2**40)]
+    edge = 2.0**43 * 1e-9
+    around = [float(x) for x in np.nextafter(edge, [0.0, np.inf])] + [edge, edge * (1 - 1e-12), edge * (1 + 1e-12)]
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310]
+    return ties + around + [-x for x in around] + tiny + [0.5e-12, 1.0000005e-6, 1e3, 1.7e299]
+
+
+def _texts_or_error(fn, values, name):
+    try:
+        return fn(values, name)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+class TestTimeTexts:
+    """``_ns_texts`` writes each time as ``_ns_json`` does, by integer ps."""
+
+    def _scalar(self, values, name):
+        return [_ns_json(x, name) for x in values.tolist()]
+
+    def _kernel(self, values, name):
+        return _ns_texts(values, name).tolist()
+
+    @pytest.mark.parametrize("value", _ns_edges())
+    def test_edges_match_the_scalar_path(self, value):
+        values = np.array([value, 1e-6])
+        assert self._kernel(values, "t0_ns") == self._scalar(values, "t0_ns")
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e4, 1e4),
+        st.integers(-(10**15), 10**15).map(lambda k: k * 1e-12),
+        st.integers(-(10**15), 10**15).map(lambda k: (k + 0.5) * 1e-12),
+    ), max_size=20))
+    def test_any_time_matches_the_scalar_path(self, values):
+        values = np.array(values, dtype=np.float64)
+        want = _texts_or_error(self._scalar, values, "dur_ns")
+        assert _texts_or_error(self._kernel, values, "dur_ns") == want
+
+    @pytest.mark.parametrize("value", [1.8e299, -1.8e299, 1e300, 1.7976931348623157e308])
+    @pytest.mark.parametrize("name", ["t0_ns", "dur_ns"])
+    def test_too_large_raises_naming_the_field(self, value, name):
+        # ns * 1000 overflows here; pyproject makes a RuntimeWarning an error
+        with pytest.raises(ValueError, match=name):
+            _ns_texts(np.array([1e-6, value]), name)
+
+    @pytest.mark.parametrize("strategy", ["baseline", "swap_return"])
+    def test_peak_memory_of_one_join(self, strategy):
+        # the op array, the header and the tail are joined once: the peak
+        # above entry is the text and the fragments that make it, not three
+        # copies of the text
+        sc = slice_circuit(decompose(generate(BenchmarkSpec(family="qaoa", n=24, seed=0))))
+        s = map_strategy(strategy, sc, arch(24), Placement.identity(24), ErrorModelParams())
+        schedule_to_json(s)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            text = schedule_to_json(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 300_000
+        assert peak - before <= 2.5 * len(text)
