@@ -59,7 +59,7 @@ from operator import itemgetter
 import numpy as np
 
 from .architecture import ArchitectureSpec, Location, decode_locations, position
-from .circuit import Gate, GateKind, SlicedCircuit
+from .circuit import SlicedCircuit
 from .error_model import ErrorModelParams, _phase_errors, optimal_velocity
 from .placement import Placement
 
@@ -81,11 +81,6 @@ STRATEGY_FLAGS = {
 STRATEGIES = tuple(STRATEGY_FLAGS)
 
 _flat = itertools.chain.from_iterable
-
-
-def _schedulable(g: Gate, measure_duration: float | None) -> bool:
-    """Whether ``g`` is scheduled: a BARRIER never, a MEASURE only with a duration."""
-    return g.kind is not GateKind.BARRIER and (g.kind is not GateKind.MEASURE or measure_duration is not None)
 
 
 def map_strategy(
@@ -132,7 +127,8 @@ def _map(
     zone_pos = [position(Location.zone(z), spec) for z in range(spec.n_sites)]
     sites = list(placement.perm)
     pos = [site_pos[s] for s in sites]  # a site's position, or a zone's while out
-    # each layer's scheduled gates as (gate index, qubits); see _schedulable
+    # each layer's scheduled gates as (gate index, qubits): a barrier is
+    # never scheduled, a measure only with a measure_duration
     entries, skip_measures = c.gate_entries, measure_duration is None
     scheduled = [None if qs is None or m and skip_measures else (k, qs) for k, (qs, m) in enumerate(entries)]
     if sequential:

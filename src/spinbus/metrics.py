@@ -43,11 +43,16 @@ def left_sum(values) -> float:
 
 
 def mean_std(values: tuple[float, ...]) -> tuple[float, float]:
+    """Mean and population std, each a left fold. Raises ValueError when a
+    squared deviation is too large for a float (above about 1e308)."""
     n = len(values)
     if n == 0:
         return 0.0, 0.0
     mean = left_sum(values) / n
-    var = left_sum((x - mean) ** 2 for x in values) / n
+    try:
+        var = left_sum((x - mean) ** 2 for x in values) / n
+    except OverflowError:
+        raise ValueError(f"values {values!r} spread too far to square their deviations") from None
     return mean, math.sqrt(var)
 
 

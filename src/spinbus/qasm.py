@@ -8,6 +8,12 @@ minus and parentheses. Anything else raises an unsupported-construct error
 naming the construct; malformed text raises a syntax error. Both carry the
 line and column of the offending token, counted from the text when the error
 is raised.
+
+Tokens are read as the OpenQASM 2.0 grammar writes them (Cross et al. 2017,
+arXiv:1707.03429): identifiers are ``[A-Za-z_][A-Za-z0-9_]*`` and numbers
+use the ASCII digits. Any character may appear in a ``//`` comment or a
+string literal; any other character the grammar lacks, non-ASCII included,
+is a syntax error.
 """
 from __future__ import annotations
 
@@ -67,18 +73,12 @@ def _position(text: str, off: int) -> tuple[int, int]:
     return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
-def _bad_character(text: str, off: int) -> QasmSyntaxError:
-    ch = text[off]
-    message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
-    return QasmSyntaxError(message, *_position(text, off))
-
-
 def _tokenize(text: str) -> list[_Tok]:
-    """``(kind, text, offset)`` per token. The kind is 'id', 'num', 'str'
-    (text without the quotes, offset at the opening one) or, for a symbol,
-    the symbol itself."""
-    if not text.isascii():
-        return _scan(text)
+    """``(kind, text, offset)`` per token, by the one ``_TOKEN`` regex for
+    every text. The kind is 'id', 'num', 'str' (text without the quotes,
+    offset at the opening one) or, for a symbol, the symbol itself. Any
+    character may appear in a comment or a string; outside them, one that
+    starts no token, non-ASCII or not, is a syntax error at its position."""
     tokens = [
         (m[k] if k == "sym" else k, m[k], m.start(k) - (k == "str"))
         for m in _TOKEN.finditer(text)
@@ -86,54 +86,10 @@ def _tokenize(text: str) -> list[_Tok]:
         if k is not None
     ]
     if tokens and tokens[-1][0] == "bad":
-        raise _bad_character(text, tokens[-1][2])
-    return tokens
-
-
-def _scan(text: str) -> list[_Tok]:
-    """``_tokenize`` for text that is not ASCII, character by character:
-    identifiers and numbers follow ``str.isalpha`` and ``str.isdigit``, which
-    no regex class matches exactly (``'²'.isdigit()``, unlike regex ``\\d``)."""
-    tokens: list[_Tok] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-        elif text.startswith("//", i):
-            i = text.find("\n", i)
-            if i < 0:
-                break
-        elif ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise _bad_character(text, i)
-            tokens.append(("str", text[i + 1 : j], i))
-            i = j + 1
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("id", text[i:j], i))
-            i = j
-        elif ch.isdigit() or (ch == "." and text[i + 1 : i + 2].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if text[j : j + 1] in ("e", "E"):
-                k = j + 1 + (text[j + 1 : j + 2] in ("+", "-"))
-                if text[k : k + 1].isdigit():
-                    j = k + 1
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-        else:  # an ASCII symbol, or no token at all
-            m = _TOKEN.match(text, i)
-            if m.lastgroup != "sym":
-                raise _bad_character(text, i)
-            tokens.append((m["sym"], m["sym"], i))
-            i = m.end()
+        off = tokens[-1][2]
+        ch = text[off]
+        message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+        raise QasmSyntaxError(message, *_position(text, off))
     return tokens
 
 

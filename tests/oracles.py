@@ -20,7 +20,6 @@ import numpy as np
 from spinbus.architecture import ArchitectureSpec, Location, distance, position, shuttle_time
 from spinbus.circuit import Circuit, Gate, GateKind, SlicedCircuit
 from spinbus.error_model import HBAR, ErrorModelParams, _check_v, optimal_velocity, phase_error
-from spinbus.mapper import _schedulable
 from spinbus.placement import InteractionGraph, Placement
 from spinbus.qasm import GATE_TABLE, QasmSyntaxError, UnsupportedConstructError
 from spinbus.schedule import GateOp, Schedule, ScheduleOps, ShuttleOp
@@ -224,6 +223,11 @@ def oracle_summary_counts(s: Schedule) -> tuple[int, float, int, int]:
             else:
                 n_1q += 1
     return n_shuttles, total_distance, n_1q, n_2q
+
+
+def _schedulable(g: Gate, measure_duration: float | None) -> bool:
+    """Whether ``g`` is scheduled: a BARRIER never, a MEASURE only with a duration."""
+    return g.kind is not GateKind.BARRIER and (g.kind is not GateKind.MEASURE or measure_duration is not None)
 
 
 def oracle_map(
@@ -455,11 +459,13 @@ def _assign_pair(
 
 
 # The QASM front end as it stood before its regex tokenizer: a character
-# scanner building one _Token per token, each carrying its line and column.
+# scanner building one _Token per token, each carrying its line and column,
+# with identifiers and numbers in ASCII as the OpenQASM 2.0 grammar has them.
 # parse_qasm must give the same circuits and errors, except for positions
 # after a string literal that spans a newline, where this scanner does not
 # count the line.
 _MAX_NESTING = 100
+_DIGITS = "0123456789"
 
 _SYMBOLS = ("->", "(", ")", "[", "]", "{", "}", ",", ";", "+", "-", "*", "/", "==")
 
@@ -501,25 +507,25 @@ def _tokenize(text: str) -> list[_Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isalpha() or ch == "_":
+        if ch.isascii() and ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isascii() and text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(_Token("id", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
+            while j < n and (text[j] in _DIGITS or text[j] == "."):
                 j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
             tokens.append(_Token("num", text[i:j], line, col))
             col += j - i

@@ -12,6 +12,7 @@ from spinbus.cli import (
     BENCH_HEADER, COMPARE_HEADER, OPTIONS, PLACEMENT_MODES, SWEEP_HEADER, _build_parser, main,
 )
 from spinbus.mapper import STRATEGIES
+from spinbus.validate import Violation
 
 GHZ_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -210,6 +211,38 @@ class TestCompile:
         assert list(out.glob("*.json")) == []
         assert (out / "reports__spectral.csv").exists()
 
+    def test_identity_placement(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli("compile", "--gen", "ghz", "--n", 4, "--placement", "identity", "--out", out)
+        assert code == 0
+        for strategy in STRATEGIES:
+            doc = json.loads((out / f"schedule_{strategy}__identity.json").read_text())
+            assert doc["placement"] == [0, 1, 2, 3]
+        assert (out / "reports__identity.csv").exists()
+
+    def test_invalid_schedule_exits_3(self, tmp_path, capsys, monkeypatch):
+        violation = Violation("a", 0, "injected")
+        monkeypatch.setattr("spinbus.cli.validate_schedule", lambda s, spec: [violation])
+        code = run_cli("compile", "--gen", "ghz", "--n", 4, "--out", tmp_path / "out")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "[a] injected" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--placement", "random", "--runs", 0), "--runs must be >= 1"),
+            (("--format", "xml"), "--format wants"),
+            (("--format", ","), "--format wants"),
+        ],
+    )
+    def test_bad_option_value_exits_2(self, tmp_path, capsys, flags, message):
+        code = run_cli("compile", "--gen", "ghz", "--n", 4, *flags, "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
 
 class TestBench:
     def test_matrix_shape(self, tmp_path):
@@ -230,6 +263,10 @@ class TestBench:
 
     def test_unknown_family_exits_2(self, tmp_path):
         assert run_cli("bench", "--families", "nope", "--out", tmp_path / "o") == 2
+
+    def test_no_family_exits_2(self, tmp_path, capsys):
+        assert run_cli("bench", "--families", ",", "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: no families selected\n"
 
     def test_unwritable_output_exits_2(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "out"

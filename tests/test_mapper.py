@@ -807,6 +807,10 @@ class TestValidator:
             c = decompose(generate(BenchmarkSpec(family="ghz", n=5, seed=0)))
             run(strategy, c, 5, errp)  # asserts empty violation list
 
+    def test_valid_schedules_validate_clean(self):
+        for s in _valid_schedules():
+            assert validate_schedule(s, s.arch) == oracle_validate_schedule(s, s.arch) == [], s.strategy
+
     def test_zone_capacity_violation(self):
         ops = [
             self._shuttle(0, Location.site(0), Location.zone(2), 0.0),
@@ -1385,38 +1389,6 @@ class TestCrossingsNearTheBound:
         monkeypatch.setattr(validate_module, "_ragged", counted)
         assert validate_schedule(s, spec) == []
         assert expanded and sum(expanded) == 0
-
-
-def _acceptance_corpus(errp):
-    """The schedules acceptance criterion 7 validates: the 16-qubit suite
-    at spectral and random placement, and 200 seeded random circuits."""
-    for family in FAMILIES:
-        sc = slice_circuit(decompose(generate(BenchmarkSpec(family=family, n=16, seed=0))))
-        for placement in (spectral_placement(build_interaction_graph(sc)), random_placement(16, 0)):
-            for strategy in STRATEGIES:
-                yield map_strategy(strategy, sc, arch(16), placement, errp)
-    for trial in range(200):
-        n = 4 + SplitMix64(7777 + trial).randbelow(13)
-        sc = slice_circuit(decompose(generate(BenchmarkSpec(family="random", n=n, seed=trial))))
-        for strategy in STRATEGIES:
-            yield map_strategy(strategy, sc, arch(n), random_placement(n, trial), errp)
-
-
-class TestScreen:
-    """Valid schedules pass the screen, the validator's masks, with nothing
-    flagged, so no message is formatted: the mapper's schedules and the
-    acceptance corpus validate clean, as the oracle finds."""
-
-    def test_valid_schedules_pass_the_screen(self):
-        for s in _valid_schedules():
-            assert validate_schedule(s, s.arch) == oracle_validate_schedule(s, s.arch) == [], s.strategy
-
-    def test_acceptance_corpus_passes_the_screen(self, errp):
-        checked = 0
-        for s in _acceptance_corpus(errp):
-            assert validate_schedule(s, s.arch) == [], (s.strategy, s.circuit.num_qubits)
-            checked += 1
-        assert checked == 1070
 
 
 class TestScheduleOps:

@@ -102,6 +102,18 @@ def test_mean_std_folds_left_to_right():
     assert left_sum(iter([0.5, 0.25])) == 0.75 and left_sum([]) == 0.0
 
 
+def test_mean_std_overflow_is_value_error(errp):
+    # a squared deviation above the largest float raised a bare OverflowError
+    with pytest.raises(ValueError, match="1e[+]?160"):
+        mean_std((1e160, 0.0))
+    c = decompose(generate(BenchmarkSpec(family="qaoa", n=6, seed=0)))
+    s = map_strategy("baseline", slice_circuit(c), ArchitectureSpec(n_sites=6),
+                     Placement.identity(6), errp)
+    errors = (1e160,) + tuple(s.per_qubit_error[1:])
+    with pytest.raises(ValueError, match="spread too far"):
+        summarize(dataclasses.replace(s, per_qubit_error=errors))
+
+
 def test_report_matches_refold_of_serialized_schedule(errp):
     """Dual-path oracle: aggregate the JSON wire form independently."""
     c = decompose(generate(BenchmarkSpec(family="graph_state", n=8, seed=3)))

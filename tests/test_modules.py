@@ -35,7 +35,6 @@ HOMES = {
     "STRATEGY_FLAGS": "mapper",
     "map_strategy": "mapper",
     "_map": "mapper",
-    "_schedulable": "mapper",
 }
 
 

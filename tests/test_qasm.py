@@ -87,7 +87,7 @@ def test_syntax_error_carries_position():
     [
         ('include "a\nb"; @', 2, 5),
         ('include "a\nb";\nqreg q[2];\nh q[3];', 4, 5),
-        ('include "\u00e9\nb"; @', 2, 5),  # the non-ASCII scanner
+        ('include "\u00e9\nb"; @', 2, 5),  # non-ASCII inside a string
         ('qreg q[1];\nh "x";', 2, 3),  # a string's position is its opening quote
         ('include "a"', 1, 9),  # end of input, at the last token
     ],
@@ -175,13 +175,34 @@ def test_export_round_trip_generated(family):
         "qreg q[2]; h q[1e0];",
         "qreg q[2]; rz(0..3) q[0];",
         "qreg q[2]; creg c[2]; measure q[0] -> c[0.5];",
-        "qreg q[\u00b2];",  # a digit to str.isdigit, not to int()
     ],
 )
 def test_malformed_numeric_literal_is_syntax_error(text):
     with pytest.raises(QasmSyntaxError) as info:
         parse_qasm(text)
     assert "bad " in str(info.value)
+
+
+# identifiers and numbers are ASCII, as in the OpenQASM 2.0 grammar: a letter
+# or digit outside ASCII starts no token
+@pytest.mark.parametrize(
+    "text, ch, col",
+    [
+        ("qreg \u00e9[2]; h \u00e9[0];", "\u00e9", 6),
+        ("qreg q[\u0663];", "\u0663", 8),  # ARABIC-INDIC DIGIT THREE
+        ("qreg q[2]; rz(\u0663.\u0665) q[0];", "\u0663", 15),
+        ("qreg q[\u00b2];", "\u00b2", 8),  # a digit to str.isdigit
+    ],
+)
+def test_non_ascii_letter_or_digit_is_unexpected(text, ch, col):
+    with pytest.raises(QasmSyntaxError) as info:
+        parse_qasm(text)
+    assert str(info.value) == f"line 1, col {col}: unexpected character {ch!r}"
+
+
+def test_non_ascii_in_comment_and_string_is_skipped():
+    text = 'OPENQASM 2.0;\ninclude "qelib1-{}.inc"; // {}\nqreg q[2]; h q[0]; cx q[0],q[1];\n'
+    assert parse_qasm(text.format("\u00e9", "caf\u00e9")) == parse_qasm(text.format("e", "cafe"))
 
 
 def test_deep_nesting_is_syntax_error():
@@ -257,7 +278,7 @@ _FREE_TEXT = st.lists(
         st.lists(st.one_of(_STATEMENTS, _FREE_TEXT), max_size=6).map(
             lambda body: "OPENQASM 2.0; qreg q[3]; creg c[3]; " + " ".join(body)
         ),
-        # the same statements through the non-ASCII scanner
+        # the same statements with non-ASCII text in a trailing comment
         st.lists(_STATEMENTS, max_size=6).map(
             lambda body: "OPENQASM 2.0; qreg q[3]; creg c[3]; " + " ".join(body) + "//\u00e9"
         ),
