@@ -32,29 +32,34 @@ together. Within a phase the shuttles are emitted in ascending qubit
 order. Phase duration is the maximum individual duration within it.
 Qubits untouched by a slice stay parked and accrue no error.
 
-The mapper runs in two passes. Pass 1, in Python, walks the layers and
-decides where every qubit goes: each episode's zone, each phase's
-(qubit, site, zone) moves, and the return sites. It reads the operands
-from per-gate data each ``Circuit`` derives once, keeps one position per
-qubit, and first sweeps the layers backward for every two-qubit gate's
-next partners. A layer's vacated sites are dealt out in descending order
-to its zones, right to left: outside sequential a zone is never left of
-its operands' sites and the zones are distinct, so the free sites right
-of a zone went to zones dealt before it, and each occupant gets the
-rightmost free site left of its zone. A sequential layer, one gate, has
-none exactly when its first dealt site lies right of the zone. Pass 2
-(``_timed_ops``) times every move at once as numpy columns: distances,
-each phase's longest move and velocity, durations, ``phase_error`` once
-per distinct velocity over an array of its distances, the episode clock
-as a left fold, and each qubit's error as a sum in op order, every float
-with the bits of the op-by-op scalar arithmetic.
+The mapper runs in two passes. Pass 1 decides where every qubit goes:
+each episode's zone, each phase's (qubit, site, zone) moves, and the
+return sites. It has two forms, chosen by ``dynamic_return``. Without it
+every qubit returns to its own site, so the layout never moves: a zone
+depends only on the placement and its gate's operands, and each return
+phase repeats its out phase. That form is exact column arithmetic over
+the per-gate operands each ``Circuit`` derives once and the layers. With
+``dynamic_return``, pass 1 walks the layers in Python, keeps one position
+per qubit, and first sweeps the layers backward for every two-qubit
+gate's next partners. A layer's vacated sites are dealt out in
+descending order to its zones, right to left: outside sequential a zone
+is never left of its operands' sites and the zones are distinct, so the
+free sites right of a zone went to zones dealt before it, and each
+occupant gets the rightmost free site left of its zone. A sequential
+layer, one gate, has none exactly when its first dealt site lies right
+of the zone. Pass 2 (``_timed_ops``) times every move at once as numpy
+columns: distances, each phase's longest move and velocity, durations,
+``phase_error`` once per distinct velocity over an array of its
+distances, the episode clock as a left fold, and each qubit's error as a
+sum in op order, every float with the bits of the op-by-op scalar
+arithmetic.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import numbers
-from operator import itemgetter
+from operator import itemgetter, truth
 
 import numpy as np
 
@@ -123,14 +128,67 @@ def _map(
             raise TypeError(f"measure_duration must be a number of seconds, got {measure_duration!r}")
         if not 0 <= measure_duration < math.inf:
             raise ValueError(f"measure_duration must be finite and >= 0, got {measure_duration!r}")
+    # the scheduled gates: a barrier never, a measure only with a measure_duration
+    entries = c.gate_entries
+    measure = np.fromiter(map(itemgetter(1), entries), bool, len(entries))
+    scheduled = np.fromiter(map(truth, map(itemgetter(0), entries)), bool, len(entries))
+    if measure_duration is None:
+        scheduled &= ~measure
+    if dynamic_return:
+        moves, episodes, final_sites = _walk_layers(sc, spec, placement, scheduled, sequential, swap_returns)
+    else:
+        moves, episodes = _static_moves(sc, placement, scheduled, sequential)
+        final_sites = placement.perm
+    gate_time = np.where(c.two_qubit, spec.t_2q, spec.t_1q).astype(np.float64)
+    if measure_duration is not None:
+        gate_time[measure] = measure_duration
+    ops, total_time, err = _timed_ops(moves, episodes, gate_time, spec, errp, tunable)
+    return Schedule(
+        strategy=strategy, circuit=c, arch=spec, error_params=errp, initial_sites=placement.perm,
+        ops=ops, total_time=total_time, per_qubit_error=err, final_sites=final_sites,
+    )
+
+
+def _static_moves(sc: SlicedCircuit, placement: Placement, scheduled, sequential: bool):
+    """Pass 1 without ``dynamic_return``, as column arithmetic: every qubit
+    returns to its own site, so each zone follows from the placement and
+    the gate's operands, and each return phase repeats its out phase."""
+    offsets, operands = sc.circuit.operands
+    if sequential:  # one layer per scheduled gate, in circuit order
+        gate_index = np.flatnonzero(scheduled)
+        layer = np.arange(len(gate_index))
+    else:  # sc.layers' scheduled gates, empty layers dropped
+        sizes = np.fromiter(map(len, sc.layers), np.int64, len(sc.layers))
+        gate_index = np.fromiter(_flat(sc.layers), np.int64, int(sizes.sum()))
+        keep = scheduled[gate_index]
+        gate_index, layer = gate_index[keep], np.repeat(np.arange(len(sizes)), sizes)[keep]
+        layer = np.unique(layer, return_inverse=True)[1]
+    sites = np.array(placement.perm, dtype=np.int64)
+    first, end = offsets[gate_index], offsets[gate_index + 1]
+    i, j = sites[operands[first]], sites[operands[end - 1]]  # i == j for one qubit
+    zone = (i + j + 1) // 2 if sequential else np.maximum(i, j)
+    # each gate's operands in order, gathered from the CSR columns
+    width = end - first
+    q = operands[np.arange(int(width.sum())) + np.repeat(first - np.cumsum(width) + width, width)]
+    move_layer = np.repeat(layer, width)
+    moves = (
+        np.repeat(np.bincount(move_layer), 2), np.concatenate([2 * move_layer, 2 * move_layer + 1]),
+        np.tile(q, 2), np.tile(sites[q], 2), np.tile(np.repeat(zone, width), 2),
+    )
+    return moves, (np.bincount(layer), gate_index, zone)
+
+
+def _walk_layers(sc: SlicedCircuit, spec: ArchitectureSpec, placement: Placement, scheduled, sequential, swap_returns):
+    """Pass 1 with ``dynamic_return``, in Python: walk the layers, keeping
+    one site and position per qubit, and deal each layer's vacated sites
+    out as its return sites. Returns ``_timed_ops``' move and episode
+    columns and the final sites."""
+    c = sc.circuit
+    scheduled = [(k, c.gate_entries[k][0]) if ok else None for k, ok in enumerate(scheduled.tolist())]
     site_pos = [position(Location.site(s), spec) for s in range(spec.n_sites)]
     zone_pos = [position(Location.zone(z), spec) for z in range(spec.n_sites)]
     sites = list(placement.perm)
     pos = [site_pos[s] for s in sites]  # a site's position, or a zone's while out
-    # each layer's scheduled gates as (gate index, qubits): a barrier is
-    # never scheduled, a measure only with a measure_duration
-    entries, skip_measures = c.gate_entries, measure_duration is None
-    scheduled = [None if qs is None or m and skip_measures else (k, qs) for k, (qs, m) in enumerate(entries)]
     if sequential:
         layers = [[gate] for gate in scheduled if gate]
     else:
@@ -148,65 +206,43 @@ def _map(
                     next_partners[gate_idx] = (later[qa], later[qb])
                     later[qa], later[qb] = qb, qa
 
-    # pass 1: every episode's zones and moves, phase by phase
     phases: list[list[tuple[int, int, int]]] = []  # out, return, out, ...
     timed: list[list[tuple[int, tuple[int, ...], int]]] = []  # each phase pair's episodes
-    for layer in layers:
-        if not layer:
-            continue
+    for layer in filter(None, layers):
         episodes = []  # (gate_index, qubits, zone)
         for gate_idx, qubits in layer:
-            if len(qubits) == 2:
-                i, j = sites[qubits[0]], sites[qubits[1]]
-                zone = (i + j + 1) // 2 if sequential else max(i, j)
-            else:
-                zone = sites[qubits[0]]
-            episodes.append((gate_idx, qubits, zone))
+            i, j = sites[qubits[0]], sites[qubits[-1]]  # i == j for one qubit
+            episodes.append((gate_idx, qubits, (i + j + 1) // 2 if sequential else max(i, j)))
 
         # out phase: every operand shuttles to its zone simultaneously
         out_moves = [(q, sites[q], zone) for _, qubits, zone in episodes for q in qubits]
         for q, _, zone in out_moves:
             pos[q] = zone_pos[zone]
-
         # return phase: the free sites are the ones the out phase vacated
-        if dynamic_return:
-            returns = _assign_dynamic_returns(episodes, out_moves, pos, site_pos, next_partners)
-        else:
-            returns = out_moves
+        returns = _assign_dynamic_returns(episodes, out_moves, pos, site_pos, next_partners)
         for q, s, _ in returns:
             sites[q], pos[q] = s, site_pos[s]
         phases += (out_moves, returns)
         timed.append(episodes)
 
-    gate_time = np.where(c.two_qubit, spec.t_2q, spec.t_1q).astype(np.float64)
-    if measure_duration is not None:
-        gate_time[[measure for _, measure in entries]] = measure_duration
-    ops, total_time, err = _timed_ops(phases, timed, gate_time, spec, errp, tunable)
-    return Schedule(
-        strategy=strategy,
-        circuit=c,
-        arch=spec,
-        error_params=errp,
-        initial_sites=placement.perm,
-        ops=ops,
-        total_time=total_time,
-        per_qubit_error=err,
-        final_sites=tuple(sites),
-    )
+    n_moves = np.fromiter(map(len, phases), np.int64, len(phases))
+    q, s, z = np.fromiter(_flat(_flat(phases)), np.int64, 3 * int(n_moves.sum())).reshape(-1, 3).T
+    episodes = list(_flat(timed))
+    gate_index, zone = (np.fromiter(map(itemgetter(k), episodes), np.int64, len(episodes)) for k in (0, 2))
+    moves = (n_moves, np.repeat(np.arange(len(phases)), n_moves), q, s, z)
+    return moves, (np.fromiter(map(len, timed), np.int64, len(timed)), gate_index, zone), tuple(sites)
 
 
 def _timed_ops(
-    phases: list[list[tuple[int, int, int]]],
-    timed: list[list[tuple[int, tuple[int, ...], int]]],
-    gate_time: np.ndarray,
-    spec: ArchitectureSpec,
-    errp: ErrorModelParams,
-    tunable: bool,
+    moves: tuple[np.ndarray, ...], episodes: tuple[np.ndarray, ...], gate_time: np.ndarray,
+    spec: ArchitectureSpec, errp: ErrorModelParams, tunable: bool,
 ) -> tuple[ScheduleOps, float, tuple[float, ...]]:
-    """Pass 2: the ops, total time and per-qubit error of pass 1's phases
-    (out, return, out, ... as (qubit, site, zone) moves) and each phase
-    pair's episodes, computed as columns. ``gate_time`` is the duration of
-    every circuit gate.
+    """Pass 2: the ops, total time and per-qubit error of pass 1's columns,
+    computed as columns. Phases run out, return, out, ...; ``moves`` is
+    (moves per phase, then every move's phase, qubit, site and zone, in
+    any order), and ``episodes`` is (episodes per phase pair, then every
+    episode's gate index and zone, in layer order). ``gate_time`` is the
+    duration of every circuit gate.
 
     Each phase shuttles its moves in qubit order at one velocity (the
     optimum for its longest move if ``tunable``) and lasts as long as that
@@ -216,11 +252,10 @@ def _timed_ops(
     episode times a left fold over [out, longest gate, return] per
     episode, and each qubit's error a sum in op order.
     """
-    n_moves = np.fromiter(map(len, phases), np.int64, len(phases))
-    moves = np.fromiter(_flat(_flat(phases)), np.int64, 3 * int(n_moves.sum())).reshape(-1, 3)
-    phase = np.repeat(np.arange(len(phases)), n_moves)
+    (n_moves, phase, q, s, z), (n_gates, gate_index, gate_zone) = moves, episodes
     # a qubit moves at most once a phase, so (phase, qubit) is a unique key
-    q, s, z = np.ascontiguousarray(moves[np.argsort(phase * spec.n_sites + moves[:, 0], kind="stable")].T)
+    order = np.argsort(phase * spec.n_sites + q, kind="stable")
+    phase, q, s, z = phase[order], q[order], s[order], z[order]
     site, zone = 2 * s, 2 * z + 1
     dist = np.abs(decode_locations(site, spec)[2] - decode_locations(zone, spec)[2])
     longest = np.maximum.reduceat(dist, np.cumsum(n_moves) - n_moves)
@@ -228,13 +263,10 @@ def _timed_ops(
         keys, which = np.unique(longest, return_inverse=True)
         v = np.array([optimal_velocity(x, errp) for x in keys.tolist()], dtype=np.float64)[which]
     else:
-        v = np.full(len(phases), spec.default_velocity, dtype=np.float64)
+        v = np.full(len(n_moves), spec.default_velocity, dtype=np.float64)
     velocity = v[phase]
     dc = _phase_errors(velocity, dist, errp)
 
-    episodes = list(_flat(timed))
-    n_gates = np.fromiter(map(len, timed), np.int64, len(timed))
-    gate_index = np.fromiter(map(itemgetter(0), episodes), np.int64, len(episodes))
     gate_dur = gate_time[gate_index]
     # max() from 0.0 over the gates: fmax keeps +0.0 over -0.0 and skips NaN
     longest_gate = np.fmax(0.0, np.fmax.reduceat(gate_dur, np.cumsum(n_gates) - n_gates))
@@ -245,15 +277,12 @@ def _timed_ops(
     outward = phase % 2 == 0
     runs = np.stack([n_moves[0::2], n_gates, n_moves[1::2]], axis=1).ravel()
     ops = ScheduleOps(
-        np.repeat(np.tile(np.frombuffer(b"sgs", dtype=np.uint8), len(timed)), runs).tobytes().decode(),
+        np.repeat(np.tile(np.frombuffer(b"sgs", dtype=np.uint8), len(n_gates)), runs).tobytes().decode(),
         ShuttleColumns(
             q, np.where(outward, site, zone), np.where(outward, zone, site),
             starts[phase], velocity, dist / velocity, dc,
         ),
-        GateColumns(
-            gate_index, np.fromiter(map(itemgetter(2), episodes), np.int64, len(episodes)),
-            np.repeat(ends[:, 0], n_gates), gate_dur,
-        ),
+        GateColumns(gate_index, gate_zone, np.repeat(ends[:, 0], n_gates), gate_dur),
     )
     err = np.bincount(q, weights=dc, minlength=spec.n_sites).astype(np.float64)
     return ops, ends.item(-1) if len(ends) else 0.0, tuple(err.tolist())

@@ -44,7 +44,8 @@ def left_sum(values) -> float:
 
 def mean_std(values: tuple[float, ...]) -> tuple[float, float]:
     """Mean and population std, each a left fold. Raises ValueError when a
-    squared deviation is too large for a float (above about 1e308)."""
+    squared deviation, or the mean or variance of finite values, is too
+    large for a float (above about 1e308)."""
     n = len(values)
     if n == 0:
         return 0.0, 0.0
@@ -53,6 +54,8 @@ def mean_std(values: tuple[float, ...]) -> tuple[float, float]:
         var = left_sum((x - mean) ** 2 for x in values) / n
     except OverflowError:
         raise ValueError(f"values {values!r} spread too far to square their deviations") from None
+    if not (math.isfinite(mean) and math.isfinite(var)) and all(map(math.isfinite, values)):
+        raise ValueError(f"values {values!r} are too large for a finite mean and variance")
     return mean, math.sqrt(var)
 
 

@@ -515,6 +515,69 @@ class TestTwoPassMapper:
             ScheduleOps(s.ops.order, sh._replace(delta_c=sh.delta_c[:-1]), gt)
 
 
+STATIC_FLAGS = tuple(flags for flags in ALL_FLAGS if not flags[1])
+
+
+def _measure(q):
+    return Gate(GateKind.MEASURE, (q,))
+
+
+class TestStaticPass:
+    """Without ``dynamic_return`` pass 1 is column arithmetic over the
+    operands and layers; it must give the op-by-op mapper's schedules bit
+    for bit, and its layout never moves."""
+
+    @pytest.mark.parametrize("flags", STATIC_FLAGS)
+    @pytest.mark.parametrize("measure_duration", (None, 50 * NS))
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            # only barriers: no phase at all
+            Circuit(3, (Gate(GateKind.BARRIER, (0, 1, 2)), Gate(GateKind.BARRIER, (1,)))),
+            # only measurements, scheduled only with a duration
+            Circuit(3, (_measure(0), _measure(2), _measure(0))),
+            # layer 1 holds only measurements, between two layers of gates
+            Circuit(3, (cz(0, 1), h(2), _measure(0), _measure(1), cz(1, 0))),
+            Circuit(2, (h(1), cz(1, 0), h(0), _measure(1), cz(0, 1))),
+        ],
+        ids=("barriers", "measures", "measure-layer", "n2"),
+    )
+    def test_edge_cases_match_the_op_by_op_mapper(self, circuit, flags, measure_duration):
+        sc = slice_circuit(circuit)
+        n = circuit.num_qubits
+        for pl in (Placement.identity(n), Placement(tuple(reversed(range(n)))), random_placement(n, 1)):
+            _same_as_oracle(sc, pl, flags, measure_duration)
+
+    def test_a_measure_only_layer_is_dropped(self, errp):
+        sc = slice_circuit(Circuit(3, (cz(0, 1), h(2), _measure(0), _measure(1), cz(1, 0))))
+        assert sc.layers == ((0, 1), (2, 3), (4,))
+        s = map_strategy("parallel", sc, arch(3), Placement.identity(3), errp)
+        assert s.ops.order == "sssggsss" + "ssgss"
+        timed = map_strategy("parallel", sc, arch(3), Placement.identity(3), errp, measure_duration=50 * NS)
+        assert timed.ops.order == "sssggsss" + "ssggss" + "ssgss"
+
+    @pytest.mark.parametrize("flags", STATIC_FLAGS)
+    def test_layout_never_moves(self, errp, flags):
+        """Every qubit ends on its placement site, and each return phase
+        shuttles its out phase's moves back, source and destination swapped."""
+        for family, seed in itertools.product(FAMILIES, range(2)):
+            sc = slice_circuit(decompose(generate(BenchmarkSpec(family=family, n=16, seed=0))))
+            pl = random_placement(16, seed)
+            s = _map(sc, arch(16), pl, errp, "flags", flags)
+            assert s.final_sites == pl.perm
+            sh = s.ops.shuttles
+            # phases alternate out (from a site, an even code) and return
+            runs = [len(list(run)) for _, run in itertools.groupby(sh.src.tolist(), key=lambda code: code % 2)]
+            bounds = np.cumsum([0] + runs)
+            episodes = sum(kind == "g" for kind, _ in itertools.groupby(s.ops.order))
+            assert len(runs) == 2 * episodes > 0 and sh.src[0] % 2 == 0
+            for a, b, c in zip(bounds[0:-1:2], bounds[1::2], bounds[2::2]):
+                out, back = slice(a, b), slice(b, c)
+                assert b - a == c - b
+                assert np.array_equal(sh.qubit[out], sh.qubit[back])
+                assert np.array_equal(sh.src[out], sh.dst[back]) and np.array_equal(sh.dst[out], sh.src[back])
+
+
 def _map_or_raise(*args):
     """What ``_map(*args)`` returns, or the type and args of what it raises."""
     try:

@@ -114,6 +114,23 @@ def test_mean_std_overflow_is_value_error(errp):
         summarize(dataclasses.replace(s, per_qubit_error=errors))
 
 
+def test_mean_std_of_finite_values_is_finite(errp):
+    # a left-fold sum past the largest float gave an infinite mean and std
+    with pytest.raises(ValueError, match="1e[+]?308.*finite mean"):
+        mean_std((1e308, 1e308))
+    with pytest.raises(ValueError, match="finite mean"):
+        mean_std((1e308,) * 3 + (-1e308,) * 3)
+    assert mean_std((1e307, 1e307)) == (1e307, 0.0)
+    # a non-finite value is passed through, not reported
+    assert mean_std((math.inf, 0.0))[0] == math.inf
+    c = decompose(generate(BenchmarkSpec(family="qaoa", n=6, seed=0)))
+    s = map_strategy("baseline", slice_circuit(c), ArchitectureSpec(n_sites=6),
+                     Placement.identity(6), errp)
+    errors = (1e308, 1e308) + tuple(s.per_qubit_error[2:])
+    with pytest.raises(ValueError, match="finite mean"):
+        summarize(dataclasses.replace(s, per_qubit_error=errors))
+
+
 def test_report_matches_refold_of_serialized_schedule(errp):
     """Dual-path oracle: aggregate the JSON wire form independently."""
     c = decompose(generate(BenchmarkSpec(family="graph_state", n=8, seed=3)))
