@@ -20,11 +20,12 @@ Five strategies, each an improvement on the last:
                     partner; otherwise (and on ties) the smaller qubit
                     takes the right site, as in min_return
 
-``map_strategy`` is the one entry point. The five strategies are the five
-rows of ``STRATEGY_FLAGS``, each a flag tuple (sequential, dynamic_return,
-tunable, swap_returns) of one mapper. Only baseline is sequential: every
-gate is a slice of its own, in circuit order, and a two-qubit gate meets
-in the central zone.
+``map_strategy`` is the mapper, and a strategy's name the only way to
+choose its configuration. The five strategies are the five rows of
+``STRATEGY_FLAGS``, each a flag tuple (sequential, dynamic_return,
+tunable, swap_returns). Only baseline is sequential: every gate is a
+slice of its own, in circuit order, and a two-qubit gate meets in the
+central zone.
 
 Each slice episode has three globally barriered phases: all operands
 shuttle out together, all gates fire together, all operands return
@@ -32,22 +33,24 @@ together. Within a phase the shuttles are emitted in ascending qubit
 order. Phase duration is the maximum individual duration within it.
 Qubits untouched by a slice stay parked and accrue no error.
 
-The mapper runs in two passes. Pass 1 decides where every qubit goes:
-each episode's zone, each phase's (qubit, site, zone) moves, and the
-return sites. It has two forms, chosen by ``dynamic_return``. Without it
-every qubit returns to its own site, so the layout never moves: a zone
-depends only on the placement and its gate's operands, and each return
-phase repeats its out phase. That form is exact column arithmetic over
-the per-gate operands each ``Circuit`` derives once and the layers. With
-``dynamic_return``, pass 1 walks the layers in Python, keeps one position
-per qubit, and first sweeps the layers backward for every two-qubit
-gate's next partners. A layer's vacated sites are dealt out in
-descending order to its zones, right to left: outside sequential a zone
-is never left of its operands' sites and the zones are distinct, so the
-free sites right of a zone went to zones dealt before it, and each
-occupant gets the rightmost free site left of its zone. A sequential
-layer, one gate, has none exactly when its first dealt site lies right
-of the zone. Pass 2 (``_timed_ops``) times every move at once as numpy
+The mapper runs in two passes. One rule (``_episodes``) turns the layers
+into episodes: under sequential one layer per scheduled gate, otherwise
+``sc.layers``' scheduled gates with empty layers dropped. Pass 1 decides
+where every qubit goes: each episode's zone, each phase's (qubit, site,
+zone) moves, and the return sites. It has two forms, chosen by
+``dynamic_return``. Without it every qubit returns to its own site, so
+the layout never moves: a zone depends only on the placement and its
+gate's operands, and each return phase repeats its out phase. That form
+is exact column arithmetic over the per-gate operands each ``Circuit``
+derives once and the episode columns. With ``dynamic_return``, pass 1
+walks the episodes' layers in Python, keeps one position per qubit, and
+first sweeps the layers backward for every two-qubit gate's next
+partners. A layer's vacated sites are dealt out in descending order to
+its zones, right to left. No dynamic strategy is sequential, so each
+zone is max(i, j): never left of its operands' sites, and distinct
+within a layer. The free sites right of a zone therefore went to zones
+dealt before it, and each occupant gets the rightmost free site left of
+its zone. Pass 2 (``_timed_ops``) times every move at once as numpy
 columns: distances, each phase's longest move and velocity, durations,
 ``phase_error`` once per distinct velocity over an array of its
 distances, the episode clock as a left fold, and each qubit's error as a
@@ -70,10 +73,11 @@ from .placement import Placement
 
 from .schedule import GateColumns, Schedule, ScheduleOps, ShuttleColumns
 
-# re-exported as the very objects of their home modules, for callers that
-# name spinbus.mapper as their home (perfbench's tracer rebinds by identity)
-from .schedule import GateOp, ShuttleOp, schedule_from_json, schedule_to_json
-from .validate import Violation, validate_schedule
+# schedule_from_json, schedule_to_json and validate_schedule are re-exported
+# as the very objects of their home modules: perfbench's tracer and reloads
+# name spinbus.mapper as their home (the tracer rebinds by identity)
+from .schedule import schedule_from_json, schedule_to_json
+from .validate import validate_schedule
 
 # name -> (sequential, dynamic_return, tunable, swap_returns)
 STRATEGY_FLAGS = {
@@ -96,26 +100,15 @@ def map_strategy(
     errp: ErrorModelParams,
     measure_duration: float | None = None,
 ) -> Schedule:
-    """Map ``sc`` with the named strategy, one row of ``STRATEGY_FLAGS``.
+    """Map ``sc`` with the named strategy, one row of ``STRATEGY_FLAGS``;
+    any other name raises ValueError.
 
     Measurements are scheduled only with a ``measure_duration`` in seconds:
     a bool or a non-number raises TypeError, a negative or non-finite value
     ValueError."""
     if strategy not in STRATEGY_FLAGS:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _map(sc, spec, placement, errp, strategy, STRATEGY_FLAGS[strategy], measure_duration)
-
-
-def _map(
-    sc: SlicedCircuit,
-    spec: ArchitectureSpec,
-    placement: Placement,
-    errp: ErrorModelParams,
-    strategy: str,
-    flags: tuple[bool, bool, bool, bool],
-    measure_duration: float | None = None,
-) -> Schedule:
-    sequential, dynamic_return, tunable, swap_returns = flags
+    sequential, dynamic_return, tunable, swap_returns = STRATEGY_FLAGS[strategy]
     c = sc.circuit
     if not c.is_native:
         raise ValueError("mapper needs a native-basis circuit (run decompose first)")
@@ -134,35 +127,44 @@ def _map(
     scheduled = np.fromiter(map(truth, map(itemgetter(0), entries)), bool, len(entries))
     if measure_duration is None:
         scheduled &= ~measure
+    gate_index, layer = _episodes(sc, scheduled, sequential)
+    n_gates = np.bincount(layer)  # episodes per layer
     if dynamic_return:
-        moves, episodes, final_sites = _walk_layers(sc, spec, placement, scheduled, sequential, swap_returns)
+        moves, zone, final_sites = _walk_layers(sc, spec, placement, gate_index, n_gates, swap_returns)
     else:
-        moves, episodes = _static_moves(sc, placement, scheduled, sequential)
+        moves, zone = _static_moves(sc, placement, gate_index, layer, sequential)
         final_sites = placement.perm
     gate_time = np.where(c.two_qubit, spec.t_2q, spec.t_1q).astype(np.float64)
     if measure_duration is not None:
         gate_time[measure] = measure_duration
-    ops, total_time, err = _timed_ops(moves, episodes, gate_time, spec, errp, tunable)
+    ops, total_time, err = _timed_ops(moves, (n_gates, gate_index, zone), gate_time, spec, errp, tunable)
     return Schedule(
         strategy=strategy, circuit=c, arch=spec, error_params=errp, initial_sites=placement.perm,
         ops=ops, total_time=total_time, per_qubit_error=err, final_sites=final_sites,
     )
 
 
-def _static_moves(sc: SlicedCircuit, placement: Placement, scheduled, sequential: bool):
+def _episodes(sc: SlicedCircuit, scheduled, sequential: bool):
+    """The episodes of ``sc``'s ``scheduled`` gates, as columns: each
+    episode's gate index and layer, in layer order. Under ``sequential``
+    every scheduled gate is a layer of its own, in circuit order; otherwise
+    the layers are ``sc.layers``' scheduled gates, empty layers dropped."""
+    if sequential:
+        gate_index = np.flatnonzero(scheduled)
+        return gate_index, np.arange(len(gate_index))
+    sizes = np.fromiter(map(len, sc.layers), np.int64, len(sc.layers))
+    gate_index = np.fromiter(_flat(sc.layers), np.int64, int(sizes.sum()))
+    keep = scheduled[gate_index]
+    layer = np.repeat(np.arange(len(sizes)), sizes)[keep]
+    return gate_index[keep], np.unique(layer, return_inverse=True)[1]
+
+
+def _static_moves(sc: SlicedCircuit, placement: Placement, gate_index, layer, sequential: bool):
     """Pass 1 without ``dynamic_return``, as column arithmetic: every qubit
     returns to its own site, so each zone follows from the placement and
-    the gate's operands, and each return phase repeats its out phase."""
+    the gate's operands, and each return phase repeats its out phase.
+    Returns ``_timed_ops``' move columns and each episode's zone."""
     offsets, operands = sc.circuit.operands
-    if sequential:  # one layer per scheduled gate, in circuit order
-        gate_index = np.flatnonzero(scheduled)
-        layer = np.arange(len(gate_index))
-    else:  # sc.layers' scheduled gates, empty layers dropped
-        sizes = np.fromiter(map(len, sc.layers), np.int64, len(sc.layers))
-        gate_index = np.fromiter(_flat(sc.layers), np.int64, int(sizes.sum()))
-        keep = scheduled[gate_index]
-        gate_index, layer = gate_index[keep], np.repeat(np.arange(len(sizes)), sizes)[keep]
-        layer = np.unique(layer, return_inverse=True)[1]
     sites = np.array(placement.perm, dtype=np.int64)
     first, end = offsets[gate_index], offsets[gate_index + 1]
     i, j = sites[operands[first]], sites[operands[end - 1]]  # i == j for one qubit
@@ -175,24 +177,22 @@ def _static_moves(sc: SlicedCircuit, placement: Placement, scheduled, sequential
         np.repeat(np.bincount(move_layer), 2), np.concatenate([2 * move_layer, 2 * move_layer + 1]),
         np.tile(q, 2), np.tile(sites[q], 2), np.tile(np.repeat(zone, width), 2),
     )
-    return moves, (np.bincount(layer), gate_index, zone)
+    return moves, zone
 
 
-def _walk_layers(sc: SlicedCircuit, spec: ArchitectureSpec, placement: Placement, scheduled, sequential, swap_returns):
-    """Pass 1 with ``dynamic_return``, in Python: walk the layers, keeping
-    one site and position per qubit, and deal each layer's vacated sites
-    out as its return sites. Returns ``_timed_ops``' move and episode
-    columns and the final sites."""
+def _walk_layers(sc: SlicedCircuit, spec: ArchitectureSpec, placement: Placement, gate_index, n_gates, swap_returns):
+    """Pass 1 with ``dynamic_return``, in Python: walk the episodes' layers
+    (``n_gates`` episodes each), keeping one site and position per qubit,
+    and deal each layer's vacated sites out as its return sites. Returns
+    ``_timed_ops``' move columns, each episode's zone and the final sites."""
     c = sc.circuit
-    scheduled = [(k, c.gate_entries[k][0]) if ok else None for k, ok in enumerate(scheduled.tolist())]
+    gates = [(k, c.gate_entries[k][0]) for k in gate_index.tolist()]
+    ends = np.cumsum(n_gates).tolist()
+    layers = [gates[a:b] for a, b in zip([0] + ends, ends)]
     site_pos = [position(Location.site(s), spec) for s in range(spec.n_sites)]
     zone_pos = [position(Location.zone(z), spec) for z in range(spec.n_sites)]
     sites = list(placement.perm)
     pos = [site_pos[s] for s in sites]  # a site's position, or a zone's while out
-    if sequential:
-        layers = [[gate] for gate in scheduled if gate]
-    else:
-        layers = [list(filter(None, map(scheduled.__getitem__, layer))) for layer in sc.layers]
 
     # each two-qubit gate's operands' next partners after its layer, by one
     # backward sweep; layers are qubit-disjoint
@@ -207,12 +207,11 @@ def _walk_layers(sc: SlicedCircuit, spec: ArchitectureSpec, placement: Placement
                     later[qa], later[qb] = qb, qa
 
     phases: list[list[tuple[int, int, int]]] = []  # out, return, out, ...
-    timed: list[list[tuple[int, tuple[int, ...], int]]] = []  # each phase pair's episodes
-    for layer in filter(None, layers):
-        episodes = []  # (gate_index, qubits, zone)
-        for gate_idx, qubits in layer:
-            i, j = sites[qubits[0]], sites[qubits[-1]]  # i == j for one qubit
-            episodes.append((gate_idx, qubits, (i + j + 1) // 2 if sequential else max(i, j)))
+    zones: list[int] = []
+    for layer in layers:
+        # (gate_index, qubits, zone): the zone is the rightmost operand site
+        episodes = [(gate_idx, qubits, max(sites[qubits[0]], sites[qubits[-1]])) for gate_idx, qubits in layer]
+        zones += map(itemgetter(2), episodes)
 
         # out phase: every operand shuttles to its zone simultaneously
         out_moves = [(q, sites[q], zone) for _, qubits, zone in episodes for q in qubits]
@@ -223,14 +222,11 @@ def _walk_layers(sc: SlicedCircuit, spec: ArchitectureSpec, placement: Placement
         for q, s, _ in returns:
             sites[q], pos[q] = s, site_pos[s]
         phases += (out_moves, returns)
-        timed.append(episodes)
 
     n_moves = np.fromiter(map(len, phases), np.int64, len(phases))
     q, s, z = np.fromiter(_flat(_flat(phases)), np.int64, 3 * int(n_moves.sum())).reshape(-1, 3).T
-    episodes = list(_flat(timed))
-    gate_index, zone = (np.fromiter(map(itemgetter(k), episodes), np.int64, len(episodes)) for k in (0, 2))
     moves = (n_moves, np.repeat(np.arange(len(phases)), n_moves), q, s, z)
-    return moves, (np.fromiter(map(len, timed), np.int64, len(timed)), gate_index, zone), tuple(sites)
+    return moves, np.fromiter(zones, np.int64, len(zones)), tuple(sites)
 
 
 def _timed_ops(
@@ -298,11 +294,12 @@ def _assign_dynamic_returns(episodes, out_moves, pos: list[float], site_pos: lis
     returns: list[tuple[int, int, int]] = []
     dealt = 0
     for gate_idx, qubits, zone in sorted(episodes, key=itemgetter(2), reverse=True):
-        taken = free[dealt:dealt + len(qubits)]  # right to left
+        # right to left, and none right of the zone, so no check is needed:
+        # a zone is max(i, j) and a layer's zones are distinct, so each free
+        # site right of it was vacated by an operand of a zone dealt before
+        # it, and those zones took the largest sites, one per operand
+        taken = free[dealt:dealt + len(qubits)]
         dealt += len(qubits)
-        # eligible sites sit at positions <= the zone's: site index <= zone index
-        if taken[0] > zone:
-            raise RuntimeError(f"no free site left of zone {zone} for gate {gate_idx}")
         if len(qubits) == 2:
             na, nb = next_partners.get(gate_idx, (None, None))
             pa, pb = None if na is None else pos[na], None if nb is None else pos[nb]

@@ -4,7 +4,7 @@ enumerating all n! placements (bounds spectral placement), the analytic
 velocity derivative of the dephasing model (checks the optimizer's minimum),
 the op-by-op schedule writer and summary that the columnar
 ``schedule_to_json`` and ``summarize`` must match bit for bit, the op-by-op
-mapper that the two-pass ``_map`` must match bit for bit, and the
+mapper that the two-pass ``map_strategy`` must match bit for bit, and the
 character-scanning QASM parser that ``parse_qasm`` must agree with.
 """
 from __future__ import annotations
@@ -239,7 +239,7 @@ def oracle_map(
     flags: tuple[bool, bool, bool, bool],
     measure_duration: float | None = None,
 ) -> Schedule:
-    """``_map`` as it was before its two passes: the timing arithmetic run
+    """The mapper as it was before its two passes: the timing arithmetic run
     op by op in the ``phase`` closure, one row tuple per op, and the rows
     turned into columns at the end. Return sites come from
     ``_assign_dynamic_returns`` and ``_assign_pair`` as they were before

@@ -3,8 +3,9 @@ modules may import which.
 
 The schedule format (``spinbus.schedule``) and the validity rules
 (``spinbus.validate``) do not depend on the mapper; ``spinbus.mapper``
-re-exports their names as the very same objects, so code that names the
-mapper as their home (perfbench's tracer rebinds by identity) keeps working.
+re-exports ``schedule_from_json``, ``schedule_to_json`` and
+``validate_schedule`` as the very same objects, since perfbench names the
+mapper as their home (its tracer rebinds by identity).
 """
 import ast
 import importlib
@@ -20,21 +21,17 @@ SRC = Path(spinbus.__file__).parent
 # the layers, each importing only from the ones before it
 LAYERS = ["architecture", "error_model", "schedule", "validate", "mapper"]
 
-# every name imported from spinbus.mapper before the schedule format and the
-# validator had modules of their own, with its home module now
+# every name that spinbus.mapper binds and callers read from it, with its
+# home module
 HOMES = {
-    "GateOp": "schedule",
     "Schedule": "schedule",
     "ScheduleOps": "schedule",
-    "ShuttleOp": "schedule",
     "schedule_from_json": "schedule",
     "schedule_to_json": "schedule",
-    "Violation": "validate",
     "validate_schedule": "validate",
     "STRATEGIES": "mapper",
     "STRATEGY_FLAGS": "mapper",
     "map_strategy": "mapper",
-    "_map": "mapper",
 }
 
 
