@@ -22,7 +22,7 @@ from spinbus.circuit import (
 )
 from spinbus.error_model import ErrorModelParams, optimal_velocity, phase_error
 from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
-from spinbus.mapper import STRATEGIES, STRATEGY_FLAGS, map_strategy
+from spinbus.mapper import STRATEGIES, STRATEGY_FLAGS, _episodes, map_strategy
 from spinbus.metrics import summarize
 from spinbus.placement import (
     Placement,
@@ -36,7 +36,7 @@ from spinbus.schedule import (
 )
 import spinbus.validate as validate_module
 from spinbus.validate import validate_schedule
-from oracles import oracle_map, oracle_schedule_to_json, oracle_summary_counts
+from oracles import _schedulable, oracle_map, oracle_schedule_to_json, oracle_summary_counts
 from validator_oracle import oracle_validate_schedule
 
 US = 1e-6
@@ -521,10 +521,61 @@ class TestTwoPassMapper:
 
 
 STATIC_STRATEGIES = tuple(name for name in STRATEGIES if not STRATEGY_FLAGS[name][1])
+DYNAMIC_STRATEGIES = tuple(name for name in STRATEGIES if STRATEGY_FLAGS[name][1])
 
 
 def _measure(q):
     return Gate(GateKind.MEASURE, (q,))
+
+
+EDGE_CASES = pytest.mark.parametrize(
+    "circuit",
+    [
+        # only barriers: no phase at all
+        Circuit(3, (Gate(GateKind.BARRIER, (0, 1, 2)), Gate(GateKind.BARRIER, (1,)))),
+        # only measurements, scheduled only with a duration
+        Circuit(3, (_measure(0), _measure(2), _measure(0))),
+        # layer 1 holds only measurements, between two layers of gates
+        Circuit(3, (cz(0, 1), h(2), _measure(0), _measure(1), cz(1, 0))),
+        Circuit(2, (h(1), cz(1, 0), h(0), _measure(1), cz(0, 1))),
+    ],
+    ids=("barriers", "measures", "measure-layer", "n2"),
+)
+
+
+def _edge_cases_match(circuit, strategy, measure_duration):
+    sc = slice_circuit(circuit)
+    n = circuit.num_qubits
+    for pl in (Placement.identity(n), Placement(tuple(reversed(range(n)))), random_placement(n, 1)):
+        _same_as_oracle(sc, pl, strategy, measure_duration)
+
+
+class TestEpisodes:
+    """One rule turns layers into episodes for both forms of pass 1: under
+    ``sequential`` one layer per scheduled gate, in circuit order; otherwise
+    ``sc.layers``' scheduled gates, empty layers dropped."""
+
+    @staticmethod
+    def _check(sc, sequential):
+        gates = sc.circuit.gates
+        for measure_duration in (None, 50 * NS):
+            scheduled = np.array([_schedulable(g, measure_duration) for g in gates], dtype=bool)
+            layers = [(k,) for k in range(len(gates))] if sequential else sc.layers
+            kept = [ks for ks in ([k for k in layer if scheduled[k]] for layer in layers) if ks]
+            gate_index, layer = _episodes(sc, scheduled, sequential)
+            assert gate_index.tolist() == [k for ks in kept for k in ks]
+            assert layer.tolist() == [idx for idx, ks in enumerate(kept) for _ in ks]
+
+    @pytest.mark.parametrize("sequential", (True, False), ids=("sequential", "layered"))
+    @EDGE_CASES
+    def test_edge_cases(self, circuit, sequential):
+        self._check(slice_circuit(circuit), sequential)
+
+    @pytest.mark.parametrize("sequential", (True, False), ids=("sequential", "layered"))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_benchmark_circuits_with_a_measured_tail(self, family, sequential):
+        c = _with_measured_tail(decompose(generate(BenchmarkSpec(family=family, n=9, seed=1))))
+        self._check(slice_circuit(c), sequential)
 
 
 class TestStaticPass:
@@ -534,24 +585,9 @@ class TestStaticPass:
 
     @pytest.mark.parametrize("strategy", STATIC_STRATEGIES)
     @pytest.mark.parametrize("measure_duration", (None, 50 * NS))
-    @pytest.mark.parametrize(
-        "circuit",
-        [
-            # only barriers: no phase at all
-            Circuit(3, (Gate(GateKind.BARRIER, (0, 1, 2)), Gate(GateKind.BARRIER, (1,)))),
-            # only measurements, scheduled only with a duration
-            Circuit(3, (_measure(0), _measure(2), _measure(0))),
-            # layer 1 holds only measurements, between two layers of gates
-            Circuit(3, (cz(0, 1), h(2), _measure(0), _measure(1), cz(1, 0))),
-            Circuit(2, (h(1), cz(1, 0), h(0), _measure(1), cz(0, 1))),
-        ],
-        ids=("barriers", "measures", "measure-layer", "n2"),
-    )
+    @EDGE_CASES
     def test_edge_cases_match_the_op_by_op_mapper(self, circuit, strategy, measure_duration):
-        sc = slice_circuit(circuit)
-        n = circuit.num_qubits
-        for pl in (Placement.identity(n), Placement(tuple(reversed(range(n)))), random_placement(n, 1)):
-            _same_as_oracle(sc, pl, strategy, measure_duration)
+        _edge_cases_match(circuit, strategy, measure_duration)
 
     def test_a_measure_only_layer_is_dropped(self, errp):
         sc = slice_circuit(Circuit(3, (cz(0, 1), h(2), _measure(0), _measure(1), cz(1, 0))))
@@ -562,10 +598,11 @@ class TestStaticPass:
         assert timed.ops.order == "sssggsss" + "ssggss" + "ssgss"
 
     @pytest.mark.parametrize("strategy", STATIC_STRATEGIES)
-    def test_layout_never_moves(self, errp, strategy):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_layout_never_moves(self, errp, family, strategy):
         """Every qubit ends on its placement site, and each return phase
         shuttles its out phase's moves back, source and destination swapped."""
-        for family, seed in itertools.product(FAMILIES, range(2)):
+        for seed in range(2):
             sc = slice_circuit(decompose(generate(BenchmarkSpec(family=family, n=16, seed=0))))
             pl = random_placement(16, seed)
             s = map_strategy(strategy, sc, arch(16), pl, errp)
@@ -641,6 +678,12 @@ class TestReturnSites:
         pl = spectral_placement(build_interaction_graph(sc)) if placement == "spectral" else random_placement(64, 5)
         for strategy in STRATEGIES:
             _same_as_oracle(sc, pl, strategy, None)
+
+    @pytest.mark.parametrize("strategy", DYNAMIC_STRATEGIES)
+    @pytest.mark.parametrize("measure_duration", (None, 50 * NS))
+    @EDGE_CASES
+    def test_edge_cases_match_the_op_by_op_mapper(self, circuit, strategy, measure_duration):
+        _edge_cases_match(circuit, strategy, measure_duration)
 
     def test_strategies_never_run_out_of_sites(self, bench16, errp):
         """The fixture maps every strategy at spectral placement and criterion
