@@ -136,20 +136,20 @@ class Circuit:
         return all(g.kind in SCHEDULABLE_BASIS for g in self.gates)
 
     @functools.cached_property
-    def gate_entries(self) -> tuple[tuple[tuple[int, ...] | None, bool], ...]:
-        """Per gate, what the scheduler needs: the gate's own ``qubits``
-        (None for a BARRIER, which is never scheduled) and whether it is a
-        MEASURE."""
-        barrier, measure = GateKind.BARRIER, GateKind.MEASURE
-        return tuple(
-            (None if g.kind is barrier else g.qubits, g.kind is measure) for g in self.gates
-        )
-
-    @functools.cached_property
     def two_qubit(self) -> np.ndarray:
         """Which gates are two-qubit gates, by kind: a BARRIER over two
         qubits is not one."""
         return _read_only(np.fromiter((g.is_two_qubit for g in self.gates), bool, len(self.gates)))
+
+    @functools.cached_property
+    def measure(self) -> np.ndarray:
+        """Which gates are MEASUREs."""
+        return _read_only(np.fromiter((g.kind is GateKind.MEASURE for g in self.gates), bool, len(self.gates)))
+
+    @functools.cached_property
+    def barrier(self) -> np.ndarray:
+        """Which gates are BARRIERs, which are never scheduled."""
+        return _read_only(np.fromiter((g.kind is GateKind.BARRIER for g in self.gates), bool, len(self.gates)))
 
     @functools.cached_property
     def operands(self) -> tuple[np.ndarray, np.ndarray]:
@@ -160,10 +160,25 @@ class Circuit:
         qubits = np.fromiter((q for g in self.gates for q in g.qubits), np.int64, int(offsets[-1]))
         return _read_only(offsets), _read_only(qubits)
 
+    def operands_of(self, gate_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The operands of the gates ``gate_index`` names, in its order, as
+        two columns: each operand's position in ``gate_index`` and its qubit."""
+        offsets, qubits = self.operands
+        first = offsets[gate_index]
+        row, at = _ragged(np.arange(len(first)), first, offsets[gate_index + 1] - first)
+        return _read_only(row), _read_only(qubits[at])
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _ragged(rows, first, counts):
+    """Each of ``rows`` paired with ``first, first + 1, ...``, ``counts`` of
+    them, as two flat columns."""
+    k = np.repeat(np.arange(len(rows)), counts)
+    return rows[k], first[k] + np.arange(len(k)) - (np.cumsum(counts) - counts)[k]
 
 
 @dataclass(frozen=True)
@@ -180,6 +195,13 @@ class SlicedCircuit:
     @property
     def depth(self) -> int:
         return len(self.layers)
+
+    @functools.cached_property
+    def gate_layers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every gate index in layer order, and its layer, as read-only columns."""
+        sizes = np.fromiter(map(len, self.layers), np.int64, len(self.layers))
+        gate_index = np.fromiter((k for layer in self.layers for k in layer), np.int64, int(sizes.sum()))
+        return _read_only(gate_index), _read_only(np.repeat(np.arange(len(sizes)), sizes))
 
 
 # Decomposition identities. Each entry maps an extended gate to its

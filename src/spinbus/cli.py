@@ -182,10 +182,11 @@ def _check_model(arch: ArchitectureSpec, errp: ErrorModelParams, strategies, sli
     velocity the strategies shuttle at: the default velocity, and for a
     tunable strategy the optimum, whose search evaluates the model across
     its whole velocity bracket (a shorter move's optimum does no worse).
-    A schedule has fewer than ``ops`` ops, none longer than that move at
-    the slowest velocity or the longest gate, so ``ops`` times the longest
-    op bounds its time, and ``ops`` times the worst error bounds a qubit's
-    error, twice that its distance from the mean.
+    A schedule runs at most one episode of three phases per gate, none
+    longer than that move at the slowest velocity or the longest gate, and
+    a qubit shuttles twice per scheduled gate it is an operand of. So
+    ``ops`` times the longest op bounds the time, and ``ops`` times the
+    worst error a qubit's error, twice that its distance from the mean.
     """
     longest = distance(Location.site(0), Location.zone(arch.n_sites - 1), arch)
     slowest, errors = [], []

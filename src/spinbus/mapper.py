@@ -33,40 +33,40 @@ together. Within a phase the shuttles are emitted in ascending qubit
 order. Phase duration is the maximum individual duration within it.
 Qubits untouched by a slice stay parked and accrue no error.
 
-The mapper runs in two passes. One rule (``_episodes``) turns the layers
-into episodes: under sequential one layer per scheduled gate, otherwise
-``sc.layers``' scheduled gates with empty layers dropped. Pass 1 decides
-where every qubit goes: each episode's zone, each phase's (qubit, site,
-zone) moves, and the return sites. It has two forms, chosen by
-``dynamic_return``. Without it every qubit returns to its own site, so
-the layout never moves: a zone depends only on the placement and its
-gate's operands, and each return phase repeats its out phase. That form
-is exact column arithmetic over the per-gate operands each ``Circuit``
-derives once and the episode columns. With ``dynamic_return``, pass 1
-walks the episodes' layers in Python, keeps one position per qubit, and
-first sweeps the layers backward for every two-qubit gate's next
-partners. A layer's vacated sites are dealt out in descending order to
-its zones, right to left. No dynamic strategy is sequential, so each
-zone is max(i, j): never left of its operands' sites, and distinct
-within a layer. The free sites right of a zone therefore went to zones
-dealt before it, and each occupant gets the rightmost free site left of
-its zone. Pass 2 (``_timed_ops``) times every move at once as numpy
-columns: distances, each phase's longest move and velocity, durations,
-``phase_error`` once per distinct velocity over an array of its
-distances, the episode clock as a left fold, and each qubit's error as a
-sum in op order, every float with the bits of the op-by-op scalar
-arithmetic.
+The mapper runs in two passes over the columns ``circuit.py`` derives
+once: kind masks, ``operands_of`` and ``SlicedCircuit.gate_layers``. One
+rule (``_episodes``) turns the layers into episodes: under sequential
+one layer per scheduled gate, otherwise the layers' scheduled gates with
+empty layers dropped. Pass 1 decides where every qubit goes: each
+episode's zone, each phase's (qubit, site, zone) moves, and the return
+sites. It has two forms, chosen by ``dynamic_return``. Without it every
+qubit returns to its own site, so the layout never moves: a zone depends
+only on the placement and its gate's operands, and each return phase
+repeats its out phase. That form is exact column arithmetic. With
+``dynamic_return``, pass 1 walks the episodes' layers in Python, keeps
+one position per qubit, and first sweeps the layers backward for every
+two-qubit gate's next partners. A layer's vacated sites are dealt out in
+descending order to its zones, right to left. No dynamic strategy is
+sequential, so each zone is max(i, j): never left of its operands'
+sites, and distinct within a layer. The free sites right of a zone
+therefore went to zones dealt before it, and each occupant gets the
+rightmost free site left of its zone. Pass 2 (``_timed_ops``) times
+every move at once as numpy columns: distances, each phase's longest
+move and velocity, durations, ``phase_error`` once per distinct velocity
+over an array of its distances, the episode clock as a left fold, and
+each qubit's error as a sum in op order, every float with the bits of
+the op-by-op scalar arithmetic.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import numbers
-from operator import itemgetter, truth
+from operator import itemgetter
 
 import numpy as np
 
-from .architecture import ArchitectureSpec, Location, decode_locations, position
+from .architecture import ArchitectureSpec, decode_locations
 from .circuit import SlicedCircuit
 from .error_model import ErrorModelParams, _phase_errors, optimal_velocity
 from .placement import Placement
@@ -122,11 +122,7 @@ def map_strategy(
         if not 0 <= measure_duration < math.inf:
             raise ValueError(f"measure_duration must be finite and >= 0, got {measure_duration!r}")
     # the scheduled gates: a barrier never, a measure only with a measure_duration
-    entries = c.gate_entries
-    measure = np.fromiter(map(itemgetter(1), entries), bool, len(entries))
-    scheduled = np.fromiter(map(truth, map(itemgetter(0), entries)), bool, len(entries))
-    if measure_duration is None:
-        scheduled &= ~measure
+    scheduled = ~c.barrier if measure_duration is not None else ~(c.barrier | c.measure)
     gate_index, layer = _episodes(sc, scheduled, sequential)
     n_gates = np.bincount(layer)  # episodes per layer
     if dynamic_return:
@@ -135,8 +131,7 @@ def map_strategy(
         moves, zone = _static_moves(sc, placement, gate_index, layer, sequential)
         final_sites = placement.perm
     gate_time = np.where(c.two_qubit, spec.t_2q, spec.t_1q).astype(np.float64)
-    if measure_duration is not None:
-        gate_time[measure] = measure_duration
+    gate_time[c.measure] = measure_duration or 0.0  # unscheduled without one
     ops, total_time, err = _timed_ops(moves, (n_gates, gate_index, zone), gate_time, spec, errp, tunable)
     return Schedule(
         strategy=strategy, circuit=c, arch=spec, error_params=errp, initial_sites=placement.perm,
@@ -148,15 +143,13 @@ def _episodes(sc: SlicedCircuit, scheduled, sequential: bool):
     """The episodes of ``sc``'s ``scheduled`` gates, as columns: each
     episode's gate index and layer, in layer order. Under ``sequential``
     every scheduled gate is a layer of its own, in circuit order; otherwise
-    the layers are ``sc.layers``' scheduled gates, empty layers dropped."""
+    the layers are ``sc.gate_layers``' scheduled gates, empty layers dropped."""
     if sequential:
         gate_index = np.flatnonzero(scheduled)
         return gate_index, np.arange(len(gate_index))
-    sizes = np.fromiter(map(len, sc.layers), np.int64, len(sc.layers))
-    gate_index = np.fromiter(_flat(sc.layers), np.int64, int(sizes.sum()))
+    gate_index, layer = sc.gate_layers
     keep = scheduled[gate_index]
-    layer = np.repeat(np.arange(len(sizes)), sizes)[keep]
-    return gate_index[keep], np.unique(layer, return_inverse=True)[1]
+    return gate_index[keep], np.unique(layer[keep], return_inverse=True)[1]
 
 
 def _static_moves(sc: SlicedCircuit, placement: Placement, gate_index, layer, sequential: bool):
@@ -164,18 +157,15 @@ def _static_moves(sc: SlicedCircuit, placement: Placement, gate_index, layer, se
     returns to its own site, so each zone follows from the placement and
     the gate's operands, and each return phase repeats its out phase.
     Returns ``_timed_ops``' move columns and each episode's zone."""
-    offsets, operands = sc.circuit.operands
+    row, q = sc.circuit.operands_of(gate_index)
     sites = np.array(placement.perm, dtype=np.int64)
-    first, end = offsets[gate_index], offsets[gate_index + 1]
-    i, j = sites[operands[first]], sites[operands[end - 1]]  # i == j for one qubit
+    first, end = (np.searchsorted(row, np.arange(len(gate_index)), side=side) for side in ("left", "right"))
+    i, j = sites[q[first]], sites[q[end - 1]]  # i == j for one qubit
     zone = (i + j + 1) // 2 if sequential else np.maximum(i, j)
-    # each gate's operands in order, gathered from the CSR columns
-    width = end - first
-    q = operands[np.arange(int(width.sum())) + np.repeat(first - np.cumsum(width) + width, width)]
-    move_layer = np.repeat(layer, width)
+    move_layer = layer[row]
     moves = (
         np.repeat(np.bincount(move_layer), 2), np.concatenate([2 * move_layer, 2 * move_layer + 1]),
-        np.tile(q, 2), np.tile(sites[q], 2), np.tile(np.repeat(zone, width), 2),
+        np.tile(q, 2), np.tile(sites[q], 2), np.tile(zone[row], 2),
     )
     return moves, zone
 
@@ -185,12 +175,11 @@ def _walk_layers(sc: SlicedCircuit, spec: ArchitectureSpec, placement: Placement
     (``n_gates`` episodes each), keeping one site and position per qubit,
     and deal each layer's vacated sites out as its return sites. Returns
     ``_timed_ops``' move columns, each episode's zone and the final sites."""
-    c = sc.circuit
-    gates = [(k, c.gate_entries[k][0]) for k in gate_index.tolist()]
+    gates = [(k, sc.circuit.gates[k].qubits) for k in gate_index.tolist()]
     ends = np.cumsum(n_gates).tolist()
     layers = [gates[a:b] for a, b in zip([0] + ends, ends)]
-    site_pos = [position(Location.site(s), spec) for s in range(spec.n_sites)]
-    zone_pos = [position(Location.zone(z), spec) for z in range(spec.n_sites)]
+    positions = decode_locations(np.arange(2 * spec.n_sites), spec)[2].tolist()
+    site_pos, zone_pos = positions[0::2], positions[1::2]
     sites = list(placement.perm)
     pos = [site_pos[s] for s in sites]  # a site's position, or a zone's while out
 
@@ -198,7 +187,7 @@ def _walk_layers(sc: SlicedCircuit, spec: ArchitectureSpec, placement: Placement
     # backward sweep; layers are qubit-disjoint
     next_partners: dict[int, tuple[int | None, int | None]] = {}
     if swap_returns:
-        later: list[int | None] = [None] * c.num_qubits
+        later: list[int | None] = [None] * spec.n_sites
         for layer in reversed(layers):
             for gate_idx, qubits in layer:
                 if len(qubits) == 2:

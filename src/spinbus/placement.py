@@ -79,16 +79,14 @@ class Placement:
 
 def build_interaction_graph(sc: SlicedCircuit) -> InteractionGraph:
     """Layer-discounted interaction graph of a sliced native circuit."""
-    n = sc.circuit.num_qubits
-    w = np.zeros((n, n))
-    for layer_idx, layer in enumerate(sc.layers):
-        decay = 2.0**-layer_idx
-        for gate_idx in layer:
-            g = sc.circuit.gates[gate_idx]
-            if g.is_two_qubit:
-                u, v = g.qubits
-                w[u, v] += decay
-                w[v, u] += decay
+    c = sc.circuit
+    gate_index, layer = sc.gate_layers
+    pair = c.two_qubit[gate_index]
+    uv = c.operands_of(gate_index[pair])[1]  # u, v of each gate in layer order
+    # w[u, v] then w[v, u] for each gate in turn: a cell's terms add in the
+    # same order on both sides of the diagonal, so w stays exactly symmetric
+    w = np.zeros((c.num_qubits, c.num_qubits))
+    np.add.at(w, (uv, uv.reshape(-1, 2)[:, ::-1].ravel()), np.repeat(np.ldexp(1.0, -layer[pair]), 2))
     return InteractionGraph(w)
 
 

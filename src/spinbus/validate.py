@@ -12,6 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .architecture import ArchitectureSpec, Location, _location, decode_locations, distance
+from .circuit import _ragged
 from .error_model import _phase_errors
 from .schedule import Schedule, ShuttleColumns
 
@@ -206,13 +207,9 @@ def _coverage(s: Schedule, stays: _Stays, op_index):
     gt = s.ops.gates
     gate_index, g_zone, g_start = gt.gate_index, gt.zone, gt.start
     g_known = (gate_index >= 0) & (gate_index < len(s.circuit.gates))
-    offsets, qubits = s.circuit.operands
     rows = np.flatnonzero(g_known)
-    first = offsets[gate_index[rows]]
-    count = offsets[gate_index[rows] + 1] - first
-    og = np.repeat(rows, count)  # each operand's gate row
-    # the j-th operand of a gate sits at its gate's first + j in the CSR columns
-    oq = qubits[np.arange(len(og)) + np.repeat(first - np.cumsum(count) + count, count)]
+    og, oq = s.circuit.operands_of(gate_index[rows])
+    og = rows[og]  # each operand's gate row
     zs = np.flatnonzero(stays.zone)
     zones = np.sort(np.append(-1, stays.index[zs]))
     zones = zones[np.append(True, zones[1:] != zones[:-1])]
@@ -347,10 +344,3 @@ def _crossings(sh: ShuttleColumns, p0, p1, op_index):
     for b, a in sorted(crossings):
         j, i = by_start.item(b), by_start.item(a)
         yield Violation("d", op_index("s")[j], f"qubits {q.item(j)} and {q.item(i)} cross mid-flight")
-
-
-def _ragged(rows, first, counts):
-    """Each of ``rows`` paired with ``first, first + 1, ...``, ``counts`` of
-    them, as two flat columns."""
-    k = np.repeat(np.arange(len(rows)), counts)
-    return rows[k], first[k] + np.arange(len(k)) - (np.cumsum(counts) - counts)[k]

@@ -1,6 +1,7 @@
 """Test oracles the compiler itself never calls: the dense unitary of a 1-2
 qubit gate list (checks every decomposition rewrite), exact MinLA by
-enumerating all n! placements (bounds spectral placement), the analytic
+enumerating all n! placements (bounds spectral placement), the
+layer-discounted interaction graph built one gate at a time, the analytic
 velocity derivative of the dephasing model (checks the optimizer's minimum),
 the op-by-op schedule writer and summary that the columnar
 ``schedule_to_json`` and ``summarize`` must match bit for bit, the op-by-op
@@ -125,6 +126,23 @@ def edges(g: InteractionGraph) -> list[tuple[int, int, float]]:
     """Edges (u, v, weight) with u < v and weight > 0, sorted."""
     u_idx, v_idx = np.nonzero(np.triu(g.weights, 1))
     return [(int(u), int(v), float(g.weights[u, v])) for u, v in zip(u_idx, v_idx)]
+
+
+def oracle_interaction_graph(sc: SlicedCircuit) -> np.ndarray:
+    """The layer-discounted interaction weights, one gate at a time: a
+    two-qubit gate on (u, v) in layer l adds 2^-l to w[u, v], then to
+    w[v, u]. ``build_interaction_graph`` must give these bits."""
+    n = sc.circuit.num_qubits
+    w = np.zeros((n, n))
+    for layer_idx, layer in enumerate(sc.layers):
+        decay = 2.0**-layer_idx
+        for gate_idx in layer:
+            g = sc.circuit.gates[gate_idx]
+            if g.is_two_qubit:
+                u, v = g.qubits
+                w[u, v] += decay
+                w[v, u] += decay
+    return w
 
 
 def _all_permutations(n: int) -> np.ndarray:

@@ -3,15 +3,19 @@ import io
 import json
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbus.benchgen import FAMILIES
+from spinbus.architecture import ArchitectureSpec
+from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
+from spinbus.circuit import decompose, slice_circuit
 from spinbus.cli import (
     BENCH_HEADER, COMPARE_HEADER, OPTIONS, PLACEMENT_MODES, SWEEP_HEADER, _build_parser, main,
 )
-from spinbus.mapper import STRATEGIES
+from spinbus.mapper import STRATEGIES, map_strategy
+from spinbus.placement import Placement, random_placement
 from spinbus.validate import Violation
 
 GHZ_QASM = """OPENQASM 2.0;
@@ -485,6 +489,39 @@ class TestExtremeConfigs:
                 assert (code, err) == (0, "") or (
                     code == 2 and err.startswith("error: ") and err.count("\n") == 1
                 ), (key, value, strategy, code, err)
+
+
+class TestScheduleBounds:
+    """``_check_model`` bounds a schedule's time and a qubit's error by
+    ``4 * len(gates) + 1`` times the longest op and the worst shuttle error.
+    It rests on two facts, not on the op count: a schedule runs at most one
+    episode of three phases per gate, and a qubit shuttles exactly twice
+    per scheduled gate it is an operand of."""
+
+    @pytest.mark.parametrize("placement", ("spectral", "random"))
+    def test_both_facts_at_16_qubits(self, bench16, errp, placement):
+        for arch16, sc, schedules in bench16.values():
+            c, bound = sc.circuit, 4 * len(sc.circuit.gates) + 1
+            for strategy in STRATEGIES:
+                s = schedules[strategy]
+                if placement == "random":
+                    s = map_strategy(strategy, sc, arch16, random_placement(16, 0), errp)
+                sh, gt = s.ops.shuttles, s.ops.gates
+                # every episode's gates start together, after its out phase
+                episodes = len(np.unique(gt.start))
+                assert episodes <= len(gt.gate_index) <= len(c.gates)
+                longest = max(sh.duration.max(), gt.duration.max())
+                assert s.total_time <= 3 * episodes * longest * (1 + 1e-12) < bound * longest
+                operands = c.operands_of(gt.gate_index)[1]
+                shuttles = np.bincount(sh.qubit, minlength=c.num_qubits)
+                assert shuttles.tolist() == (2 * np.bincount(operands, minlength=c.num_qubits)).tolist()
+                assert max(s.per_qubit_error) <= shuttles.max() * sh.delta_c.max() * (1 + 1e-12)
+                assert shuttles.max() < bound
+
+    def test_a_schedule_may_hold_more_ops_than_the_bound(self, errp):
+        sc = slice_circuit(decompose(generate(BenchmarkSpec(family="graph_state", n=16, seed=0))))
+        s = map_strategy("baseline", sc, ArchitectureSpec(n_sites=16), Placement.identity(16), errp)
+        assert len(s.ops) == 353 > 4 * len(sc.circuit.gates) + 1 == 309
 
 
 def test_parser_built_once():

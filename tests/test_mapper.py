@@ -643,7 +643,7 @@ class TestPerCircuitData:
 
     def test_two_operand_barrier_named_by_a_gate_op(self, errp):
         c = Circuit(3, (h(0), Gate(GateKind.BARRIER, (0, 1)), cz(1, 2)))
-        assert not c.two_qubit[1] and c.gate_entries[1] == (None, False)
+        assert not c.two_qubit[1] and c.barrier[1] and not c.measure[1]
         s = Schedule(
             strategy="handmade", circuit=c, arch=arch(3),
             error_params=errp, initial_sites=(0, 1, 2),
@@ -658,13 +658,42 @@ class TestPerCircuitData:
         assert ["qubit 0 not" in violations[0].message, "qubit 1 not" in violations[1].message] == [True, True]
         assert violations == oracle_validate_schedule(s, s.arch)
 
-    def test_derived_data_is_read_only(self):
-        c = decompose(generate(BenchmarkSpec(family="qft", n=4, seed=0)))
+    @staticmethod
+    def _check_columns(sc):
+        c = sc.circuit
+        kinds = [g.kind for g in c.gates]
+        assert c.two_qubit.tolist() == [k is GateKind.CZ for k in kinds]
+        assert c.measure.tolist() == [k is GateKind.MEASURE for k in kinds]
+        assert c.barrier.tolist() == [k is GateKind.BARRIER for k in kinds]
+        # every gate once, then backward with repeats, then none
+        everyone = np.arange(len(c.gates))
+        for gate_index in (everyone, np.repeat(everyone[::-1], 2), np.array([], dtype=np.int64)):
+            row, q = c.operands_of(gate_index)
+            assert list(zip(row.tolist(), q.tolist())) == [
+                (r, qq) for r, k in enumerate(gate_index.tolist()) for qq in c.gates[k].qubits
+            ]
+        gate_index, layer = sc.gate_layers
+        assert gate_index.tolist() == [k for ks in sc.layers for k in ks]
+        assert layer.tolist() == [idx for idx, ks in enumerate(sc.layers) for _ in ks]
         offsets, qubits = c.operands
-        for a in (c.two_qubit, offsets, qubits):
+        for a in (c.two_qubit, c.measure, c.barrier, offsets, qubits, *c.operands_of(everyone), gate_index, layer):
             assert not a.flags.writeable
-        assert c.gate_entries[0][0] is c.gates[0].qubits
-        assert [tuple(qubits[offsets[k]:offsets[k + 1]].tolist()) for k in range(len(c.gates))] == [g.qubits for g in c.gates]
+
+    @EDGE_CASES
+    def test_columns_of_the_edge_cases(self, circuit):
+        self._check_columns(slice_circuit(circuit))
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [Circuit(3, ()), Circuit(3, (h(0), Gate(GateKind.BARRIER, (0, 1)), cz(1, 2), _measure(1)))],
+        ids=("empty", "two-operand-barrier"),
+    )
+    def test_columns_of_empty_and_barrier_circuits(self, circuit):
+        self._check_columns(slice_circuit(circuit))
+
+    def test_columns_of_one_gate_per_layer(self):
+        c = _with_measured_tail(decompose(generate(BenchmarkSpec(family="qft", n=4, seed=0))))
+        self._check_columns(SlicedCircuit(c, tuple((k,) for k in range(len(c.gates)))))
 
 
 class TestReturnSites:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from jacobi_oracle import oracle_jacobi_eigh
-from oracles import brute_force_minla, edges
+from oracles import brute_force_minla, edges, oracle_interaction_graph
 from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
-from spinbus.circuit import Circuit, Gate, GateKind, decompose, slice_circuit
+from spinbus.circuit import Circuit, Gate, GateKind, SlicedCircuit, decompose, slice_circuit
 from spinbus.placement import (
     InteractionGraph,
     Placement,
@@ -89,6 +89,43 @@ class TestInteractionGraph:
         gates = (Gate(GateKind.H, (0,)), Gate(GateKind.RZ, (1,), 0.3))
         sc = slice_circuit(Circuit(2, gates))
         assert not edges(build_interaction_graph(sc))
+
+
+class TestInteractionGraphMatchesOracle:
+    """``build_interaction_graph`` adds every gate's weight at once; its
+    matrix must have the bits of the one-gate-at-a-time oracle."""
+
+    @staticmethod
+    def _same_bits(sc):
+        got, want = build_interaction_graph(sc).weights, oracle_interaction_graph(sc)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        return got
+
+    @pytest.mark.parametrize("n", (3, 8, 17, 32, 45, 64))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_benchmark_circuits(self, family, n):
+        for seed in range(3):
+            self._same_bits(slice_circuit(decompose(generate(BenchmarkSpec(family=family, n=n, seed=seed)))))
+
+    def test_one_pair_in_both_operand_orders(self):
+        # 1 + 0.5 + 0.25 is exact in any order; at layers 0, 52 and 53,
+        # (1 + 2^-52) + 2^-53 rounds up to 1 + 2^-51 but (1 + 2^-53) + 2^-52
+        # to 1 + 2^-52, so adding w[u, v] for every gate before w[v, u]
+        # would leave w[0, 1] != w[1, 0]
+        cz = [Gate(GateKind.CZ, pair) for pair in ((0, 1), (1, 0), (0, 1))]
+        sc = slice_circuit(Circuit(2, tuple(cz)))
+        assert self._same_bits(sc)[0, 1] == 1.75
+        spread = SlicedCircuit(sc.circuit, ((0,),) + ((),) * 51 + ((1,), (2,)))
+        w = self._same_bits(spread)
+        assert w[0, 1] == w[1, 0] == 1 + 2.0**-51
+
+    def test_underflowing_layers(self):
+        # 1,070 Hs push ten CZs on one pair into layers 1,070-1,079, where
+        # 2^-l is subnormal and from layer 1,075 on rounds to 0
+        gates = (Gate(GateKind.H, (0,)),) * 1070 + (Gate(GateKind.CZ, (0, 1)),) * 10
+        sc = slice_circuit(Circuit(2, gates))
+        assert sc.depth == 1080
+        assert self._same_bits(sc)[0, 1] == 31 * 2.0**-1074
 
 
 class TestLaplacian:
