@@ -148,7 +148,15 @@ def _merge_config(cmd: str, given: dict) -> argparse.Namespace:
     return argparse.Namespace(cmd=cmd, **merged)
 
 
+# Spectral placement holds a few dense n x n float64 matrices (weights,
+# Laplacian, eigenvectors), 8 MiB each at 1024 qubits, where eigh takes
+# well under a second; tens of thousands of qubits would need gigabytes.
+MAX_QUBITS = 1024
+
+
 def _build_arch(n: int, path: str | None) -> ArchitectureSpec:
+    if n > MAX_QUBITS:
+        raise ConfigError(f"{n} qubits is more than the {MAX_QUBITS} the compiler places")
     try:
         if path is None:
             return ArchitectureSpec(n_sites=n)
@@ -191,7 +199,7 @@ def _check_model(arch: ArchitectureSpec, errp: ErrorModelParams, strategies, sli
     longest = distance(Location.site(0), Location.zone(arch.n_sites - 1), arch)
     slowest, errors = [], []
     try:
-        for tunable in sorted({STRATEGY_FLAGS[s][2] for s in strategies}):
+        for tunable in sorted({STRATEGY_FLAGS[s].tunable for s in strategies}):
             v = optimal_velocity(longest, errp) if tunable else arch.default_velocity
             slowest.append(V_BRACKET[0] if tunable else v)
             errors.append(phase_error(v, longest, errp))
@@ -309,8 +317,8 @@ def _run_matrix(cases, modes, strategies, args, errp, measure_duration=None):
 
 def cmd_compile(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args)
-    sliced = slice_circuit(decompose(circuit))
     arch = _build_arch(circuit.num_qubits, args.arch_config)
+    sliced = slice_circuit(decompose(circuit))
     errp = _build_errp(args.error_config)
     measure_duration = (
         None if args.measure_duration is None else args.measure_duration * 1e-9

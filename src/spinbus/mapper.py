@@ -22,7 +22,7 @@ Five strategies, each an improvement on the last:
 
 ``map_strategy`` is the mapper, and a strategy's name the only way to
 choose its configuration. The five strategies are the five rows of
-``STRATEGY_FLAGS``, each a flag tuple (sequential, dynamic_return,
+``STRATEGY_FLAGS``, each a ``StrategyFlags`` (sequential, dynamic_return,
 tunable, swap_returns). Only baseline is sequential: every gate is a
 slice of its own, in circuit order, and a two-qubit gate meets in the
 central zone.
@@ -63,6 +63,7 @@ import itertools
 import math
 import numbers
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,13 +80,22 @@ from .schedule import GateColumns, Schedule, ScheduleOps, ShuttleColumns
 from .schedule import schedule_from_json, schedule_to_json
 from .validate import validate_schedule
 
-# name -> (sequential, dynamic_return, tunable, swap_returns)
+
+class StrategyFlags(NamedTuple):
+    """A strategy's row of ``STRATEGY_FLAGS``; it equals the plain tuple."""
+
+    sequential: bool
+    dynamic_return: bool
+    tunable: bool
+    swap_returns: bool
+
+
 STRATEGY_FLAGS = {
-    "baseline": (True, False, False, False),
-    "parallel": (False, False, False, False),
-    "min_return": (False, True, False, False),
-    "tunable_velocity": (False, True, True, False),
-    "swap_return": (False, True, True, True),
+    "baseline": StrategyFlags(True, False, False, False),
+    "parallel": StrategyFlags(False, False, False, False),
+    "min_return": StrategyFlags(False, True, False, False),
+    "tunable_velocity": StrategyFlags(False, True, True, False),
+    "swap_return": StrategyFlags(False, True, True, True),
 }
 STRATEGIES = tuple(STRATEGY_FLAGS)
 

@@ -3,12 +3,14 @@
 A schedule's ops are held as columns (``ScheduleOps``): one array per
 shuttle field, one per gate field, and an order string that interleaves
 the two. The mapper hands its arrays over as they are;
-``schedule_from_json`` and a tuple of ops go through rows
+``schedule_from_json`` and an iterable of ops go through rows
 (``ScheduleOps.from_rows``). The validator, ``metrics.summarize`` and
 ``schedule_to_json`` read the arrays.
-``Schedule.ops`` is that column sequence: it has a length without building
-ops, and builds ``ShuttleOp``/``GateOp`` objects only when iterated or
-indexed. A ``Schedule`` given a tuple of ops turns it into columns.
+``Schedule.ops`` has a length without building ops, builds
+``ShuttleOp``/``GateOp`` objects only when iterated, and equals another
+``ScheduleOps`` of the same columns; it is neither indexed nor hashed, so
+neither is a ``Schedule``. A ``Schedule`` given ops objects, as by
+``Schedule(ops=...)`` or ``dataclasses.replace``, turns them into columns.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import functools
 import json
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -119,15 +120,15 @@ def _frozen(cols):
     return cols
 
 
-class ScheduleOps(Sequence):
+class ScheduleOps:
     """``Schedule.ops``: the ops of a schedule held as columns.
 
     ``order`` has one character per op, ``"s"`` for the next shuttle row
     and ``"g"`` for the next gate row. The column arrays are taken, not
     copied, and made read-only; float columns hold finite numbers only
-    (ValueError otherwise). Iterating or indexing builds
-    ``ShuttleOp``/``GateOp`` objects; a slice is a plain tuple. It equals
-    the tuple of the same ops, and ``+`` with a tuple gives a tuple.
+    (ValueError otherwise). It has a length, iterating it builds
+    ``ShuttleOp``/``GateOp`` objects in op order, and it equals another
+    ``ScheduleOps`` with the same order and columns. It is not hashable.
     """
 
     __slots__ = ("order", "shuttles", "gates")
@@ -147,7 +148,7 @@ class ScheduleOps(Sequence):
 
     @classmethod
     def of(cls, ops) -> "ScheduleOps":
-        """The columns of a sequence of ``ShuttleOp``s and ``GateOp``s."""
+        """The columns of an iterable of ``ShuttleOp``s and ``GateOp``s."""
         if isinstance(ops, ScheduleOps):
             return ops
         order, shuttles, gates = [], [], []
@@ -179,54 +180,31 @@ class ScheduleOps(Sequence):
         for kind in self.order:
             yield nexts[kind]()
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        index = range(len(self))[index]
-        k = self.order.count("s", 0, index)
-        if self.order[index] == "g":
-            return GateOp(*(col.item(index - k) for col in self.gates))
-        q, src, dst, *rest = (col.item(k) for col in self.shuttles)
-        return ShuttleOp(q, _location(src), _location(dst), *rest)
-
     def __eq__(self, other):
-        if isinstance(other, ScheduleOps):
-            return self.order == other.order and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.shuttles + self.gates, other.shuttles + other.gates)
-            )
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
+        if not isinstance(other, ScheduleOps):
+            return NotImplemented
+        return self.order == other.order and all(
+            np.array_equal(a, b) for a, b in zip(self.shuttles + self.gates, other.shuttles + other.gates)
+        )
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __add__(self, other):
-        if isinstance(other, (tuple, ScheduleOps)):
-            return tuple(self) + tuple(other)
-        return NotImplemented
-
-    def __radd__(self, other):
-        if isinstance(other, tuple):
-            return other + tuple(self)
-        return NotImplemented
+    __hash__ = None
 
     def __repr__(self) -> str:
-        return f"ScheduleOps({tuple(self)!r})"
+        return f"<ScheduleOps: {len(self.shuttles.qubit)} shuttles, {len(self.gates.gate_index)} gates>"
 
 
 @dataclass(frozen=True)
 class Schedule:
     """A validated plan: time-ordered ops plus accumulated per-qubit error.
 
-    ``ops`` may be given as any sequence of ``ShuttleOp``/``GateOp``; it is
-    held as ``ScheduleOps``. Op fields must be numbers that fit the columns
-    (integer fields 64-bit integers), or construction raises TypeError or
-    OverflowError. Float op fields, ``total_time`` and every
-    ``per_qubit_error`` entry must be finite, or it raises ValueError. Every
-    ``initial_sites`` and ``final_sites`` entry must be a 64-bit integer (a
-    bool is not), or it raises TypeError or OverflowError.
+    ``ops`` may be given as any iterable of ``ShuttleOp``/``GateOp``; it is
+    held as ``ScheduleOps``, so a ``Schedule`` is not hashable. Op fields
+    must be numbers that fit the columns (integer fields 64-bit integers),
+    or construction raises TypeError or OverflowError. Float op fields,
+    ``total_time`` and every ``per_qubit_error`` entry must be finite, or it
+    raises ValueError. Every ``initial_sites`` and ``final_sites`` entry must
+    be a 64-bit integer (a bool is not), or it raises TypeError or
+    OverflowError.
     """
 
     strategy: str

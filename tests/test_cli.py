@@ -12,7 +12,7 @@ from spinbus.architecture import ArchitectureSpec
 from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
 from spinbus.circuit import decompose, slice_circuit
 from spinbus.cli import (
-    BENCH_HEADER, COMPARE_HEADER, OPTIONS, PLACEMENT_MODES, SWEEP_HEADER, _build_parser, main,
+    BENCH_HEADER, COMPARE_HEADER, MAX_QUBITS, OPTIONS, PLACEMENT_MODES, SWEEP_HEADER, _build_parser, main,
 )
 from spinbus.mapper import STRATEGIES, map_strategy
 from spinbus.placement import Placement, random_placement
@@ -102,6 +102,29 @@ class TestCompile:
         for seed in (7, 8, 9):
             assert (out / f"schedule_min_return__random_s{seed}.json").exists()
         assert "+-" in capsys.readouterr().out  # mean +- std across seeds
+
+    @pytest.mark.parametrize("family", ["qft", "qaoa", "qpe"])
+    @pytest.mark.parametrize(
+        "placement, tags",
+        [(["spectral"], ["spectral"]), (["random", "--runs", 2], ["random_s0", "random_s1"])],
+        ids=("spectral", "random-runs-2"),
+    )
+    def test_one_strategy_writes_what_all_writes(self, tmp_path, family, placement, tags):
+        flags = ["compile", "--gen", family, "--n", 8, "--placement", *placement]
+        every = tmp_path / "all"
+        assert run_cli(*flags, "--strategy", "all", "--out", every) == 0
+        for strategy in STRATEGIES:
+            one = tmp_path / strategy
+            assert run_cli(*flags, "--strategy", strategy, "--out", one) == 0
+            names = sorted(p.name for p in one.glob("schedule_*.json"))
+            assert names == [f"schedule_{strategy}__{tag}.json" for tag in tags]
+            for name in names:
+                assert (one / name).read_bytes() == (every / name).read_bytes(), name
+            for tag in tags:
+                header, row = (one / f"reports__{tag}.csv").read_text().splitlines()
+                lines = (every / f"reports__{tag}.csv").read_text().splitlines()
+                assert [line for line in lines if line.startswith(f"{strategy},")] == [row]
+                assert lines[0] == header
 
     def test_parse_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.qasm"
@@ -335,7 +358,8 @@ class TestSweep:
 
 
 class TestQubitCountRange:
-    """Qubit counts outside the generators' [2, 64] are configuration errors."""
+    """Qubit counts outside the generators' [2, 64], and registers outside
+    [2, MAX_QUBITS], are configuration errors."""
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.one_of(st.integers(-1000, 1), st.integers(65, 10**6)))
@@ -359,6 +383,16 @@ class TestQubitCountRange:
         assert run_cli("compile", "--input", qasm, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # one past MAX_QUBITS, one whose slicing ran out of memory and one
+    # beyond any index, whose slicing raised OverflowError
+    @pytest.mark.parametrize("n", [MAX_QUBITS + 1, 3_000_000_000, 10**20 - 1])
+    def test_oversized_register_exits_2(self, tmp_path, capsys, n):
+        qasm = tmp_path / "big.qasm"
+        qasm.write_text(f"qreg q[{n}];")
+        assert run_cli("compile", "--input", qasm, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {n} qubits is more than the {MAX_QUBITS} the compiler places\n"
 
 
 class TestConfigFiles:

@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import functools
 import itertools
@@ -89,7 +90,7 @@ class TestBaseline:
 
     def test_empty_circuit(self, errp):
         s = run("baseline", Circuit(3, ()), 3, errp)
-        assert s.ops == ()
+        assert list(s.ops) == []
         assert s.total_time == 0.0
         assert s.per_qubit_error == (0.0, 0.0, 0.0)
 
@@ -520,8 +521,8 @@ class TestTwoPassMapper:
             ScheduleOps(s.ops.order, sh._replace(delta_c=sh.delta_c[:-1]), gt)
 
 
-STATIC_STRATEGIES = tuple(name for name in STRATEGIES if not STRATEGY_FLAGS[name][1])
-DYNAMIC_STRATEGIES = tuple(name for name in STRATEGIES if STRATEGY_FLAGS[name][1])
+STATIC_STRATEGIES = tuple(name for name in STRATEGIES if not STRATEGY_FLAGS[name].dynamic_return)
+DYNAMIC_STRATEGIES = tuple(name for name in STRATEGIES if STRATEGY_FLAGS[name].dynamic_return)
 
 
 def _measure(q):
@@ -981,7 +982,7 @@ class TestValidator:
 def _replace_op(s, k, **changes):
     ops = list(s.ops)
     ops[k] = dataclasses.replace(ops[k], **changes)
-    return dataclasses.replace(s, ops=tuple(ops))
+    return dataclasses.replace(s, ops=ops)
 
 
 def _nth(s, kind, i):
@@ -994,31 +995,32 @@ def _shift_start(s, i, j):
     # shifts from 100 ns down to the validator's 1e-15 s tolerance
     dt = (-1e-7, -1e-9, -1e-15, 1e-15, 1e-9, 1e-7)[j % 6]
     k = i % len(s.ops)
-    return _replace_op(s, k, start=s.ops[k].start + dt)
+    return _replace_op(s, k, start=list(s.ops)[k].start + dt)
 
 
 def _stretch(s, i, j):
     # a longer or shorter op: late arrivals, early departures, long gates
     k = i % len(s.ops)
-    return _replace_op(s, k, duration=s.ops[k].duration * (0.5, 2.0, 10.0)[j % 3])
+    return _replace_op(s, k, duration=list(s.ops)[k].duration * (0.5, 2.0, 10.0)[j % 3])
 
 
 def _swap_destinations(s, i, j):
     a, b = _nth(s, ShuttleOp, i), _nth(s, ShuttleOp, j)
-    s = _replace_op(s, a, dst=s.ops[b].dst)
-    return _replace_op(s, b, dst=s.ops[a].dst)
+    s = _replace_op(s, a, dst=list(s.ops)[b].dst)
+    return _replace_op(s, b, dst=list(s.ops)[a].dst)
 
 
 def _drop(s, i, j):
     # counted from the end, so i = 0 drops the last return shuttle
-    k = len(s.ops) - 1 - i % len(s.ops)
-    return dataclasses.replace(s, ops=s.ops[:k] + s.ops[k + 1 :])
+    ops = list(s.ops)
+    k = len(ops) - 1 - i % len(ops)
+    return dataclasses.replace(s, ops=ops[:k] + ops[k + 1 :])
 
 
 def _duplicate(s, i, j):
-    op = s.ops[i % len(s.ops)]
-    k = j % (len(s.ops) + 1)
-    return dataclasses.replace(s, ops=s.ops[:k] + (op,) + s.ops[k:])
+    ops = list(s.ops)
+    k = j % (len(ops) + 1)
+    return dataclasses.replace(s, ops=ops[:k] + [ops[i % len(ops)]] + ops[k:])
 
 
 def _inject_crossing(s, i, j):
@@ -1044,7 +1046,7 @@ def _inject_crossing(s, i, j):
         move(qa, Location.zone(sb), Location.site(sa), t1),
         move(qb, Location.zone(sa), Location.site(sb), t1),
     )
-    return dataclasses.replace(s, ops=s.ops + added)
+    return dataclasses.replace(s, ops=[*s.ops, *added])
 
 
 def _bad_qubit(s, i, j):
@@ -1488,23 +1490,33 @@ class TestCrossingsNearTheBound:
 
 
 class TestScheduleOps:
-    """``Schedule.ops`` holds the ops as columns and behaves as their tuple;
-    the validator, ``summarize`` and the writer read the columns of whatever
-    ops the schedule was given."""
+    """``Schedule.ops`` holds the ops as columns: it has a length, iterates
+    as op objects and equals the columns of the same ops; the validator,
+    ``summarize`` and the writer read the columns of whatever ops the
+    schedule was given."""
 
-    def test_sequence_of_the_same_ops(self):
-        for s in _valid_schedules():
-            ops = tuple(s.ops)
+    def test_columns_iterate_as_the_same_ops(self):
+        schedules = _valid_schedules()
+        for s, other in zip(schedules, schedules[1:]):
+            ops = list(s.ops)
             assert {type(op) for op in ops} == {ShuttleOp, GateOp}
-            assert s.ops == ops and ops == s.ops and hash(s.ops) == hash(ops)
             assert len(s.ops) == len(ops)
-            assert [s.ops[k] for k in range(-len(ops), len(ops))] == list(ops + ops)
-            assert s.ops[3:-2] == ops[3:-2] and type(s.ops[::2]) is tuple
-            assert s.ops + ops[:1] == ops + ops[:1] and ops[:1] + s.ops == ops[:1] + ops
-            with pytest.raises(IndexError):
-                s.ops[len(ops)]
-            rebuilt = dataclasses.replace(s, ops=ops)
-            assert type(rebuilt.ops) is ScheduleOps and rebuilt == s
+            rebuilt = dataclasses.replace(s, ops=iter(ops))
+            assert type(rebuilt.ops) is ScheduleOps and rebuilt.ops is not s.ops
+            assert rebuilt.ops == s.ops != other.ops and rebuilt == s
+            assert list(rebuilt.ops) == ops
+            shuttles, gates = len(s.ops.shuttles.qubit), len(s.ops.gates.gate_index)
+            assert repr(s.ops) == f"<ScheduleOps: {shuttles} shuttles, {gates} gates>"
+
+    def test_no_tuple_emulation(self):
+        s = _valid_schedules()[0]
+        ops = tuple(s.ops)
+        assert not isinstance(s.ops, collections.abc.Sequence)
+        assert s.ops != ops and ops != s.ops
+        for use in (lambda: s.ops[0], lambda: s.ops[1:], lambda: s.ops + ops, lambda: ops + s.ops,
+                    lambda: hash(s.ops), lambda: hash(s)):
+            with pytest.raises(TypeError):
+                use()
 
     @pytest.mark.parametrize(
         "change, error",
