@@ -65,8 +65,34 @@ class Location:
         return f"{tag}{self.index}"
 
 
+class _Config:
+    """``to_config`` and ``from_config``, both read from the class's one table
+    of its config, ``_CONFIG``: key -> (field, SI -> config, config -> SI)."""
+
+    def to_config(self) -> dict:
+        """Flat key-value form in the config's units."""
+        return {key: out(getattr(self, field)) for key, (field, out, _) in self._CONFIG.items()}
+
+    @classmethod
+    def from_config(cls, cfg: dict):
+        """Inverse of ``to_config``: a key given is a finite number in its unit,
+        one left out keeps its field's default, and any other raises ValueError."""
+        unknown = sorted(set(cfg) - set(cls._CONFIG))
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys {unknown}")
+        return cls(**{
+            field: into(json_number(cfg[key], key)) for key, (field, _, into) in cls._CONFIG.items() if key in cfg
+        })
+
+
+def _whole(n: float) -> int:
+    if n != int(n):
+        raise ValueError(f"n_sites must be a whole number, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
-class ArchitectureSpec:
+class ArchitectureSpec(_Config):
     """Geometry and timing constants of the bus.
 
     n_sites equals both the qubit count and the manipulation-zone count;
@@ -84,6 +110,16 @@ class ArchitectureSpec:
     default_velocity: float = 10.0
     t_1q: float = 20 * NS
     t_2q: float = 45 * NS
+
+    # in um / ns / m/s; n_sites has no default, so from_config needs it
+    _CONFIG = {
+        "n_sites": ("n_sites", lambda n: n, _whole),
+        "site_pitch_um": ("site_pitch", lambda x: x / UM, lambda x: x * UM),
+        "zone_offset_um": ("zone_offset", lambda x: x / UM, lambda x: x * UM),
+        "default_velocity_mps": ("default_velocity", lambda v: v, lambda v: v),
+        "t_1q_ns": ("t_1q", lambda t: t / NS, lambda t: t * NS),
+        "t_2q_ns": ("t_2q", lambda t: t / NS, lambda t: t * NS),
+    }
 
     def __post_init__(self) -> None:
         n = self.n_sites
@@ -122,39 +158,6 @@ class ArchitectureSpec:
     def check_location(self, loc: Location) -> None:
         if not 0 <= loc.index < self.n_sites:
             raise ValueError(f"location {loc!r} out of range for {self.n_sites} positions")
-
-    def to_config(self) -> dict:
-        """Flat key-value form in um / ns / m/s."""
-        return {
-            "n_sites": self.n_sites,
-            "site_pitch_um": self.site_pitch / UM,
-            "zone_offset_um": self.zone_offset / UM,
-            "default_velocity_mps": self.default_velocity,
-            "t_1q_ns": self.t_1q / NS,
-            "t_2q_ns": self.t_2q / NS,
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ArchitectureSpec":
-        """Inverse of ``to_config``; keys it does not write are rejected."""
-        unknown = sorted(set(cfg) - set(cls(n_sites=2).to_config()))
-        if unknown:
-            raise ValueError(f"unknown architecture keys {unknown}")
-        n_sites = cfg["n_sites"]
-        if int(json_number(n_sites, "n_sites")) != n_sites:
-            raise ValueError(f"n_sites must be a whole number, got {n_sites!r}")
-
-        def number(key: str, default: float) -> float:
-            return json_number(cfg.get(key, default), key)
-
-        return cls(
-            n_sites=int(n_sites),
-            site_pitch=number("site_pitch_um", 2.0) * UM,
-            zone_offset=number("zone_offset_um", 1.0) * UM,
-            default_velocity=number("default_velocity_mps", 10.0),
-            t_1q=number("t_1q_ns", 20.0) * NS,
-            t_2q=number("t_2q_ns", 45.0) * NS,
-        )
 
 
 def position(loc: Location, spec: ArchitectureSpec) -> float:

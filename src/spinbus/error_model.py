@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .architecture import json_number
+from .architecture import _Config
 
 HBAR = 1.054571817e-34  # J*s
 UEV = 1.602176634e-25   # J per micro-electronvolt
@@ -33,7 +33,7 @@ V_BRACKET = (0.01, 1000.0)
 
 
 @dataclass(frozen=True)
-class ErrorModelParams:
+class ErrorModelParams(_Config):
     """Physical parameters of the dephasing model (SI units).
 
     Defaults are the experiment values: l_c = 100 nm, T2* = 20 us,
@@ -47,41 +47,21 @@ class ErrorModelParams:
     d_bar: float = 30e-9
     a_x: float = 0.05 * math.pi * 1e9
 
+    # in nm / us / ueV / (pi/nm)
+    _CONFIG = {
+        "l_c_nm": ("l_c", lambda x: x * 1e9, lambda x: x * 1e-9),
+        "t2_star_us": ("t2_star", lambda t: t * 1e6, lambda t: t * 1e-6),
+        "l_dot_nm": ("l_dot", lambda x: x * 1e9, lambda x: x * 1e-9),
+        "e_vs0_uev": ("e_vs0", lambda e: e / UEV, lambda e: e * UEV),
+        "d_bar_nm": ("d_bar", lambda x: x * 1e9, lambda x: x * 1e-9),
+        "a_x_pi_per_nm": ("a_x", lambda a: a / (math.pi * 1e9), lambda a: a * math.pi * 1e9),
+    }
+
     def __post_init__(self) -> None:
         for name in ("l_c", "t2_star", "l_dot", "e_vs0", "d_bar", "a_x"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-
-    def to_config(self) -> dict:
-        """Flat key-value form in nm / us / ueV / (pi/nm)."""
-        return {
-            "l_c_nm": self.l_c * 1e9,
-            "t2_star_us": self.t2_star * 1e6,
-            "l_dot_nm": self.l_dot * 1e9,
-            "e_vs0_uev": self.e_vs0 / UEV,
-            "d_bar_nm": self.d_bar * 1e9,
-            "a_x_pi_per_nm": self.a_x / (math.pi * 1e9),
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "ErrorModelParams":
-        """Inverse of ``to_config``; keys it does not write are rejected."""
-        unknown = sorted(set(cfg) - set(cls().to_config()))
-        if unknown:
-            raise ValueError(f"unknown error-model keys {unknown}")
-
-        def number(key: str, default: float) -> float:
-            return json_number(cfg.get(key, default), key)
-
-        return cls(
-            l_c=number("l_c_nm", 100.0) * 1e-9,
-            t2_star=number("t2_star_us", 20.0) * 1e-6,
-            l_dot=number("l_dot_nm", 20.0) * 1e-9,
-            e_vs0=number("e_vs0_uev", 100.0) * UEV,
-            d_bar=number("d_bar_nm", 30.0) * 1e-9,
-            a_x=number("a_x_pi_per_nm", 0.05) * math.pi * 1e9,
-        )
 
 
 def _check_v(v: float) -> None:

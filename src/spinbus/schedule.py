@@ -2,10 +2,10 @@
 
 A schedule's ops are held as columns (``ScheduleOps``): one array per
 shuttle field, one per gate field, and an order string that interleaves
-the two. The mapper hands its arrays over as they are;
-``schedule_from_json`` and an iterable of ops go through rows
-(``ScheduleOps.from_rows``). The validator, ``metrics.summarize`` and
-``schedule_to_json`` read the arrays.
+the two. The mapper hands its arrays over as they are, and
+``schedule_from_json`` its columns of JSON values; an iterable of ops goes
+through rows (``ScheduleOps.from_rows``). The validator,
+``metrics.summarize`` and ``schedule_to_json`` read the arrays.
 ``Schedule.ops`` has a length without building ops, builds
 ``ShuttleOp``/``GateOp`` objects only when iterated, and equals another
 ``ScheduleOps`` of the same columns; it is neither indexed nor hashed, so
@@ -97,13 +97,13 @@ _DTYPES = {"q": np.int64, "d": np.float64}
 _TYPECODES = {ShuttleColumns: "qqqdddd", GateColumns: "qqdd"}
 
 
-def _columns(cls, rows: list[tuple]):
-    """``rows`` transposed into ``cls``; ``array`` raises TypeError on a value
-    that is not a number, or on a non-integer in an integer column, and
-    OverflowError on an integer beyond 64 bits."""
-    typecodes = _TYPECODES[cls]
-    cols = list(zip(*rows)) or [()] * len(typecodes)
-    return cls(*(np.frombuffer(array(code, col), dtype=_DTYPES[code]) for code, col in zip(typecodes, cols)))
+def _columns(cls, cols: dict):
+    """``cls`` of the values ``cols`` maps each field to (none if absent);
+    ``array`` raises TypeError on a value that is not a number, or on a
+    non-integer in an integer column, and OverflowError on an integer beyond
+    64 bits."""
+    codes = zip(cls._fields, _TYPECODES[cls])
+    return cls(*(np.frombuffer(array(code, cols.get(name, ())), dtype=_DTYPES[code]) for name, code in codes))
 
 
 def _frozen(cols):
@@ -144,7 +144,8 @@ class ScheduleOps:
     def from_rows(cls, order: str, shuttles: list[tuple], gates: list[tuple]) -> "ScheduleOps":
         """The columns of shuttle rows and gate rows, each a tuple of its
         ``ShuttleOp``/``GateOp`` fields with locations as codes."""
-        return cls(order, _columns(ShuttleColumns, shuttles), _columns(GateColumns, gates))
+        kinds = ((ShuttleColumns, shuttles), (GateColumns, gates))
+        return cls(order, *(_columns(c, dict(zip(c._fields, zip(*rows)))) for c, rows in kinds))
 
     @classmethod
     def of(cls, ops) -> "ScheduleOps":
@@ -228,18 +229,16 @@ class Schedule:
             raise ValueError("total_time and per_qubit_error must be finite")
 
 
-# JSON serialization: header (strategy, architecture, placement, error
-# params), then the op array. Times round to 1 ps for cross-platform
-# byte-determinism.
-def _index(value) -> int:
+# JSON serialization: a header (strategy, architecture, placement, error
+# params) and the op array, times rounded to 1 ps for byte-determinism.
+def _index(value, name: str) -> int:
     """A JSON integer index; ``int()`` would read 3.9 as 3 and true as 1."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"index must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-_LOCATION_JSON = '{"idx":%d,"kind":"%s"}'
 
 
 def _ns_json(seconds: float, name: str) -> str:
@@ -291,48 +290,60 @@ def _ns_texts(seconds: np.ndarray, name: str) -> np.ndarray:
     return texts
 
 
-def _reprs(values: np.ndarray) -> list[str]:
+def _reprs(values: np.ndarray, key: str) -> list[str]:
     return list(map(repr, values.tolist()))
 
 
-def _loc_texts(codes: np.ndarray) -> list[str]:
-    return [_LOCATION_JSON % (code >> 1, _LOCATION_KINDS[code & 1].value) for code in codes.tolist()]
+def _loc_texts(codes: np.ndarray, key: str) -> list[str]:
+    return ['{"idx":%d,"kind":"%s"}' % (code >> 1, _LOCATION_KINDS[code & 1].value) for code in codes.tolist()]
+
+
+def _seconds(value, key: str) -> float:
+    return json_number(value, key) * 1e-9
+
+
+def _code(obj: dict, key: str) -> int:
+    """The location code of a JSON location, on the bus or not."""
+    return 2 * _index(obj["idx"], f"{key} idx") + (LocationKind(obj["kind"]) is LocationKind.ZONE)
+
+
+# Each op kind's wire format, declared once: (column, JSON key, writer,
+# reader) in key order. A writer texts an array of distinct values, a reader
+# one JSON value; both take the key to name in errors. Shuttle durations are
+# not written: the reader derives them from the positions and velocities.
+_SHUTTLE_FIELDS = (
+    ("delta_c", "dC", _reprs, json_number),
+    ("src", "from", _loc_texts, _code),
+    ("qubit", "q", _reprs, _index),
+    ("start", "t0_ns", _ns_texts, _seconds),
+    ("dst", "to", _loc_texts, _code),
+    ("velocity", "v_mps", _reprs, json_number),
+)
+_GATE_FIELDS = (
+    ("duration", "dur_ns", _ns_texts, _seconds),
+    ("gate_index", "gate", _reprs, _index),
+    ("start", "t0_ns", _ns_texts, _seconds),
+    ("zone", "zone", _reprs, _index),
+)
+# An op holding this key, the first that gates lack, is a shuttle.
+_SHUTTLE_KEY = next(key for _, key, _, _ in _SHUTTLE_FIELDS if key not in {f[1] for f in _GATE_FIELDS})
 
 
 def _fields(cols, fields):
-    """The text of every row of each field, in ``fields`` order: ``fields``
-    holds (column name, text before the value, formatter, text after), and
-    a formatter turns an array of values into their texts. Each distinct
-    value (bit pattern, so 0.0 and -0.0 stay apart) is formatted once, and
-    the rows gather their texts by array indexing."""
-    for name, before, fmt, after in fields:
+    """The text of every row of each field, in ``fields`` order, with its
+    ``,`` (``,{`` for an op's first field), its key and, after an op's last
+    field, ``}``. Each distinct value (bit pattern, so 0.0 and -0.0 stay
+    apart) is written once; the rows gather their texts by array indexing."""
+    for k, (name, key, write, _) in enumerate(fields):
         col = getattr(cols, name)
         keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        texts = before + np.array(fmt(keys.view(col.dtype)), dtype=object)
-        yield (texts + after if after else texts)[inverse]
-
-
-# The fields of each op kind in key order. Each op opens with a comma; the
-# array's first op drops it.
-_SHUTTLE_FIELDS = (
-    ("delta_c", ',{"dC":', _reprs, ""),
-    ("src", ',"from":', _loc_texts, ""),
-    ("qubit", ',"q":', _reprs, ""),
-    ("start", ',"t0_ns":', functools.partial(_ns_texts, name="t0_ns"), ""),
-    ("dst", ',"to":', _loc_texts, ""),
-    ("velocity", ',"v_mps":', _reprs, "}"),
-)
-_GATE_FIELDS = (
-    ("duration", ',{"dur_ns":', functools.partial(_ns_texts, name="dur_ns"), ""),
-    ("gate_index", ',"gate":', _reprs, ""),
-    ("start", ',"t0_ns":', functools.partial(_ns_texts, name="t0_ns"), ""),
-    ("zone", ',"zone":', _reprs, "}"),
-)
+        texts = ("," if k else ",{") + _dumps(key) + ":" + np.array(write(keys.view(col.dtype), key), dtype=object)
+        yield (texts + "}" if k == len(fields) - 1 else texts)[inverse]
 
 
 def _ops_json(ops: ScheduleOps) -> list[str]:
-    """The op array's fragments, one per op field, in op order; joined,
-    they are the array's text without its brackets."""
+    """The op array's fragments, one per op field, in op order; joined, they
+    are the array's text without its brackets, the first op's comma dropped."""
     shuttle = np.frombuffer(ops.order.encode(), dtype=np.uint8) == ord("s")
     width = np.where(shuttle, len(_SHUTTLE_FIELDS), len(_GATE_FIELDS))
     first = np.cumsum(width) - width
@@ -353,29 +364,24 @@ def schedule_to_json(s: Schedule) -> str:
     number is formatted once, with its key, as ``json.dumps`` formats it,
     and each distinct time by integer picosecond arithmetic
     (``_ns_texts``); the rows gather these texts by array indexing into a
-    list of fragments in op order. One ``join`` of the fields before the op
-    array, its fragments and the fields after it makes the text. Times are
-    written in ns rounded to 1 ps; one too large for that to be a finite
-    number (an op start, a gate duration or ``total_time`` of about 1.8e299
-    s or more) raises ValueError naming its field, where ``json.dumps``
-    would write the non-JSON ``Infinity``.
+    list of fragments in op order, joined once into the header's text where
+    its empty op array is. Times are written in ns rounded to 1 ps; one too
+    large for that to be a finite number (an op start, a gate duration or
+    ``total_time`` of about 1.8e299 s or more) raises ValueError naming its
+    field, where ``json.dumps`` would write the non-JSON ``Infinity``.
     """
-    fields = {
-        "strategy": _dumps(s.strategy),
-        "arch": _dumps(s.arch.to_config()),
-        "placement": _dumps(list(s.initial_sites)),
-        "error_params": _dumps(s.error_params.to_config()),
-        "ops": _ops_json(s.ops),
-        "total_time_ns": _ns_json(s.total_time, "total_time_ns"),
-        "per_qubit_error": _dumps(list(s.per_qubit_error)),
-        "final_sites": _dumps(list(s.final_sites)),
-    }
-    fragments = fields.pop("ops")
-    items = [f"{_dumps(k)}:{v}" for k, v in sorted(fields.items())]
-    split = sum(key < "ops" for key in fields)  # the fields before the op array
-    fragments.insert(0, "{" + ",".join(items[:split]) + ',"ops":[')
-    fragments.append("]," + ",".join(items[split:]) + "}\n")
-    return "".join(fragments)
+    header = _dumps({
+        "strategy": s.strategy,
+        "arch": s.arch.to_config(),
+        "placement": list(s.initial_sites),
+        "error_params": s.error_params.to_config(),
+        "ops": [],
+        "total_time_ns": float(_ns_json(s.total_time, "total_time_ns")),  # json.dumps writes that text
+        "per_qubit_error": list(s.per_qubit_error),
+        "final_sites": list(s.final_sites),
+    })
+    before, after = header.split('"ops":[]', 1)  # no key before it can hold that text
+    return "".join([before, '"ops":[', *_ops_json(s.ops), "]", after, "\n"])
 
 
 def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
@@ -384,49 +390,35 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
     Every index field must be a JSON integer (one that fits 64 bits in an
     op) and every other numeric field a finite JSON number (not a bool, a
     string, NaN, an infinity or an integer too large for a float), or
-    ValueError is raised. Start times come back rounded to 1 ps and the
-    error parameters pass through their nm/us/ueV form, so the result need
-    not revalidate: a move can start before the previous one ends, and a
-    stored ``dC`` can differ in its last bits from the one the reloaded
-    parameters give.
+    ValueError is raised. The ops are read a field at a time, in key order.
+    Start times come back rounded to 1 ps and the error parameters pass
+    through their nm/us/ueV form, so the result need not revalidate: a move
+    can start before the previous one ends, and a stored ``dC`` can differ
+    in its last bits from the one the reloaded parameters give.
     """
     doc = json.loads(text)
     arch = ArchitectureSpec.from_config(doc["arch"])
     errp = ErrorModelParams.from_config(doc["error_params"])
-    positions: dict[int, float] = {}
-
-    def location(obj: dict) -> int:
-        """The location code of ``obj``; position() rejects one off the bus."""
-        code = 2 * _index(obj["idx"]) + (LocationKind(obj["kind"]) is LocationKind.ZONE)
-        if code not in positions:
-            positions[code] = position(_location(code), arch)
-        return code
-
-    order, shuttles, gates = [], [], []
-    for entry in doc["ops"]:
-        start = json_number(entry["t0_ns"], "t0_ns") * 1e-9
-        if "q" in entry:
-            src, dst = location(entry["from"]), location(entry["to"])
-            v = json_number(entry["v_mps"], "v_mps")
-            dur = shuttle_time(abs(positions[src] - positions[dst]), v)
-            shuttles.append((_index(entry["q"]), src, dst, start, v, dur, json_number(entry["dC"], "dC")))
-            order.append("s")
-        else:
-            dur = json_number(entry["dur_ns"], "dur_ns") * 1e-9
-            gates.append((_index(entry["gate"]), _index(entry["zone"]), start, dur))
-            order.append("g")
-    total_time = json_number(doc["total_time_ns"], "total_time_ns") * 1e-9
+    order = "".join("s" if _SHUTTLE_KEY in op else "g" for op in doc["ops"])
+    shuttles, gates = (
+        {name: [read(op[key], key) for op, k in zip(doc["ops"], order) if k == kind] for name, key, _, read in fields}
+        for kind, fields in (("s", _SHUTTLE_FIELDS), ("g", _GATE_FIELDS))
+    )
+    src, dst = shuttles["src"], shuttles["dst"]
+    positions = {code: position(_location(code), arch) for code in dict.fromkeys(src + dst)}  # raises off the bus
+    dist = [abs(positions[a] - positions[b]) for a, b in zip(src, dst)]
+    shuttles["duration"] = list(map(shuttle_time, dist, shuttles["velocity"]))
     try:
         return Schedule(
             strategy=doc["strategy"],
             circuit=circuit,
             arch=arch,
             error_params=errp,
-            initial_sites=tuple(_index(x) for x in doc["placement"]),
-            ops=ScheduleOps.from_rows("".join(order), shuttles, gates),
-            total_time=total_time,
+            initial_sites=tuple(_index(x, "placement") for x in doc["placement"]),
+            ops=ScheduleOps(order, _columns(ShuttleColumns, shuttles), _columns(GateColumns, gates)),
+            total_time=_seconds(doc["total_time_ns"], "total_time_ns"),
             per_qubit_error=tuple(json_number(x, "per_qubit_error") for x in doc["per_qubit_error"]),
-            final_sites=tuple(_index(x) for x in doc["final_sites"]),
+            final_sites=tuple(_index(x, "final_sites") for x in doc["final_sites"]),
         )
     except OverflowError as exc:  # an op index beyond the columns' 64 bits
         raise ValueError(f"index too large: {exc}") from exc

@@ -196,6 +196,17 @@ def test_from_config_rejects_non_numbers(key, value):
         ArchitectureSpec.from_config(cfg)
 
 
+def test_keys_left_out_keep_their_defaults():
+    assert ArchitectureSpec.from_config({"n_sites": 4}) == ArchitectureSpec(4)
+    assert ArchitectureSpec.from_config({"n_sites": 4, "t_2q_ns": 60.0}) == ArchitectureSpec(4, t_2q=60.0 * 1e-9)
+
+
+def test_from_config_reads_n_sites_as_a_whole_number():
+    assert ArchitectureSpec.from_config({"n_sites": 4.0}) == ArchitectureSpec(4)
+    with pytest.raises(ValueError, match="n_sites must be a whole number"):
+        ArchitectureSpec.from_config({"n_sites": 4.5})
+
+
 def test_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="velocity_mps"):
         ArchitectureSpec.from_config({"n_sites": 4, "velocity_mps": 5.0})

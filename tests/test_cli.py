@@ -416,6 +416,21 @@ class TestConfigFiles:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_empty_configs_write_the_defaults_bytes(self, tmp_path):
+        # a key left out of --error-config was once re-derived from a second
+        # copy of its default, 100.0 * 1e-9 for l_c = 100e-9, so this run
+        # wrote other dC values and another report than one without the flags
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        flags = ["compile", "--gen", "qaoa", "--n", 8, "--strategy", "swap_return"]
+        assert run_cli(*flags, "--out", tmp_path / "plain") == 0
+        assert run_cli(*flags, "--arch-config", empty, "--error-config", empty, "--out", tmp_path / "empty") == 0
+        names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "empty").iterdir())
+        assert "schedule_swap_return__spectral.json" in names
+        for name in names:
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "empty" / name).read_bytes(), name
+
     @pytest.mark.parametrize(
         "option, cfg",
         [

@@ -110,6 +110,14 @@ def test_from_config_rejects_non_numbers(key, value):
         ErrorModelParams.from_config({key: value})
 
 
+def test_keys_left_out_keep_their_defaults():
+    # from_config once re-derived each missing key from a second copy of the
+    # defaults: 100.0 * 1e-9 is 1.0000000000000001e-07, not l_c = 100e-9
+    assert ErrorModelParams.from_config({}) == ErrorModelParams()
+    assert ErrorModelParams.from_config({"l_dot_nm": 25.0}) == ErrorModelParams(l_dot=25.0 * 1e-9)
+    assert ErrorModelParams.from_config({"l_c_nm": 100.0}).l_c == 1.0000000000000001e-07
+
+
 def test_from_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="t2_us"):
         ErrorModelParams.from_config({"t2_us": 10.0})

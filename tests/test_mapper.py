@@ -1005,9 +1005,10 @@ def _stretch(s, i, j):
 
 
 def _swap_destinations(s, i, j):
+    # both destinations are read before either is written, so they exchange
     a, b = _nth(s, ShuttleOp, i), _nth(s, ShuttleOp, j)
-    s = _replace_op(s, a, dst=list(s.ops)[b].dst)
-    return _replace_op(s, b, dst=list(s.ops)[a].dst)
+    ops = list(s.ops)
+    return _replace_op(_replace_op(s, a, dst=ops[b].dst), b, dst=ops[a].dst)
 
 
 def _drop(s, i, j):
@@ -1292,6 +1293,16 @@ class TestValidatorMatchesOracle:
                 rules.update(v.rule for v in got)
         assert rules >= {"op", "a", "c", "d", "e", "f", "g"}
         assert raised > 0
+
+    def test_swap_destinations_exchanges_two(self):
+        # the mutation once gave op b the destination op a had just taken
+        # from it, so only op a changed
+        s = _valid_schedules()[0]
+        a, b = _nth(s, ShuttleOp, 0), _nth(s, ShuttleOp, 1)
+        before, after = list(s.ops), list(_swap_destinations(s, 0, 1).ops)
+        assert before[a].dst != before[b].dst
+        assert [k for k, (x, y) in enumerate(zip(before, after)) if x != y] == [a, b]
+        assert (after[a].dst, after[b].dst) == (before[b].dst, before[a].dst)
 
     def test_stays_out_of_time_order(self):
         # qubit 0 reaches zone 0 three times; a slow second move arrives
