@@ -13,7 +13,7 @@ interface speaks um / ns / m/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -75,14 +75,20 @@ class _Config:
 
     @classmethod
     def from_config(cls, cfg: dict):
-        """Inverse of ``to_config``: a key given is a finite number in its unit,
-        one left out keeps its field's default, and any other raises ValueError."""
+        """Inverse of ``to_config``: ``cfg`` is a dict, a key given is a finite
+        number in its unit, one left out keeps its field's default, and
+        anything else (a key unknown, or one left out whose field has no
+        default) raises ValueError."""
+        if not isinstance(cfg, dict):
+            raise ValueError(f"{cls.__name__} config must be a JSON object, got {type(cfg).__name__}")
         unknown = sorted(set(cfg) - set(cls._CONFIG))
         if unknown:
             raise ValueError(f"unknown {cls.__name__} keys {unknown}")
-        return cls(**{
-            field: into(json_number(cfg[key], key)) for key, (field, _, into) in cls._CONFIG.items() if key in cfg
-        })
+        given = {field: into(json_number(cfg[key], key)) for key, (field, _, into) in cls._CONFIG.items() if key in cfg}
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in given]
+        if missing:
+            raise ValueError(f"{cls.__name__} config needs {missing}")
+        return cls(**given)
 
 
 def _whole(n: float) -> int:

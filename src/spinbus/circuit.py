@@ -1,11 +1,13 @@
 """Circuit intermediate representation, native-basis decomposition, slicing.
 
 The native gate set of the hardware is {RX, RZ, H, CZ}. Everything else
-supported at the front end (Paulis, S/T and daggers, RY, CX, SWAP) rewrites
-into it; MEASURE and BARRIER pass through decomposition untouched and are
-handled by the scheduler (MEASURE optionally timed, BARRIER a pure layering
-fence). The dense-unitary oracle that checks every rewrite lives with the
-tests, in ``tests/oracles.py``.
+supported at the front end (Paulis, S/T and daggers, RY, CX, SWAP) expands
+into it through one table, ``DECOMPOSITION``: each extended kind's native
+rows, which is also the one list of the kinds that are extended. MEASURE and
+BARRIER pass through decomposition untouched and are handled by the
+scheduler (MEASURE optionally timed, BARRIER a pure layering fence). The
+dense-unitary oracle that checks every identity lives with the tests, in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ class GateKind(Enum):
     RZ = "rz", 1, True
     H = "h", 1, False
     CZ = "cz", 2, False
-    # extended, rewritten by decompose()
+    # extended, expanded by decompose() through DECOMPOSITION
     X = "x", 1, False
     Y = "y", 1, False
     Z = "z", 1, False
@@ -55,19 +57,17 @@ class GateKind(Enum):
 
     # Members are singletons, so identity hashing agrees with equality; it
     # runs in C, where Enum's own __hash__ is Python code run on every set
-    # or dict lookup (NATIVE_KINDS, SCHEDULABLE_BASIS, Gate's hash).
+    # or dict lookup (NATIVE_KINDS, DECOMPOSITION, Gate's hash).
     __hash__ = object.__hash__
 
 
 NATIVE_KINDS = frozenset({GateKind.RX, GateKind.RZ, GateKind.H, GateKind.CZ})
 
-#: Kinds allowed to survive decomposition (native plus pass-throughs).
-SCHEDULABLE_BASIS = NATIVE_KINDS | {GateKind.MEASURE, GateKind.BARRIER}
-
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate application: kind, operand qubits, optional angle (radians).
+    """One gate application: kind, operand qubits, optional angle (radians,
+    stored as a ``float``).
 
     BARRIER may span any number of distinct qubits; every other kind has a
     fixed operand count.
@@ -98,6 +98,8 @@ class Gate:
         if kind.takes_angle:
             if angle is None or not math.isfinite(angle):
                 raise ValueError(f"{kind.name} needs a finite angle")
+            if type(angle) is not float:
+                object.__setattr__(self, "angle", float(angle))
         elif angle is not None:
             raise ValueError(f"{kind.name} takes no angle")
 
@@ -133,7 +135,7 @@ class Circuit:
 
     @functools.cached_property
     def is_native(self) -> bool:
-        return all(g.kind in SCHEDULABLE_BASIS for g in self.gates)
+        return not any(g.kind in DECOMPOSITION for g in self.gates)
 
     @functools.cached_property
     def two_qubit(self) -> np.ndarray:
@@ -204,75 +206,55 @@ class SlicedCircuit:
         return _read_only(gate_index), _read_only(np.repeat(np.arange(len(sizes)), sizes))
 
 
-# Decomposition identities. Each entry maps an extended gate to its
-# time-ordered native replacement; all verified against the unitary oracle
-# in tests/oracles.py up to global phase.
-def _rewrite(g: Gate) -> list[Gate] | None:
-    k, q, a = g.kind, g.qubits, g.angle
-    pi = math.pi
-    if k is GateKind.X:
-        return [Gate(GateKind.RX, q, pi)]
-    if k is GateKind.Y:
-        return _rewrite_ry(q[0], pi)
-    if k is GateKind.Z:
-        return [Gate(GateKind.RZ, q, pi)]
-    if k is GateKind.S:
-        return [Gate(GateKind.RZ, q, pi / 2)]
-    if k is GateKind.SDG:
-        return [Gate(GateKind.RZ, q, -pi / 2)]
-    if k is GateKind.T:
-        return [Gate(GateKind.RZ, q, pi / 4)]
-    if k is GateKind.TDG:
-        return [Gate(GateKind.RZ, q, -pi / 4)]
-    if k is GateKind.RY:
-        return _rewrite_ry(q[0], a)
-    if k is GateKind.CX:
-        return _rewrite_cx(q[0], q[1])
-    if k is GateKind.SWAP:
-        return [
-            Gate(GateKind.CX, (q[0], q[1])),
-            Gate(GateKind.CX, (q[1], q[0])),
-            Gate(GateKind.CX, (q[0], q[1])),
-        ]
-    return None
+# Decomposition identities, each extended kind's native rows in time order:
+# (kind, operand slots, angle), where a slot indexes the gate's operands and
+# _THETA stands for its own angle. All verified against the unitary oracle in
+# tests/oracles.py up to global phase.
+_THETA = object()
 
 
-def _rewrite_ry(q: int, theta: float) -> list[Gate]:
-    # RY(theta) = RZ(pi/2) RX(theta) RZ(-pi/2) as a matrix product, i.e.
-    # RZ(-pi/2) is applied first in time.
-    return [
-        Gate(GateKind.RZ, (q,), -math.pi / 2),
-        Gate(GateKind.RX, (q,), theta),
-        Gate(GateKind.RZ, (q,), math.pi / 2),
-    ]
+def _expand(rows, qubits, angle):
+    """``rows`` applied to a gate's ``qubits`` and ``angle``. The operands go
+    through a list: with a ``map`` or a generator there, the cyclic collector
+    ran more than twice as often during ``decompose`` (CPython 3.11)."""
+    return [(kind, tuple([qubits[s] for s in slots]), angle if a is _THETA else a) for kind, slots, a in rows]
 
 
-def _rewrite_cx(control: int, target: int) -> list[Gate]:
-    return [
-        Gate(GateKind.H, (target,)),
-        Gate(GateKind.CZ, (control, target)),
-        Gate(GateKind.H, (target,)),
-    ]
+# RY(theta) = RZ(pi/2) RX(theta) RZ(-pi/2) as a matrix product, i.e.
+# RZ(-pi/2) is applied first in time.
+_RY = ((GateKind.RZ, (0,), -math.pi / 2), (GateKind.RX, (0,), _THETA), (GateKind.RZ, (0,), math.pi / 2))
+_CX = ((GateKind.H, (1,), None), (GateKind.CZ, (0, 1), None), (GateKind.H, (1,), None))
+
+#: The one list of extended kinds, flattened once: SWAP is its three CX
+#: gates' nine rows, so no gate is rewritten twice.
+DECOMPOSITION = {
+    GateKind.X: ((GateKind.RX, (0,), math.pi),),
+    GateKind.Y: tuple(_expand(_RY, (0,), math.pi)),
+    GateKind.Z: ((GateKind.RZ, (0,), math.pi),),
+    GateKind.S: ((GateKind.RZ, (0,), math.pi / 2),),
+    GateKind.SDG: ((GateKind.RZ, (0,), -math.pi / 2),),
+    GateKind.T: ((GateKind.RZ, (0,), math.pi / 4),),
+    GateKind.TDG: ((GateKind.RZ, (0,), -math.pi / 4),),
+    GateKind.RY: _RY,
+    GateKind.CX: _CX,
+    GateKind.SWAP: tuple(row for pair in ((0, 1), (1, 0), (0, 1)) for row in _expand(_CX, pair, None)),
+}
 
 
 def decompose(c: Circuit) -> Circuit:
-    """Rewrite every extended gate into {RX, RZ, H, CZ}.
+    """Expand every extended gate into {RX, RZ, H, CZ} through its rows.
 
-    MEASURE and BARRIER pass through. Per-qubit gate order is preserved; no
-    cancellation or optimization is attempted.
+    Native gates, MEASURE and BARRIER pass through as the same objects.
+    Per-qubit gate order is preserved; no cancellation or optimization is
+    attempted.
     """
     gates: list[Gate] = []
     for g in c.gates:
-        pending = [g]
-        while pending:
-            cur = pending.pop(0)
-            if cur.kind in SCHEDULABLE_BASIS:
-                gates.append(cur)
-                continue
-            replacement = _rewrite(cur)
-            if replacement is None:
-                raise ValueError(f"no decomposition for {cur.kind.name}")
-            pending = replacement + pending
+        rows = DECOMPOSITION.get(g.kind)
+        if rows is None:
+            gates.append(g)
+        else:
+            gates += (Gate(*row) for row in _expand(rows, g.qubits, g.angle))
     return Circuit(c.num_qubits, tuple(gates))
 
 

@@ -238,6 +238,16 @@ def _index(value, name: str) -> int:
     return value
 
 
+def _member(obj, key: str, kind=object):
+    """``obj[key]``, where ``obj`` must be a JSON object holding ``key`` and
+    the value a ``kind``; ValueError otherwise."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"expected a JSON object with key {key!r}, got {type(obj).__name__}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{key} must be a {kind.__name__}, got {type(obj[key]).__name__}")
+    return obj[key]
+
+
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
@@ -389,36 +399,45 @@ def schedule_from_json(text: str, circuit: Circuit) -> Schedule:
 
     Every index field must be a JSON integer (one that fits 64 bits in an
     op) and every other numeric field a finite JSON number (not a bool, a
-    string, NaN, an infinity or an integer too large for a float), or
-    ValueError is raised. The ops are read a field at a time, in key order.
+    string, NaN, an infinity or an integer too large for a float), and
+    every other key must be present with a value of its JSON type (an
+    object, an array, or a string for ``strategy`` and a location's
+    ``kind``), or ValueError is raised: a malformed document raises no other
+    error. The ops are read a field at a time, in key order.
     Start times come back rounded to 1 ps and the error parameters pass
     through their nm/us/ueV form, so the result need not revalidate: a move
     can start before the previous one ends, and a stored ``dC`` can differ
     in its last bits from the one the reloaded parameters give.
     """
     doc = json.loads(text)
-    arch = ArchitectureSpec.from_config(doc["arch"])
-    errp = ErrorModelParams.from_config(doc["error_params"])
-    order = "".join("s" if _SHUTTLE_KEY in op else "g" for op in doc["ops"])
-    shuttles, gates = (
-        {name: [read(op[key], key) for op, k in zip(doc["ops"], order) if k == kind] for name, key, _, read in fields}
-        for kind, fields in (("s", _SHUTTLE_FIELDS), ("g", _GATE_FIELDS))
-    )
+    arch = ArchitectureSpec.from_config(_member(doc, "arch"))
+    errp = ErrorModelParams.from_config(_member(doc, "error_params"))
+    ops = _member(doc, "ops", list)
+    order = "".join("s" if isinstance(op, dict) and _SHUTTLE_KEY in op else "g" for op in ops)
+    # the readers raise ValueError, so a KeyError or TypeError here is an op
+    # or a location that is not an object, or that lacks a key
+    try:
+        shuttles, gates = (
+            {name: [read(op[key], key) for op, k in zip(ops, order) if k == kind] for name, key, _, read in fields}
+            for kind, fields in (("s", _SHUTTLE_FIELDS), ("g", _GATE_FIELDS))
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed op: {exc!r}") from exc
     src, dst = shuttles["src"], shuttles["dst"]
     positions = {code: position(_location(code), arch) for code in dict.fromkeys(src + dst)}  # raises off the bus
     dist = [abs(positions[a] - positions[b]) for a, b in zip(src, dst)]
     shuttles["duration"] = list(map(shuttle_time, dist, shuttles["velocity"]))
     try:
         return Schedule(
-            strategy=doc["strategy"],
+            strategy=_member(doc, "strategy", str),
             circuit=circuit,
             arch=arch,
             error_params=errp,
-            initial_sites=tuple(_index(x, "placement") for x in doc["placement"]),
+            initial_sites=tuple(_index(x, "placement") for x in _member(doc, "placement", list)),
             ops=ScheduleOps(order, _columns(ShuttleColumns, shuttles), _columns(GateColumns, gates)),
-            total_time=_seconds(doc["total_time_ns"], "total_time_ns"),
-            per_qubit_error=tuple(json_number(x, "per_qubit_error") for x in doc["per_qubit_error"]),
-            final_sites=tuple(_index(x, "final_sites") for x in doc["final_sites"]),
+            total_time=_seconds(_member(doc, "total_time_ns"), "total_time_ns"),
+            per_qubit_error=tuple(json_number(x, "per_qubit_error") for x in _member(doc, "per_qubit_error", list)),
+            final_sites=tuple(_index(x, "final_sites") for x in _member(doc, "final_sites", list)),
         )
     except OverflowError as exc:  # an op index beyond the columns' 64 bits
         raise ValueError(f"index too large: {exc}") from exc

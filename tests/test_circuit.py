@@ -137,7 +137,59 @@ class TestUnitaryOf:
             unitary_of([Gate(GateKind.MEASURE, (0,))], 1)
 
 
+RX, RZ, H, CZ = GateKind.RX, GateKind.RZ, GateKind.H, GateKind.CZ
+PASS_THROUGH = {RX, RZ, H, CZ, GateKind.MEASURE, GateKind.BARRIER}
+
+
+def _ry(q, theta):
+    return [(RZ, (q,), -PI / 2), (RX, (q,), theta), (RZ, (q,), PI / 2)]
+
+
+def _cx(control, target):
+    return [(H, (target,), None), (CZ, (control, target), None), (H, (target,), None)]
+
+
+def _written_out(kind, qubits, theta):
+    """The native gates of each extended kind, as (kind, qubits, angle)."""
+    a, b = qubits[0], qubits[-1]
+    return {
+        GateKind.X: [(RX, (a,), PI)],
+        GateKind.Y: _ry(a, PI),
+        GateKind.Z: [(RZ, (a,), PI)],
+        GateKind.S: [(RZ, (a,), PI / 2)],
+        GateKind.SDG: [(RZ, (a,), -PI / 2)],
+        GateKind.T: [(RZ, (a,), PI / 4)],
+        GateKind.TDG: [(RZ, (a,), -PI / 4)],
+        GateKind.RY: _ry(a, theta),
+        GateKind.CX: _cx(a, b),
+        GateKind.SWAP: _cx(a, b) + _cx(b, a) + _cx(a, b),
+    }[kind]
+
+
+def _bits(rows):
+    return [(kind, tuple(qubits), None if angle is None else float.hex(angle)) for kind, qubits, angle in rows]
+
+
 class TestDecompose:
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            Gate(kind, qubits, -0.7531 if kind.takes_angle else None)
+            for kind in GateKind
+            for qubits in {1: [(1,)], 2: [(0, 2), (2, 0)], None: [(2, 0, 1)]}[kind.n_qubits]
+        ],
+        ids=lambda g: f"{g.kind.value}{g.qubits}",
+    )
+    def test_each_kind_expands_to_its_written_out_rows(self, gate):
+        # every member is either passed through or has its rows written out
+        # here, so a kind added without a row fails; angles compare by bits
+        out = decompose(Circuit(3, (gate,))).gates
+        if gate.kind in PASS_THROUGH:
+            assert len(out) == 1 and out[0] is gate
+        else:
+            want = _written_out(gate.kind, gate.qubits, gate.angle)
+            assert _bits((g.kind, g.qubits, g.angle) for g in out) == _bits(want)
+
     def test_native_passes_through(self):
         c = Circuit(2, (h(0), cz(0, 1)))
         assert decompose(c).gates == c.gates

@@ -748,6 +748,27 @@ def _change_index(doc, path, change):
     node[path[-1]] = change(node[path[-1]])
 
 
+def _json_paths(node, path=()):
+    """Key paths to every value of a JSON document, the root's ``()`` first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, (*path, key))
+
+
+def _json_type(value):
+    """A value's JSON type: null, boolean, number, string, array or object."""
+    return next(t for t in (type(None), bool, (int, float), str, list, dict) if isinstance(value, t))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(["idx", "kind", "q", "gate", "n_sites"]) | st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestSerialization:
     def test_round_trip(self, errp):
         c = decompose(generate(BenchmarkSpec(family="dj", n=6, seed=0)))
@@ -848,6 +869,50 @@ class TestSerialization:
         next(op for op in doc["ops"] if key in op)[key] = 2**64
         with pytest.raises(ValueError, match="too large"):
             schedule_from_json(json.dumps(doc), s.circuit)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["ops"][0].update({"from": 3}),
+            lambda doc: doc["ops"][0].pop("t0_ns"),
+            lambda doc: doc.clear(),
+            lambda doc: doc.update(placement=7),
+            lambda doc: doc.update(arch=[]),
+            lambda doc: doc.update(ops={}),
+            lambda doc: doc.update(strategy=5),
+        ],
+        ids=["location 3", "op without t0_ns", "empty document", "placement 7", "arch []", "ops {}", "strategy 5"],
+    )
+    def test_malformed_document_raises_value_error(self, mutate):
+        # these once raised TypeError or KeyError, or loaded (ops {} as an
+        # empty schedule, strategy 5 as a strategy named 5)
+        s, doc = _ghz4_parallel()
+        mutate(doc)
+        with pytest.raises(ValueError):
+            schedule_from_json(json.dumps(doc), s.circuit)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_structural_mutation_loads_or_raises_value_error(self, data):
+        # a key deleted at any depth, or a value replaced by one of another
+        # JSON type: the reader returns a Schedule or raises ValueError
+        s, doc = _ghz4_parallel()
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        node = functools.reduce(lambda parent, key: parent[key], path[:-1], doc)
+        if path and data.draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            old = node[path[-1]] if path else doc
+            new = data.draw(JSON_VALUES.filter(lambda value: _json_type(value) is not _json_type(old)))
+            if path:
+                node[path[-1]] = new
+            else:
+                doc = new
+        try:
+            back = schedule_from_json(json.dumps(doc), s.circuit)
+        except ValueError:
+            return
+        assert isinstance(back, Schedule)
 
     def test_short_placement_reported(self):
         # validating this reload once raised IndexError

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,6 +157,16 @@ def test_export_round_trip_handwritten():
             Gate(GateKind.MEASURE, (2,)),
         ),
     )
+    assert parse_qasm(export_qasm(c)).gates == c.gates
+
+
+@pytest.mark.parametrize("angle", [np.float64(0.5), np.float32(0.1), 3], ids=lambda a: type(a).__name__)
+def test_export_round_trip_non_float_angle(angle):
+    # a numpy angle was once written as rx(np.float64(0.5)), which the
+    # parser rejects; Gate now stores every angle as a float
+    c = Circuit(1, (Gate(GateKind.RX, (0,), angle),))
+    assert type(c.gates[0].angle) is float
+    assert c.gates[0].angle == float(angle)
     assert parse_qasm(export_qasm(c)).gates == c.gates
 
 
