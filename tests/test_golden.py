@@ -12,6 +12,23 @@ import pytest
 
 from spinbus.cli import main
 
+# One QASM text through ``compile --input``: every gate name, an expression
+# angle, a bare-register broadcast, a barrier and a register measure.
+QASM = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[4];
+creg c[4];
+h q;
+x q[0]; y q[1]; z q[2]; s q[3];
+sdg q[0]; t q[1]; tdg q[2];
+rx(0.25) q[3]; ry(-pi/2) q[0]; rz(3*pi/4) q[1];
+cx q[0],q[2]; cz q[1],q[3]; swap q[2],q[1];
+barrier q[0],q[1],q[3];
+cz q[3],q[0];
+measure q -> c;
+"""
+INPUT = "circuit.qasm"  # QASM, written next to the run's output
+
 RUNS = {
     "bench": ["bench", "--n", 6, "--families", "ghz,qaoa,dj", "--runs", 2],
     "sweep": [
@@ -23,6 +40,8 @@ RUNS = {
         "compile", "--gen", "qft", "--n", 8, "--strategy", "all",
         "--placement", "random", "--runs", 2,
     ],
+    "qasm": ["compile", "--input", INPUT, "--strategy", "all"],
+    "qasm_measured": ["compile", "--input", INPUT, "--strategy", "all", "--measure-duration", 100],
 }
 
 GOLDEN = {
@@ -60,13 +79,35 @@ GOLDEN = {
         "schedule_tunable_velocity__random_s0.json": "298433d12f79141c8e216d0eb7ecca521cb78b49e5fa9cbce800e6ada2d79911",
         "schedule_tunable_velocity__random_s1.json": "170ca17af06949bf9bbb9472da76a643e6ec7d876cf559a09e51e4422026a026",
     },
+    "qasm": {
+        "compare__spectral.csv": "771c22056bb6ee06d743578e84befeb65b84a2646cd7a87238133c3d1975586d",
+        "reports__spectral.csv": "f18a9ffe21e4dc8a8bef0710b5cb32d4808999125e263b9b5dde0d960fcde251",
+        "reports__spectral.json": "65d14f25c2e45ee31a500f7cb4730489896ca9cd15147bbb2ebced82e664d7eb",
+        "schedule_baseline__spectral.json": "548f9cf0423124d9f08feff50e91f880ea840a24cf4076af27d7cde9bd8494b0",
+        "schedule_min_return__spectral.json": "d746d221a997e758920219e78d0194efa5c078ecccc18b259f1c247e9147b241",
+        "schedule_parallel__spectral.json": "927031c54041725654ab609b6620f2d93aac4bf56862225ff7755d76c736f9de",
+        "schedule_swap_return__spectral.json": "326e2a7ebad747a88e986c6f4a0ad8cc8d5b413f0f303314ffb5ab7d468b064e",
+        "schedule_tunable_velocity__spectral.json": "7e74a396df6ad97f05ab31485f26c56fb28cd6d2cd1c935989f761bedbdeabdd",
+    },
+    "qasm_measured": {
+        "compare__spectral.csv": "7547430a2ac8d641d0e40804b7b6897c94ef323f76fd9087a1b7b5c0f2c69029",
+        "reports__spectral.csv": "a0d46308d32d599012f2c5ca14d26692c8004dea37e4f8289ff04f8973e7bb81",
+        "reports__spectral.json": "2dbfb1d2dc1cb3d58a6920148d6490bc25ae24282f52a98c07ce3fa3a0bf7791",
+        "schedule_baseline__spectral.json": "d847c2faa6497f1cb4e499f7999c08e99cf4aee6e022f60d9eabe798631672bd",
+        "schedule_min_return__spectral.json": "55d72df6cf9f2d334d002119bc9e5787a31bdd95b322846f7d69889b9ec056f4",
+        "schedule_parallel__spectral.json": "aa7cfc6e6aa3da1451007777dfaea44d2970ab1916e7b218a19aef71c1018676",
+        "schedule_swap_return__spectral.json": "0747a61ea1322cc157c19ada9ebf20005d25dccc7ba041e88c761a6e367490a4",
+        "schedule_tunable_velocity__spectral.json": "c4ccade45db244fde2d705d718d3e82d02cacf93e7f8d8d8cf5acc61d57bad6c",
+    },
 }
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_output_bytes(tmp_path, run):
     out = tmp_path / run
-    assert main([str(a) for a in RUNS[run] + ["--out", out]]) == 0
+    (tmp_path / INPUT).write_text(QASM)
+    args = [tmp_path / a if a == INPUT else a for a in RUNS[run]]
+    assert main([str(a) for a in args + ["--out", out]]) == 0
     digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
     }
