@@ -64,13 +64,18 @@ class GateKind(Enum):
 NATIVE_KINDS = frozenset({GateKind.RX, GateKind.RZ, GateKind.H, GateKind.CZ})
 
 
+#: Every kind, by its code: a circuit's ``kind`` column holds indices into it.
+KINDS = tuple(GateKind)
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate application: kind, operand qubits, optional angle (radians,
     stored as a ``float``).
 
     BARRIER may span any number of distinct qubits; every other kind has a
-    fixed operand count.
+    fixed operand count. A bool is neither an operand nor an angle.
     """
 
     kind: GateKind
@@ -87,88 +92,168 @@ class Gate:
                 isinstance(q, bool) or not isinstance(q, (int, np.integer))
             ):
                 raise TypeError(f"{kind.name} operands must be integers, got {qubits}")
-        expected = kind.n_qubits
-        if expected is None:
-            if len(qubits) < 1:
-                raise ValueError("BARRIER needs at least one qubit")
-        elif len(qubits) != expected:
-            raise ValueError(f"{kind.name} takes {expected} qubit(s), got {qubits}")
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate operands in {kind.name}{qubits}")
-        if kind.takes_angle:
-            if angle is None or not math.isfinite(angle):
-                raise ValueError(f"{kind.name} needs a finite angle")
-            if type(angle) is not float:
-                object.__setattr__(self, "angle", float(angle))
-        elif angle is not None:
-            raise ValueError(f"{kind.name} takes no angle")
+        if isinstance(angle, (bool, np.bool_)):
+            raise TypeError(f"{kind.name} angle must be a number, got {angle!r}")
+        message = gate_error(kind, qubits, angle)
+        if message is not None:
+            raise ValueError(message)
+        if angle is not None and type(angle) is not float:
+            object.__setattr__(self, "angle", float(angle))
 
     @property
     def is_two_qubit(self) -> bool:
         return self.kind.n_qubits == 2
 
 
-@dataclass(frozen=True)
+def gate_error(kind: GateKind, qubits: tuple[int, ...], angle: float | None) -> str | None:
+    """Why ``kind`` cannot apply to ``qubits`` with ``angle``, or None: the
+    one source of these messages, for ``Gate`` and the QASM parser."""
+    expected = kind.n_qubits
+    if expected is None:
+        if len(qubits) < 1:
+            return "BARRIER needs at least one qubit"
+    elif len(qubits) != expected:
+        return f"{kind.name} takes {expected} qubit(s), got {qubits}"
+    if len(set(qubits)) != len(qubits):
+        return f"duplicate operands in {kind.name}{qubits}"
+    if kind.takes_angle:
+        if angle is None or not math.isfinite(angle):
+            return f"{kind.name} needs a finite angle"
+    elif angle is not None:
+        return f"{kind.name} takes no angle"
+    return None
+
+
 class Circuit:
-    """Ordered gate list over ``num_qubits`` virtual qubits; ``num_qubits``
-    must be an integer (a bool is not), or TypeError is raised."""
+    """Ordered gates over ``num_qubits`` virtual qubits, held as read-only
+    columns: ``kind``, each gate's code (an index into ``KINDS``); the
+    operands as CSR ``offsets``/``qubits``, gate ``k``'s being
+    ``qubits[offsets[k]:offsets[k + 1]]``; and ``angle``, NaN where the kind
+    takes none.
+
+    ``Circuit(num_qubits, gates)`` builds the columns from ``Gate`` objects;
+    ``num_qubits`` must be an integer (a bool is not), or TypeError is
+    raised. ``gates`` is a view of the columns, built on first use. Two
+    circuits are equal when their qubit counts and gates are.
+    """
 
     num_qubits: int
-    gates: tuple[Gate, ...]
+    kind: np.ndarray
+    offsets: np.ndarray
+    qubits: np.ndarray
+    angle: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
-        n = self.num_qubits
+    def __init__(self, num_qubits: int, gates) -> None:
+        n = num_qubits
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise TypeError(f"num_qubits must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"num_qubits must be >= 1, got {n}")
-        for g in self.gates:
-            for q in g.qubits:
-                if not 0 <= q < n:
-                    raise ValueError(
-                        f"qubit {q} out of range for {n}-qubit circuit"
-                    )
+        gates = tuple(gates)
+        for g in gates:
+            if not isinstance(g, Gate):
+                raise TypeError(f"gates must be Gate objects, got {g!r}")
+        counts = np.fromiter((len(g.qubits) for g in gates), np.int64, len(gates))
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        try:
+            qubits = np.fromiter((q for g in gates for q in g.qubits), np.int64, int(offsets[-1]))
+        except OverflowError:  # beyond 64 bits, so out of range
+            qubits = None
+        if qubits is None or ((qubits < 0) | (qubits >= n)).any():
+            q = next(q for g in gates for q in g.qubits if not 0 <= q < n)
+            raise ValueError(f"qubit {q} out of range for {n}-qubit circuit")
+        self._set(
+            int(n),
+            np.fromiter((_CODE[g.kind] for g in gates), np.int8, len(gates)),
+            offsets,
+            qubits,
+            np.fromiter((math.nan if g.angle is None else g.angle for g in gates), np.float64, len(gates)),
+        )
+        self.__dict__["gates"] = gates
 
-    # Per-gate data, derived once per circuit: the circuit and its gates are
-    # frozen, so nothing can make it stale. The arrays are read-only.
+    @classmethod
+    def _from_columns(cls, num_qubits: int, kind, offsets, qubits, angle) -> Circuit:
+        """A circuit of columns its caller has checked."""
+        c = object.__new__(cls)
+        c._set(num_qubits, kind, offsets, qubits, angle)
+        return c
+
+    def _set(self, num_qubits, kind, offsets, qubits, angle) -> None:
+        self.__dict__.update(
+            num_qubits=num_qubits, kind=_read_only(kind), offsets=_read_only(offsets),
+            qubits=_read_only(qubits), angle=_read_only(angle),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return (
+            self.num_qubits == other.num_qubits
+            and all(np.array_equal(a, b) for a, b in zip(self._operands, other._operands))
+            and np.array_equal(self.angle, other.angle, equal_nan=True)
+        )
+
+    def __hash__(self):
+        return hash((self.num_qubits, *(a.tobytes() for a in self._operands)))
+
+    def __repr__(self):
+        return f"Circuit(num_qubits={self.num_qubits}, gates={self.gates!r})"
+
+    @property
+    def _operands(self):
+        return self.kind, self.offsets, self.qubits
+
+    # Views and per-gate data, derived once per circuit from its read-only
+    # columns, so nothing can make them stale.
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates, as ``Gate`` objects."""
+        offsets, qubits = self.offsets.tolist(), self.qubits.tolist()
+        return tuple(
+            Gate(KINDS[k], tuple(qubits[a:b]), None if math.isnan(angle) else angle)
+            for k, a, b, angle in zip(self.kind.tolist(), offsets, offsets[1:], self.angle.tolist())
+        )
+
+    @property
+    def num_gates(self) -> int:
+        return len(self.kind)
 
     @functools.cached_property
     def is_native(self) -> bool:
-        return not any(g.kind in DECOMPOSITION for g in self.gates)
+        return not _EXTENDED[self.kind].any()
 
     @functools.cached_property
     def two_qubit(self) -> np.ndarray:
         """Which gates are two-qubit gates, by kind: a BARRIER over two
         qubits is not one."""
-        return _read_only(np.fromiter((g.is_two_qubit for g in self.gates), bool, len(self.gates)))
+        return _read_only(_TWO_QUBIT[self.kind])
 
     @functools.cached_property
     def measure(self) -> np.ndarray:
         """Which gates are MEASUREs."""
-        return _read_only(np.fromiter((g.kind is GateKind.MEASURE for g in self.gates), bool, len(self.gates)))
+        return _read_only(self.kind == _CODE[GateKind.MEASURE])
 
     @functools.cached_property
     def barrier(self) -> np.ndarray:
         """Which gates are BARRIERs, which are never scheduled."""
-        return _read_only(np.fromiter((g.kind is GateKind.BARRIER for g in self.gates), bool, len(self.gates)))
+        return _read_only(self.kind == _CODE[GateKind.BARRIER])
 
-    @functools.cached_property
+    @property
     def operands(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every gate's operands, BARRIERs' included, as CSR columns: gate
-        ``k``'s qubits are ``qubits[offsets[k]:offsets[k + 1]]``."""
-        counts = np.fromiter((len(g.qubits) for g in self.gates), np.int64, len(self.gates))
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        qubits = np.fromiter((q for g in self.gates for q in g.qubits), np.int64, int(offsets[-1]))
-        return _read_only(offsets), _read_only(qubits)
+        """Every gate's operands, BARRIERs' included, as the CSR columns
+        ``offsets`` and ``qubits``."""
+        return self.offsets, self.qubits
 
     def operands_of(self, gate_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The operands of the gates ``gate_index`` names, in its order, as
         two columns: each operand's position in ``gate_index`` and its qubit."""
-        offsets, qubits = self.operands
-        first = offsets[gate_index]
-        row, at = _ragged(np.arange(len(first)), first, offsets[gate_index + 1] - first)
-        return _read_only(row), _read_only(qubits[at])
+        first = self.offsets[gate_index]
+        row, at = _ragged(np.arange(len(first)), first, self.offsets[gate_index + 1] - first)
+        return _read_only(row), _read_only(self.qubits[at])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -183,27 +268,44 @@ def _ragged(rows, first, counts):
     return rows[k], first[k] + np.arange(len(k)) - (np.cumsum(counts) - counts)[k]
 
 
-@dataclass(frozen=True)
 class SlicedCircuit:
     """A native circuit cut into ASAP layers of qubit-disjoint gates.
 
-    ``layers[l]`` holds indices into ``circuit.gates``; concatenating the
-    layers is a permutation of the gate list preserving per-qubit order.
+    Its data is ``gate_layers``: every gate index in layer order and its
+    layer, as read-only columns. ``layers[l]`` holds the indices of layer
+    ``l``, a view built on first use; concatenating the layers is a
+    permutation of the gates preserving per-qubit order.
+    ``SlicedCircuit(circuit, layers)`` builds the columns from the layers.
     """
 
     circuit: Circuit
-    layers: tuple[tuple[int, ...], ...]
+    gate_layers: tuple[np.ndarray, np.ndarray]
+    depth: int
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
+    def __init__(self, circuit: Circuit, layers) -> None:
+        layers = tuple(map(tuple, layers))
+        sizes = np.fromiter(map(len, layers), np.int64, len(layers))
+        gate_index = np.fromiter((k for layer in layers for k in layer), np.int64, int(sizes.sum()))
+        self.__dict__.update(
+            circuit=circuit, depth=len(layers), layers=layers,
+            gate_layers=(_read_only(gate_index), _read_only(np.repeat(np.arange(len(layers)), sizes))),
+        )
+
+    @classmethod
+    def _from_columns(cls, circuit: Circuit, gate_index, layer, depth: int) -> SlicedCircuit:
+        sc = object.__new__(cls)
+        sc.__dict__.update(circuit=circuit, depth=depth, gate_layers=(_read_only(gate_index), _read_only(layer)))
+        return sc
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @functools.cached_property
-    def gate_layers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every gate index in layer order, and its layer, as read-only columns."""
-        sizes = np.fromiter(map(len, self.layers), np.int64, len(self.layers))
-        gate_index = np.fromiter((k for layer in self.layers for k in layer), np.int64, int(sizes.sum()))
-        return _read_only(gate_index), _read_only(np.repeat(np.arange(len(sizes)), sizes))
+    def layers(self) -> tuple[tuple[int, ...], ...]:
+        gate_index, layer = self.gate_layers
+        bounds = np.searchsorted(layer, np.arange(self.depth + 1)).tolist()
+        flat = gate_index.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 # Decomposition identities, each extended kind's native rows in time order:
@@ -241,21 +343,51 @@ DECOMPOSITION = {
 }
 
 
-def decompose(c: Circuit) -> Circuit:
-    """Expand every extended gate into {RX, RZ, H, CZ} through its rows.
+# The table as columns over rows: each kind's rows in order, starting at
+# _FIRST[code]; a kind with no rows passes through as one row of its own
+# that keeps every operand (_KEEP) and the angle.
+_ROWS = [
+    (code, row)
+    for code, kind in enumerate(KINDS)
+    for row in DECOMPOSITION.get(kind, ((kind, None, _THETA),))
+]
+_N_ROWS = np.array([len(DECOMPOSITION.get(kind, ((),))) for kind in KINDS], np.int64)
+_FIRST = np.cumsum(_N_ROWS) - _N_ROWS
+_ROW_KIND = np.array([_CODE[kind] for _, (kind, _, _) in _ROWS], np.int8)
+_KEEP = np.array([slots is None for _, (_, slots, _) in _ROWS])
+_ROW_COUNT = np.array([len(slots or ()) for _, (_, slots, _) in _ROWS], np.int64)
+_SLOT = np.array([(tuple(slots or ()) + (0, 0))[:2] for _, (_, slots, _) in _ROWS], np.int64)
+_THETA_ROW = np.array([a is _THETA for _, (_, _, a) in _ROWS])
+_ROW_ANGLE = np.array([math.nan if a is None or a is _THETA else a for _, (_, _, a) in _ROWS], np.float64)
+_EXTENDED = np.array([kind in DECOMPOSITION for kind in KINDS])
+_TWO_QUBIT = np.array([kind.n_qubits == 2 for kind in KINDS])
 
-    Native gates, MEASURE and BARRIER pass through as the same objects.
-    Per-qubit gate order is preserved; no cancellation or optimization is
-    attempted.
+
+def decompose(c: Circuit) -> Circuit:
+    """Expand every extended gate into {RX, RZ, H, CZ} through its rows,
+    gathered over the columns; a circuit with none is returned as it is.
+
+    Native gates, MEASURE and BARRIER pass through. Per-qubit gate order is
+    preserved; no cancellation or optimization is attempted.
     """
-    gates: list[Gate] = []
-    for g in c.gates:
-        rows = DECOMPOSITION.get(g.kind)
-        if rows is None:
-            gates.append(g)
-        else:
-            gates += (Gate(*row) for row in _expand(rows, g.qubits, g.angle))
-    return Circuit(c.num_qubits, tuple(gates))
+    if c.is_native:
+        return c
+    n_out = _N_ROWS[c.kind]
+    src = np.repeat(np.arange(c.num_gates), n_out)  # each output gate's source gate
+    row = np.repeat(_FIRST[c.kind] - (np.cumsum(n_out) - n_out), n_out) + np.arange(len(src))
+    keep = _KEEP[row]
+    count = np.where(keep, np.diff(c.offsets)[src], _ROW_COUNT[row])
+    offsets = np.concatenate([[0], np.cumsum(count)])
+    out = np.repeat(np.arange(len(src)), count)  # each output operand's gate
+    slot = np.arange(len(out)) - offsets[out]
+    slot = np.where(keep[out], slot, _SLOT[row[out], np.minimum(slot, 1)])
+    return Circuit._from_columns(
+        c.num_qubits,
+        _ROW_KIND[row],
+        offsets,
+        c.qubits[c.offsets[src[out]] + slot],
+        np.where(_THETA_ROW[row], c.angle[src], _ROW_ANGLE[row]),
+    )
 
 
 def slice_circuit(c: Circuit) -> SlicedCircuit:
@@ -267,13 +399,20 @@ def slice_circuit(c: Circuit) -> SlicedCircuit:
     """
     if not c.is_native:
         raise ValueError("slice_circuit needs a native-basis circuit")
-    level = [0] * c.num_qubits
-    layers: list[list[int]] = []
-    for idx, g in enumerate(c.gates):
-        layer = max(level[q] for q in g.qubits)
-        while len(layers) <= layer:
-            layers.append([])
-        layers[layer].append(idx)
-        for q in g.qubits:
+    level = [0] * c.num_qubits  # each qubit's next free layer
+    layer_of = []
+    offsets, qubits = c.offsets.tolist(), c.qubits.tolist()
+    for a, b in zip(offsets, offsets[1:]):
+        if b - a == 1:
+            q = qubits[a]
+            layer = level[q]
             level[q] = layer + 1
-    return SlicedCircuit(c, tuple(tuple(layer) for layer in layers))
+        else:
+            ops = qubits[a:b]
+            layer = max([level[q] for q in ops])
+            for q in ops:
+                level[q] = layer + 1
+        layer_of.append(layer)
+    layer = np.array(layer_of, np.int64)
+    gate_index = np.argsort(layer, kind="stable")
+    return SlicedCircuit._from_columns(c, gate_index, layer[gate_index], max(layer_of, default=-1) + 1)

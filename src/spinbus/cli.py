@@ -207,7 +207,7 @@ def _check_model(arch: ArchitectureSpec, errp: ErrorModelParams, strategies, sli
         raise ConfigError(f"the error model fails at the velocities in use: {exc!r}") from exc
     if not all(map(math.isfinite, errors)):
         raise ConfigError(f"the error model is not finite over the longest move, {longest} m")
-    ops = 4 * len(sliced.circuit.gates) + 1
+    ops = 4 * sliced.circuit.num_gates + 1
     worst_time = ops * max(longest / min(slowest), arch.t_1q, arch.t_2q, measure_duration or 0.0)
     worst_spread = 2 * ops * max(errors)
     if not (math.isfinite(worst_time * 1e9) and math.isfinite(worst_spread * worst_spread * arch.n_sites)):

@@ -72,7 +72,7 @@ def summarize(s: Schedule) -> CompilationReport:
     _, _, p1, dst_ok = decode_locations(sh.dst, s.arch)
     if not (src_ok & dst_ok).all():
         raise ValueError("location out of range")
-    if ((gate_index < 0) | (gate_index >= len(s.circuit.gates))).any():
+    if ((gate_index < 0) | (gate_index >= s.circuit.num_gates)).any():
         raise ValueError("gate index out of range")
     n_2q = int(np.count_nonzero(s.circuit.two_qubit[gate_index]))
     mean, std = mean_std(s.per_qubit_error)

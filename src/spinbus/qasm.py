@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import re
 
-from .circuit import Circuit, Gate, GateKind
+import numpy as np
+
+from .circuit import _CODE, KINDS, Circuit, GateKind, gate_error
 
 # gate statements by QASM name; measure and barrier are statements of their own
 GATE_TABLE = {
@@ -67,57 +69,86 @@ _TOKEN = re.compile(
     re.ASCII | re.DOTALL | re.VERBOSE,
 )
 
+# The first thing tried on every statement: one gate on one or two indexed
+# operands, with an optional angle that is a number or a negated one, in
+# ``_TOKEN``'s tokens. Every name, number and index here ends where its token
+# does (``\b``, or a character its token cannot hold), so a match reads the
+# tokens the token parser would. A statement it does not match, or one that
+# ``_Parser._gate_statement`` declines, goes to the token parser.
+_GATE_STATEMENT = re.compile(
+    r"""(?:[ \t\r\n]+|//[^\n]*)*
+    ([a-z]+)\b[ \t]*
+    (?:\([ \t]*(-?)[ \t]*((?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)[ \t]*\)[ \t]*)?
+    ([A-Za-z_]\w*)[ \t]*\[[ \t]*(\d+)[ \t]*\]
+    (?:[ \t]*,[ \t]*([A-Za-z_]\w*)[ \t]*\[[ \t]*(\d+)[ \t]*\])?
+    [ \t]*;""",
+    re.ASCII | re.VERBOSE,
+)
+
 
 def _position(text: str, off: int) -> tuple[int, int]:
     """1-based line and column of offset ``off`` in ``text``."""
     return text.count("\n", 0, off) + 1, off - text.rfind("\n", 0, off)
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    """``(kind, text, offset)`` per token, by the one ``_TOKEN`` regex for
-    every text. The kind is 'id', 'num', 'str' (text without the quotes,
-    offset at the opening one) or, for a symbol, the symbol itself. Any
-    character may appear in a comment or a string; outside them, one that
-    starts no token, non-ASCII or not, is a syntax error at its position."""
-    tokens = [
-        (m[k] if k == "sym" else k, m[k], m.start(k) - (k == "str"))
-        for m in _TOKEN.finditer(text)
-        for k in (m.lastgroup,)
-        if k is not None
-    ]
-    if tokens and tokens[-1][0] == "bad":
-        off = tokens[-1][2]
-        ch = text[off]
-        message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
-        raise QasmSyntaxError(message, *_position(text, off))
-    return tokens
+def _check_characters(text: str) -> None:
+    """Raise for the first character of ``text`` that starts no token, as
+    ``_TOKEN`` reads the whole text: any character may appear in a comment
+    or a string; outside them, one that starts no token, non-ASCII or not,
+    is a syntax error at its position, whatever else is wrong."""
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            off = m.start("bad")
+            message = "unterminated string" if text[off] == '"' else f"unexpected character {text[off]!r}"
+            raise QasmSyntaxError(message, *_position(text, off))
 
 
 class _Parser:
+    """Reads statements into gate columns. ``_GATE_STATEMENT`` takes the
+    plain gate statements; the token parser reads every other statement
+    from the offset where it starts, one ``_TOKEN`` match at a time."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
-        # end marker, kind None, placed where the last token starts
-        self.tokens.append((None, "", self.tokens[-1][2] if self.tokens else 0))
-        self.pos = 0
         self.qreg: tuple[str, int] | None = None
         self.creg: tuple[str, int] | None = None
-        self.gates: list[Gate] = []
+        # the columns: kind codes, operand offsets, operands, angles
+        self.kind: list[int] = []
+        self.offsets: list[int] = [0]
+        self.qubits: list[int] = []
+        self.angle: list[float] = []
         self.depth = 0  # unary minus and parentheses open in _factor
+        # the token parser's state: the next token and its end, and the
+        # last token read, where the end of input is placed
+        self.tok: _Tok = (None, "", 0)
+        self.tok_end = 0
+        self.prev: _Tok = (None, "", 0)
+        self.prev_end = 0
 
     def _at(self, tok: _Tok) -> tuple[int, int]:
         return _position(self.text, tok[2])
 
+    def _scan(self, off: int) -> None:
+        """Make the token at ``off`` the next one."""
+        m = _TOKEN.match(self.text, off)
+        k = m.lastgroup
+        if k is None:  # end marker, kind None, placed where the last token starts
+            self.tok = (None, "", self.prev[2])
+        else:
+            self.tok = (m[k] if k == "sym" else k, m[k], m.start(k) - (k == "str"))
+        self.tok_end = m.end()
+
     def _peek(self) -> str | None:  # the next token's kind; None at the end
-        return self.tokens[self.pos][0]
+        return self.tok[0]
 
     def _next(self, expect: str | None = None) -> _Tok:
-        tok = self.tokens[self.pos]
+        tok = self.tok
         if tok[0] is None:
             raise QasmSyntaxError("unexpected end of input", *self._at(tok))
         if expect is not None and tok[0] != expect:
             raise QasmSyntaxError(f"expected {expect!r}, got {tok[1]!r}", *self._at(tok))
-        self.pos += 1
+        self.prev, self.prev_end = tok, self.tok_end
+        self._scan(self.tok_end)
         return tok
 
     def _literal(self, convert, tok: _Tok, what: str):
@@ -128,11 +159,55 @@ class _Parser:
             raise QasmSyntaxError(f"bad {what} {tok[1]!r}", *self._at(tok)) from None
 
     def parse(self) -> Circuit:
-        while self._peek() is not None:
+        text, gate_statement = self.text, _GATE_STATEMENT.match
+        off = 0
+        while True:
+            m = gate_statement(text, off)
+            if m is not None and self._gate_statement(*m.groups()):
+                off = m.end()
+                continue
+            self._scan(off)
+            if self._peek() is None:
+                break
             self._statement()
+            off = self.prev_end
         if self.qreg is None:
             raise QasmSyntaxError("no quantum register declared", 1, 1)
-        return Circuit(self.qreg[1], tuple(self.gates))
+        return Circuit._from_columns(
+            self.qreg[1],
+            np.array(self.kind, np.int8),
+            np.array(self.offsets, np.int64),
+            np.array(self.qubits, np.int64),
+            np.array(self.angle, np.float64),
+        )
+
+    def _gate_statement(self, name, minus, number, reg, a, reg_b, b) -> bool:
+        """Append the gate a ``_GATE_STATEMENT`` match reads, if the token
+        parser would read the same gate from it; else append nothing and
+        return False."""
+        kind = GATE_TABLE.get(name)
+        if kind is None or self.qreg is None or (number is None) == kind.takes_angle:
+            return False
+        reg_name, size = self.qreg
+        if reg != reg_name or (b is None) != (kind.n_qubits == 1) or (b is not None and reg_b != reg_name):
+            return False
+        try:
+            qubits = [int(a)] if b is None else [int(a), int(b)]
+            angle = math.nan if number is None else -float(number) if minus else float(number)
+        except ValueError:  # a literal the token parser reports
+            return False
+        if max(qubits) >= size or len(set(qubits)) != len(qubits):
+            return False  # out of range or duplicate: the token parser reports it
+        if number is not None and not math.isfinite(angle):
+            return False
+        self._push(kind, qubits, angle)
+        return True
+
+    def _push(self, kind: GateKind, qubits: list[int], angle: float) -> None:
+        self.kind.append(_CODE[kind])
+        self.qubits += qubits
+        self.offsets.append(len(self.qubits))
+        self.angle.append(angle)
 
     def _statement(self) -> None:
         tok = self._next()
@@ -185,7 +260,7 @@ class _Parser:
         if tok[1] != reg_name:
             raise QasmSyntaxError(f"unknown register {tok[1]!r}", *self._at(tok))
         if self._peek() == "[":
-            self.pos += 1
+            self._next()
             idx_tok = self._next("num")
             self._next("]")
             idx = self._literal(int, idx_tok, "qubit index")
@@ -199,7 +274,7 @@ class _Parser:
     def _gate(self, kind: GateKind, tok: _Tok) -> None:
         angle = None
         if self._peek() == "(":
-            self.pos += 1
+            self._next()
             angle = self._expr()
             self._next(")")
         if kind.takes_angle and angle is None:
@@ -208,7 +283,7 @@ class _Parser:
             raise QasmSyntaxError(f"{tok[1]} takes no angle", *self._at(tok))
         operands = [self._qubit_operand()]
         while self._peek() == ",":
-            self.pos += 1
+            self._next()
             operands.append(self._qubit_operand())
         self._next(";")
         if kind.n_qubits == 2:
@@ -226,10 +301,10 @@ class _Parser:
     def _append(
         self, kind: GateKind, qubits: tuple[int, ...], angle: float | None, tok: _Tok
     ) -> None:
-        try:
-            self.gates.append(Gate(kind, qubits, angle))
-        except ValueError as exc:
-            raise QasmSyntaxError(str(exc), *self._at(tok)) from None
+        message = gate_error(kind, qubits, angle)
+        if message is not None:
+            raise QasmSyntaxError(message, *self._at(tok))
+        self._push(kind, list(qubits), math.nan if angle is None else angle)
 
     def _measure(self, tok: _Tok) -> None:
         qubits = self._qubit_operand()
@@ -240,7 +315,7 @@ class _Parser:
         if creg_tok[1] != self.creg[0]:
             raise QasmSyntaxError(f"unknown register {creg_tok[1]!r}", *self._at(creg_tok))
         if self._peek() == "[":
-            self.pos += 1
+            self._next()
             idx_tok = self._next("num")
             self._next("]")
             if not 0 <= self._literal(int, idx_tok, "bit index") < self.creg[1]:
@@ -253,12 +328,12 @@ class _Parser:
                 )
         self._next(";")
         for q in qubits:
-            self.gates.append(Gate(GateKind.MEASURE, (q,)))
+            self._push(GateKind.MEASURE, [q], math.nan)
 
     def _barrier(self, tok: _Tok) -> None:
         qubits = self._qubit_operand()
         while self._peek() == ",":
-            self.pos += 1
+            self._next()
             qubits.extend(self._qubit_operand())
         self._next(";")
         self._append(GateKind.BARRIER, tuple(qubits), None, tok)
@@ -281,9 +356,7 @@ class _Parser:
             rhs = self._factor()
             if op == "/":
                 if rhs == 0:
-                    raise QasmSyntaxError(
-                        "division by zero", *self._at(self.tokens[self.pos - 1])
-                    )
+                    raise QasmSyntaxError("division by zero", *self._at(self.prev))
                 value = value / rhs
             else:
                 value = value * rhs
@@ -313,22 +386,28 @@ class _Parser:
 
 def parse_qasm(text: str) -> Circuit:
     """Parse the OpenQASM 2.0 subset into a Circuit (gates in source order)."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except QasmError:
+        _check_characters(text)  # a character no token starts comes first
+        raise
 
 
 def export_qasm(c: Circuit) -> str:
     """Emit a circuit as OpenQASM 2.0 text; parse_qasm round-trips it."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
-    if any(g.kind is GateKind.MEASURE for g in c.gates):
+    if c.measure.any():
         lines.append(f"creg c[{c.num_qubits}];")
-    for g in c.gates:
-        ops = ",".join(f"q[{q}]" for q in g.qubits)
-        if g.kind is GateKind.MEASURE:
-            lines.append(f"measure q[{g.qubits[0]}] -> c[{g.qubits[0]}];")
-        elif g.kind is GateKind.BARRIER:
+    offsets, qubits = c.offsets.tolist(), c.qubits.tolist()
+    for code, a, b, angle in zip(c.kind.tolist(), offsets, offsets[1:], c.angle.tolist()):
+        kind = KINDS[code]
+        ops = ",".join(f"q[{q}]" for q in qubits[a:b])
+        if kind is GateKind.MEASURE:
+            lines.append(f"measure q[{qubits[a]}] -> c[{qubits[a]}];")
+        elif kind is GateKind.BARRIER:
             lines.append(f"barrier {ops};")
-        elif g.kind.takes_angle:
-            lines.append(f"{g.kind.value}({g.angle!r}) {ops};")
+        elif kind.takes_angle:
+            lines.append(f"{kind.value}({angle!r}) {ops};")
         else:
-            lines.append(f"{g.kind.value} {ops};")
+            lines.append(f"{kind.value} {ops};")
     return "\n".join(lines) + "\n"

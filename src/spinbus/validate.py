@@ -206,7 +206,7 @@ def _coverage(s: Schedule, stays: _Stays, op_index):
     gives every search a landing place."""
     gt = s.ops.gates
     gate_index, g_zone, g_start = gt.gate_index, gt.zone, gt.start
-    g_known = (gate_index >= 0) & (gate_index < len(s.circuit.gates))
+    g_known = (gate_index >= 0) & (gate_index < s.circuit.num_gates)
     rows = np.flatnonzero(g_known)
     og, oq = s.circuit.operands_of(gate_index[rows])
     og = rows[og]  # each operand's gate row

@@ -1,7 +1,9 @@
 """Test oracles the compiler itself never calls: the dense unitary of a 1-2
 qubit gate list (checks every decomposition rewrite), exact MinLA by
 enumerating all n! placements (bounds spectral placement), the
-layer-discounted interaction graph built one gate at a time, the analytic
+layer-discounted interaction graph built one gate at a time, the
+gate-by-gate decomposition and slicing that the columnar ``decompose`` and
+``slice_circuit`` must match bit for bit, the analytic
 velocity derivative of the dephasing model (checks the optimizer's minimum),
 the op-by-op schedule writer and summary that the columnar
 ``schedule_to_json`` and ``summarize`` must match bit for bit, the op-by-op
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spinbus.architecture import ArchitectureSpec, Location, distance, position, shuttle_time
-from spinbus.circuit import Circuit, Gate, GateKind, SlicedCircuit
+from spinbus.circuit import DECOMPOSITION, Circuit, Gate, GateKind, SlicedCircuit, _expand
 from spinbus.error_model import HBAR, ErrorModelParams, _check_v, optimal_velocity, phase_error
 from spinbus.placement import InteractionGraph, Placement
 from spinbus.qasm import GATE_TABLE, QasmSyntaxError, UnsupportedConstructError
@@ -143,6 +145,44 @@ def oracle_interaction_graph(sc: SlicedCircuit) -> np.ndarray:
                 w[u, v] += decay
                 w[v, u] += decay
     return w
+
+
+def oracle_decompose(c: Circuit) -> Circuit:
+    """Expand every extended gate into {RX, RZ, H, CZ} through its rows.
+
+    Native gates, MEASURE and BARRIER pass through as the same objects.
+    Per-qubit gate order is preserved; no cancellation or optimization is
+    attempted.
+    """
+    gates: list[Gate] = []
+    for g in c.gates:
+        rows = DECOMPOSITION.get(g.kind)
+        if rows is None:
+            gates.append(g)
+        else:
+            gates += (Gate(*row) for row in _expand(rows, g.qubits, g.angle))
+    return Circuit(c.num_qubits, tuple(gates))
+
+
+def oracle_slice_circuit(c: Circuit) -> SlicedCircuit:
+    """Cut a native circuit into ASAP layers.
+
+    Every gate lands in the earliest layer consistent with its operand
+    dependencies. BARRIER joins its operands' frontiers into one fence and
+    occupies a layer slot like any gate (the scheduler skips it).
+    """
+    if not c.is_native:
+        raise ValueError("slice_circuit needs a native-basis circuit")
+    level = [0] * c.num_qubits
+    layers: list[list[int]] = []
+    for idx, g in enumerate(c.gates):
+        layer = max(level[q] for q in g.qubits)
+        while len(layers) <= layer:
+            layers.append([])
+        layers[layer].append(idx)
+        for q in g.qubits:
+            level[q] = layer + 1
+    return SlicedCircuit(c, tuple(tuple(layer) for layer in layers))
 
 
 def _all_permutations(n: int) -> np.ndarray:

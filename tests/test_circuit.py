@@ -1,9 +1,16 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
 from spinbus.circuit import (
+    KINDS,
     Circuit,
     Gate,
     GateKind,
@@ -11,9 +18,10 @@ from spinbus.circuit import (
     decompose,
     slice_circuit,
 )
+from spinbus.qasm import export_qasm, parse_qasm
 from spinbus.rng import SplitMix64
 
-from oracles import phase_aligned_distance, unitary_of
+from oracles import oracle_decompose, oracle_slice_circuit, phase_aligned_distance, unitary_of
 
 PI = math.pi
 
@@ -103,6 +111,18 @@ class TestGateValidation:
 
     def test_numpy_integer_qubit_count_accepted(self):
         assert Circuit(np.int64(2), (cz(0, 1),)).num_qubits == 2
+
+    @pytest.mark.parametrize("kind", [GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.H])
+    @pytest.mark.parametrize("angle", [True, False, np.bool_(True)], ids=repr)
+    def test_bool_angle_rejected(self, kind, angle):
+        # a bool angle once built with angle 1.0, and export_qasm wrote rx(1.0)
+        with pytest.raises(TypeError, match="angle must be a number"):
+            Gate(kind, (0,), angle)
+
+    @pytest.mark.parametrize("gate", [(GateKind.RX, (0,), True), "h q[0];", None])
+    def test_circuit_of_non_gates_rejected(self, gate):
+        with pytest.raises(TypeError, match="gates must be Gate objects"):
+            Circuit(1, (h(0), gate))
 
 
 class TestUnitaryOf:
@@ -306,6 +326,84 @@ class TestSlice:
         assert slice_circuit(c).layers == ((0,), (1,))
 
 
+def _bits_of(sc):
+    """Every column of a sliced circuit, angles as ``float.hex``, and its
+    layers."""
+    c = sc.circuit
+    gate_index, layer = sc.gate_layers
+    return (
+        c.num_qubits, c.kind.tolist(), c.offsets.tolist(), c.qubits.tolist(),
+        [float.hex(a) for a in c.angle.tolist()], gate_index.tolist(), layer.tolist(), sc.layers,
+    )
+
+
+def _matches_oracles(c, views=True):
+    """The columnar stages give the oracles' bits; with ``views``, also
+    their gates, angles by bits, and an equal circuit."""
+    got = slice_circuit(decompose(c))
+    want = oracle_slice_circuit(oracle_decompose(c))
+    assert _bits_of(got) == _bits_of(want) and got.depth == want.depth
+    if views:
+        assert [(g.kind, g.qubits, None if g.angle is None else float.hex(g.angle)) for g in got.circuit.gates] == [
+            (g.kind, g.qubits, None if g.angle is None else float.hex(g.angle)) for g in want.circuit.gates
+        ]
+        assert got.circuit == want.circuit
+
+
+@st.composite
+def _circuits(draw):
+    """Circuits of 1-14 qubits over every kind, barriers and measures
+    included, with any finite angle."""
+    n = draw(st.integers(1, 14))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(KINDS), max_size=40)):
+        count = kind.n_qubits or draw(st.integers(1, n))
+        if count <= n:
+            qubits = draw(st.permutations(range(n)))[:count]
+            angle = draw(st.floats(allow_nan=False, allow_infinity=False)) if kind.takes_angle else None
+            gates.append(Gate(kind, qubits, angle))
+    return Circuit(n, gates)
+
+
+def _benchmark_inputs():
+    """The QASM texts of the benchmark's deep64 and wide128 workloads."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        pytest.param(text, id=p.stem)
+        for name in ("deep64", "wide128")
+        for p, text in workloads.make_workload(name, 0, Path("unused")).inputs.items()
+    ]
+
+
+class TestColumnarMatchesOracles:
+    """``decompose`` and ``slice_circuit`` gather over the columns; they must
+    give the gate-by-gate oracles' kinds, operands, angle bits and layers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_circuits())
+    def test_arbitrary_circuits(self, c):
+        _matches_oracles(c)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_benchmark_families(self, family, seed):
+        for n in range(3, 65):
+            _matches_oracles(generate(BenchmarkSpec(family=family, n=n, seed=seed)), views=False)
+
+    @pytest.mark.parametrize("text", _benchmark_inputs())
+    def test_benchmark_inputs(self, text):
+        c = parse_qasm(text)
+        _matches_oracles(c)
+        assert export_qasm(c) == text
+
+    def test_native_circuit_is_returned_as_it_is(self):
+        c = Circuit(2, (h(0), cz(0, 1), Gate(GateKind.MEASURE, (1,))))
+        assert decompose(c) is c
+
+
 def _random_native(n, length, seed):
     rng = SplitMix64(seed)
     gates = []
@@ -333,3 +431,30 @@ def _critical_path(c: Circuit) -> int:
             last[q] = i
         best = max(best, depth)
     return best
+
+
+def test_compile_path_builds_no_gate(monkeypatch, errp):
+    """From QASM text to schedule JSON, every stage reads the columns: no
+    ``Gate`` is built (``Circuit.gates`` is a view for other callers)."""
+    from spinbus import (
+        STRATEGIES, ArchitectureSpec, build_interaction_graph, map_strategy, schedule_to_json,
+        spectral_placement, summarize, validate_schedule,
+    )
+
+    text = (
+        "OPENQASM 2.0;\nqreg q[5];\ncreg c[5];\nh q;\nry(-pi/2) q[1];\nrx(0.5) q[2];\n"
+        "cx q[0],q[3];\nswap q[1],q[4];\nt q[2];\nbarrier q[0],q[2],q[4];\ncz q[4],q[2];\nmeasure q -> c;\n"
+    )
+    built = []
+    original = Gate.__post_init__
+    monkeypatch.setattr(Gate, "__post_init__", lambda g: built.append(g.kind) or original(g))
+    sc = slice_circuit(decompose(parse_qasm(text)))
+    placement = spectral_placement(build_interaction_graph(sc))
+    for measure_duration in (None, 100e-9):
+        for strategy in STRATEGIES:
+            s = map_strategy(strategy, sc, ArchitectureSpec(n_sites=5), placement, errp, measure_duration)
+            assert validate_schedule(s, s.arch) == []
+            schedule_to_json(s)
+            summarize(s)
+    assert built == []
+    assert len(sc.circuit.gates) == len(built) == 29  # the view builds them
