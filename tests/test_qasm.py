@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
 from spinbus.circuit import Circuit, Gate, GateKind
 from spinbus.qasm import (
+    GATE_TABLE,
     QasmError,
     QasmSyntaxError,
     UnsupportedConstructError,
@@ -307,3 +309,48 @@ def test_parse_matches_oracle(text):
     assert (got[0], got[1], got[4]) == (expected[0], expected[1], expected[4])
     flat_error = _outcome(oracle_parse_qasm, flat)
     assert _offset(text, *got[2:4]) == _offset(flat, *flat_error[2:4])
+
+
+# gate statements in the shapes the parser's statement regex takes, and in
+# near misses it must leave to the token parser: other names, spacing, signs,
+# literals, registers and operand counts
+_GAP = st.sampled_from(["", " ", "\t", "  ", "\n", "\r\n", " // c\n"])
+_NAMES = st.sampled_from(sorted(GATE_TABLE) * 2 + ["measure", "barrier", "qreg", "hq", "H", "rx2", "_x", "pi"])
+_ANGLES = ["(1.5)", "(-2)", "( - .5 )", "(-0)", "(1e-3)", "(1E+2)", "(1.)", "(0)", "(7)", "(-1e400)"]
+_BAD_ANGLES = ["", "(1.2.3)", "(pi)", "(--1)", "(+1)", "(1 2)", "(1e)", "(0x1)", "(1)x", "()"]
+_OPERANDS = ["q[0]", "q[1]", "q[ 2 ]", "q[01]", "q [1]", "q[\t2]"]
+_BAD_OPERANDS = ["q[3]", "q[1.0]", "q[1e0]", "q", "r[0]", "q[]", "q[1 1]"]
+
+
+@st.composite
+def _gate_statement(draw):
+    """One statement: half of them have the name's angle and operand count."""
+    gap = lambda: draw(_GAP)  # noqa: E731
+    name = draw(_NAMES)
+    kind = GATE_TABLE.get(name)
+    if draw(st.booleans()):
+        angle = draw(st.sampled_from(_ANGLES)) if kind is not None and kind.takes_angle else ""
+        count = 1 if kind is None else kind.n_qubits
+        operands = [draw(st.sampled_from(_OPERANDS)) for _ in range(count)]
+        end = ";"
+    else:
+        angle = draw(st.sampled_from(_ANGLES + _BAD_ANGLES))
+        operands = [draw(st.sampled_from(_OPERANDS + _BAD_OPERANDS)) for _ in range(draw(st.integers(0, 3)))]
+        end = draw(st.sampled_from([";", "", ",;", "; ;"]))
+    return gap() + name + gap() + angle + gap() + (gap() + "," + gap()).join(operands) + gap() + end
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_gate_statement(), min_size=1, max_size=3), st.sampled_from(["qreg q[3];"] * 4 + ["qreg h[3];", ""]))
+def test_gate_statements_match_oracle(body, header):
+    text = header + " ".join(body)
+    assert _outcome(parse_qasm, text) == _outcome(oracle_parse_qasm, text)
+
+
+@pytest.mark.parametrize("name", sorted(set(_NAMES.elements)))
+def test_every_gate_statement_shape_matches_oracle(name):
+    pairs = itertools.product(["q[0]", "q[ 2 ]", "q[3]", "r[0]"], repeat=2)
+    operand_lists = [()] + [(o,) for o in _OPERANDS + _BAD_OPERANDS] + list(pairs)
+    for angle, operands, gap in itertools.product(_ANGLES + _BAD_ANGLES, operand_lists, ("", " ")):
+        text = f"qreg q[3]; {name}{angle}{gap}{','.join(operands)};"
+        assert _outcome(parse_qasm, text) == _outcome(oracle_parse_qasm, text), text
