@@ -192,18 +192,19 @@ class Circuit:
             return NotImplemented
         return (
             self.num_qubits == other.num_qubits
-            and all(np.array_equal(a, b) for a, b in zip(self._operands, other._operands))
+            and all(np.array_equal(a, b) for a, b in zip(self._exact, other._exact))
             and np.array_equal(self.angle, other.angle, equal_nan=True)
         )
 
     def __hash__(self):
-        return hash((self.num_qubits, *(a.tobytes() for a in self._operands)))
+        return hash((self.num_qubits, *(a.tobytes() for a in self._exact)))
 
     def __repr__(self):
         return f"Circuit(num_qubits={self.num_qubits}, gates={self.gates!r})"
 
     @property
-    def _operands(self):
+    def _exact(self):
+        """The columns compared bit for bit; angles compare as floats."""
         return self.kind, self.offsets, self.qubits
 
     # Views and per-gate data, derived once per circuit from its read-only
@@ -241,12 +242,6 @@ class Circuit:
     def barrier(self) -> np.ndarray:
         """Which gates are BARRIERs, which are never scheduled."""
         return _read_only(self.kind == _CODE[GateKind.BARRIER])
-
-    @property
-    def operands(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every gate's operands, BARRIERs' included, as the CSR columns
-        ``offsets`` and ``qubits``."""
-        return self.offsets, self.qubits
 
     def operands_of(self, gate_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The operands of the gates ``gate_index`` names, in its order, as
@@ -316,9 +311,7 @@ _THETA = object()
 
 
 def _expand(rows, qubits, angle):
-    """``rows`` applied to a gate's ``qubits`` and ``angle``. The operands go
-    through a list: with a ``map`` or a generator there, the cyclic collector
-    ran more than twice as often during ``decompose`` (CPython 3.11)."""
+    """``rows`` applied to a gate's ``qubits`` and ``angle``."""
     return [(kind, tuple([qubits[s] for s in slots]), angle if a is _THETA else a) for kind, slots, a in rows]
 
 
@@ -343,22 +336,18 @@ DECOMPOSITION = {
 }
 
 
-# The table as columns over rows: each kind's rows in order, starting at
-# _FIRST[code]; a kind with no rows passes through as one row of its own
-# that keeps every operand (_KEEP) and the angle.
-_ROWS = [
-    (code, row)
-    for code, kind in enumerate(KINDS)
-    for row in DECOMPOSITION.get(kind, ((kind, None, _THETA),))
-]
+# DECOMPOSITION as columns over one list of rows: the rows of kind code k
+# start at _FIRST[k], _N_ROWS[k] of them. A kind with no rows passes through
+# as one row of its own, which keeps every operand (_KEEP) and the angle.
+_ROWS = [row for kind in KINDS for row in DECOMPOSITION.get(kind, ((kind, None, _THETA),))]
 _N_ROWS = np.array([len(DECOMPOSITION.get(kind, ((),))) for kind in KINDS], np.int64)
 _FIRST = np.cumsum(_N_ROWS) - _N_ROWS
-_ROW_KIND = np.array([_CODE[kind] for _, (kind, _, _) in _ROWS], np.int8)
-_KEEP = np.array([slots is None for _, (_, slots, _) in _ROWS])
-_ROW_COUNT = np.array([len(slots or ()) for _, (_, slots, _) in _ROWS], np.int64)
-_SLOT = np.array([(tuple(slots or ()) + (0, 0))[:2] for _, (_, slots, _) in _ROWS], np.int64)
-_THETA_ROW = np.array([a is _THETA for _, (_, _, a) in _ROWS])
-_ROW_ANGLE = np.array([math.nan if a is None or a is _THETA else a for _, (_, _, a) in _ROWS], np.float64)
+_ROW_KIND = np.array([_CODE[kind] for kind, _, _ in _ROWS], np.int8)
+_KEEP = np.array([slots is None for _, slots, _ in _ROWS])
+_ROW_COUNT = np.array([len(slots or ()) for _, slots, _ in _ROWS], np.int64)
+_SLOT = np.array([((slots or ()) + (0, 0))[:2] for _, slots, _ in _ROWS], np.int64)
+_THETA_ROW = np.array([a is _THETA for _, _, a in _ROWS])
+_ROW_ANGLE = np.array([math.nan if a is None or a is _THETA else a for _, _, a in _ROWS])
 _EXTENDED = np.array([kind in DECOMPOSITION for kind in KINDS])
 _TWO_QUBIT = np.array([kind.n_qubits == 2 for kind in KINDS])
 

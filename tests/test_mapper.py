@@ -676,8 +676,7 @@ class TestPerCircuitData:
         gate_index, layer = sc.gate_layers
         assert gate_index.tolist() == [k for ks in sc.layers for k in ks]
         assert layer.tolist() == [idx for idx, ks in enumerate(sc.layers) for _ in ks]
-        offsets, qubits = c.operands
-        for a in (c.two_qubit, c.measure, c.barrier, offsets, qubits, *c.operands_of(everyone), gate_index, layer):
+        for a in (c.kind, c.offsets, c.qubits, c.angle, c.two_qubit, c.measure, c.barrier, *c.operands_of(everyone), gate_index, layer):
             assert not a.flags.writeable
 
     @EDGE_CASES
