@@ -185,9 +185,8 @@ def _walk_layers(sc: SlicedCircuit, spec: ArchitectureSpec, placement: Placement
     (``n_gates`` episodes each), keeping one site and position per qubit,
     and deal each layer's vacated sites out as its return sites. Returns
     ``_timed_ops``' move columns, each episode's zone and the final sites."""
-    row, q = sc.circuit.operands_of(gate_index)
-    ends, operands = np.searchsorted(row, np.arange(len(gate_index)), side="right").tolist(), q.tolist()
-    gates = [(k, tuple(operands[a:b])) for k, a, b in zip(gate_index.tolist(), [0] + ends, ends)]
+    offsets, qubits = sc.circuit.offsets.tolist(), sc.circuit.qubits.tolist()
+    gates = [(k, tuple(qubits[offsets[k]:offsets[k + 1]])) for k in gate_index.tolist()]
     ends = np.cumsum(n_gates).tolist()
     layers = [gates[a:b] for a, b in zip([0] + ends, ends)]
     positions = decode_locations(np.arange(2 * spec.n_sites), spec)[2].tolist()
