@@ -94,7 +94,7 @@ class Gate:
                 raise TypeError(f"{kind.name} operands must be integers, got {qubits}")
         if isinstance(angle, (bool, np.bool_)):
             raise TypeError(f"{kind.name} angle must be a number, got {angle!r}")
-        message = gate_error(kind, qubits, angle)
+        message = _gate_error(kind, qubits, angle)
         if message is not None:
             raise ValueError(message)
         if angle is not None and type(angle) is not float:
@@ -105,7 +105,7 @@ class Gate:
         return self.kind.n_qubits == 2
 
 
-def gate_error(kind: GateKind, qubits: tuple[int, ...], angle: float | None) -> str | None:
+def _gate_error(kind: GateKind, qubits: tuple[int, ...], angle: float | None) -> str | None:
     """Why ``kind`` cannot apply to ``qubits`` with ``angle``, or None: the
     one source of these messages, for ``Gate`` and the QASM parser."""
     expected = kind.n_qubits

@@ -22,7 +22,7 @@ import re
 
 import numpy as np
 
-from .circuit import _CODE, KINDS, Circuit, GateKind, gate_error
+from .circuit import _CODE, KINDS, Circuit, GateKind, _gate_error
 
 # gate statements by QASM name; measure and barrier are statements of their own
 GATE_TABLE = {
@@ -301,7 +301,7 @@ class _Parser:
     def _append(
         self, kind: GateKind, qubits: tuple[int, ...], angle: float | None, tok: _Tok
     ) -> None:
-        message = gate_error(kind, qubits, angle)
+        message = _gate_error(kind, qubits, angle)
         if message is not None:
             raise QasmSyntaxError(message, *self._at(tok))
         self._push(kind, list(qubits), math.nan if angle is None else angle)
