@@ -8,6 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinbus import (
+    STRATEGIES,
+    ArchitectureSpec,
+    build_interaction_graph,
+    map_strategy,
+    schedule_to_json,
+    spectral_placement,
+    summarize,
+    validate_schedule,
+)
 from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
 from spinbus.circuit import (
     KINDS,
@@ -436,11 +446,6 @@ def _critical_path(c: Circuit) -> int:
 def test_compile_path_builds_no_gate(monkeypatch, errp):
     """From QASM text to schedule JSON, every stage reads the columns: no
     ``Gate`` is built (``Circuit.gates`` is a view for other callers)."""
-    from spinbus import (
-        STRATEGIES, ArchitectureSpec, build_interaction_graph, map_strategy, schedule_to_json,
-        spectral_placement, summarize, validate_schedule,
-    )
-
     text = (
         "OPENQASM 2.0;\nqreg q[5];\ncreg c[5];\nh q;\nry(-pi/2) q[1];\nrx(0.5) q[2];\n"
         "cx q[0],q[3];\nswap q[1],q[4];\nt q[2];\nbarrier q[0],q[2],q[4];\ncz q[4],q[2];\nmeasure q -> c;\n"
