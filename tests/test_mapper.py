@@ -1,18 +1,13 @@
-import collections.abc
-import dataclasses
-import functools
 import itertools
-import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbus.architecture import ArchitectureSpec, Location, distance, position
+from spinbus.architecture import Location, distance, position
 from spinbus.circuit import (
     Circuit,
     Gate,
@@ -21,7 +16,7 @@ from spinbus.circuit import (
     decompose,
     slice_circuit,
 )
-from spinbus.error_model import ErrorModelParams, optimal_velocity, phase_error
+from spinbus.error_model import ErrorModelParams, optimal_velocity
 from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
 from spinbus.mapper import STRATEGIES, STRATEGY_FLAGS, _episodes, map_strategy
 from spinbus.metrics import summarize
@@ -32,40 +27,15 @@ from spinbus.placement import (
     spectral_placement,
 )
 from spinbus.rng import SplitMix64
-from spinbus.schedule import (
-    GateOp, Schedule, ScheduleOps, ShuttleOp, _ns_json, _ns_texts, schedule_from_json, schedule_to_json,
-)
-import spinbus.validate as validate_module
+from spinbus.schedule import GateOp, Schedule, ScheduleOps, ShuttleOp, schedule_to_json
 from spinbus.validate import validate_schedule
 from oracles import _schedulable, oracle_map, oracle_schedule_to_json, oracle_summary_counts
+from schedule_corpus import NS, US, arch, cz, h, run
 from validator_oracle import oracle_validate_schedule
-
-US = 1e-6
-NS = 1e-9
-
-
-def cz(a, b):
-    return Gate(GateKind.CZ, (a, b))
-
-
-def h(q):
-    return Gate(GateKind.H, (q,))
-
-
-def arch(n):
-    return ArchitectureSpec(n_sites=n)
 
 
 def ops_of(s, kind):
     return [op for op in s.ops if isinstance(op, kind)]
-
-
-def run(strategy, circuit, n, errp, placement=None, **kwargs):
-    sc = slice_circuit(circuit)
-    placement = placement or Placement.identity(n)
-    s = map_strategy(strategy, sc, arch(n), placement, errp, **kwargs)
-    assert validate_schedule(s, arch(n)) == []
-    return s
 
 
 class TestBaseline:
@@ -724,1084 +694,3 @@ class TestReturnSites:
                 for strategy in STRATEGIES:
                     s = map_strategy(strategy, sc, arch16, random_placement(16, seed), errp)
                     assert validate_schedule(s, arch16) == []
-
-
-def _ghz4_parallel():
-    """A small valid schedule and a fresh copy of its JSON document."""
-    sc = slice_circuit(decompose(generate(BenchmarkSpec(family="ghz", n=4))))
-    s = map_strategy("parallel", sc, arch(4), Placement.identity(4), ErrorModelParams())
-    return s, json.loads(schedule_to_json(s))
-
-
-def _index_paths(doc):
-    """Key paths to every index field of a schedule document."""
-    paths = [(key, i) for key in ("placement", "final_sites") for i in range(len(doc[key]))]
-    for k, op in enumerate(doc["ops"]):
-        keys = (("q",), ("from", "idx"), ("to", "idx")) if "q" in op else (("gate",), ("zone",))
-        paths += [("ops", k, *key) for key in keys]
-    return paths
-
-
-def _change_index(doc, path, change):
-    node = functools.reduce(lambda parent, key: parent[key], path[:-1], doc)
-    node[path[-1]] = change(node[path[-1]])
-
-
-def _json_paths(node, path=()):
-    """Key paths to every value of a JSON document, the root's ``()`` first."""
-    yield path
-    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in children:
-        yield from _json_paths(child, (*path, key))
-
-
-def _json_type(value):
-    """A value's JSON type: null, boolean, number, string, array or object."""
-    return next(t for t in (type(None), bool, (int, float), str, list, dict) if isinstance(value, t))
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.sampled_from(["idx", "kind", "q", "gate", "n_sites"]) | st.text(max_size=4), children, max_size=3),
-    max_leaves=6,
-)
-
-
-class TestSerialization:
-    def test_round_trip(self, errp):
-        c = decompose(generate(BenchmarkSpec(family="dj", n=6, seed=0)))
-        s = run("swap_return", c, 6, errp)
-        text = schedule_to_json(s)
-        back = schedule_from_json(text, circuit=s.circuit)
-        assert back.strategy == s.strategy
-        assert back.initial_sites == s.initial_sites
-        assert back.final_sites == s.final_sites
-        assert len(back.ops) == len(s.ops)
-        assert back.total_time == pytest.approx(s.total_time, abs=1e-12)
-        for got, want in zip(back.ops, s.ops):
-            assert type(got) is type(want)
-            assert got.start == pytest.approx(want.start, abs=1e-12)
-
-    def test_reload_with_non_default_parameters(self):
-        # from_config accepts exactly the keys to_config writes, so every
-        # schedule file loads back, whatever its parameters
-        spec = ArchitectureSpec(n_sites=4, site_pitch=3e-6, default_velocity=7.5, t_2q=60e-9)
-        errp = ErrorModelParams(l_c=50e-9, t2_star=10e-6)
-        sc = slice_circuit(Circuit(4, (cz(0, 3), h(1))))
-        for strategy in STRATEGIES:
-            s = map_strategy(strategy, sc, spec, Placement.identity(4), errp)
-            back = schedule_from_json(schedule_to_json(s), circuit=s.circuit)
-            assert back.arch == spec
-            assert back.error_params.t2_star == pytest.approx(errp.t2_star, rel=1e-15)
-            assert len(back.ops) == len(s.ops)
-
-    def test_non_integer_indices_rejected(self):
-        # int() once read 3.9 as 3: with every index raised by 0.5 this
-        # schedule reloaded and revalidated with no violation
-        s, doc = _ghz4_parallel()
-        for path in _index_paths(doc):
-            _change_index(doc, path, lambda index: index + 0.5)
-        with pytest.raises(ValueError, match="integer"):
-            schedule_from_json(json.dumps(doc), s.circuit)
-
-    @settings(max_examples=100, deadline=None)
-    @given(pick=st.integers(0, 2**16), value=st.one_of(st.booleans(), st.floats()))
-    def test_any_non_integer_index_rejected(self, pick, value):
-        s, doc = _ghz4_parallel()
-        paths = _index_paths(doc)
-        _change_index(doc, paths[pick % len(paths)], lambda _: value)
-        with pytest.raises(ValueError, match="integer"):
-            schedule_from_json(json.dumps(doc), s.circuit)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("t0_ns", False),
-            ("v_mps", "10.0"),
-            ("dC", "0.001"),
-            ("gate t0_ns", True),
-            ("dur_ns", "45"),
-            ("total_time_ns", None),
-            ("per_qubit_error", True),
-        ],
-    )
-    def test_non_number_field_rejected(self, field, value):
-        # float() once read false as 0.0 and "0.001" as 0.001
-        s, doc = _ghz4_parallel()
-        shuttle = doc["ops"][0]
-        gate = next(op for op in doc["ops"] if "gate" in op)
-        node, key = {
-            "gate t0_ns": (gate, "t0_ns"),
-            "dur_ns": (gate, "dur_ns"),
-            "total_time_ns": (doc, "total_time_ns"),
-            "per_qubit_error": (doc["per_qubit_error"], 0),
-        }.get(field, (shuttle, field))
-        node[key] = value
-        with pytest.raises(ValueError, match="number"):
-            schedule_from_json(json.dumps(doc), s.circuit)
-
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
-    @pytest.mark.parametrize(
-        "field", ["t0_ns", "v_mps", "dC", "gate t0_ns", "dur_ns", "total_time_ns", "per_qubit_error"]
-    )
-    def test_non_finite_or_huge_number_rejected(self, field, literal):
-        # NaN and Infinity once loaded (a NaN dC surfaced only as validator
-        # rule "op"), and an integer too large for a float raised OverflowError
-        s, doc = _ghz4_parallel()
-        shuttle = doc["ops"][0]
-        gate = next(op for op in doc["ops"] if "gate" in op)
-        node, key = {
-            "gate t0_ns": (gate, "t0_ns"),
-            "dur_ns": (gate, "dur_ns"),
-            "total_time_ns": (doc, "total_time_ns"),
-            "per_qubit_error": (doc["per_qubit_error"], 0),
-        }.get(field, (shuttle, field))
-        node[key] = "@"
-        text = json.dumps(doc).replace('"@"', literal)
-        with pytest.raises(ValueError, match="finite"):
-            schedule_from_json(text, s.circuit)
-
-    @pytest.mark.parametrize("key", ["q", "gate", "zone"])
-    def test_op_index_beyond_64_bits_rejected(self, key):
-        s, doc = _ghz4_parallel()
-        next(op for op in doc["ops"] if key in op)[key] = 2**64
-        with pytest.raises(ValueError, match="too large"):
-            schedule_from_json(json.dumps(doc), s.circuit)
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda doc: doc["ops"][0].update({"from": 3}),
-            lambda doc: doc["ops"][0].pop("t0_ns"),
-            lambda doc: doc.clear(),
-            lambda doc: doc.update(placement=7),
-            lambda doc: doc.update(arch=[]),
-            lambda doc: doc.update(ops={}),
-            lambda doc: doc.update(strategy=5),
-        ],
-        ids=["location 3", "op without t0_ns", "empty document", "placement 7", "arch []", "ops {}", "strategy 5"],
-    )
-    def test_malformed_document_raises_value_error(self, mutate):
-        # these once raised TypeError or KeyError, or loaded (ops {} as an
-        # empty schedule, strategy 5 as a strategy named 5)
-        s, doc = _ghz4_parallel()
-        mutate(doc)
-        with pytest.raises(ValueError):
-            schedule_from_json(json.dumps(doc), s.circuit)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_structural_mutation_loads_or_raises_value_error(self, data):
-        # a key deleted at any depth, or a value replaced by one of another
-        # JSON type: the reader returns a Schedule or raises ValueError
-        s, doc = _ghz4_parallel()
-        path = data.draw(st.sampled_from(list(_json_paths(doc))))
-        node = functools.reduce(lambda parent, key: parent[key], path[:-1], doc)
-        if path and data.draw(st.booleans()):
-            del node[path[-1]]
-        else:
-            old = node[path[-1]] if path else doc
-            new = data.draw(JSON_VALUES.filter(lambda value: _json_type(value) is not _json_type(old)))
-            if path:
-                node[path[-1]] = new
-            else:
-                doc = new
-        try:
-            back = schedule_from_json(json.dumps(doc), s.circuit)
-        except ValueError:
-            return
-        assert isinstance(back, Schedule)
-
-    def test_short_placement_reported(self):
-        # validating this reload once raised IndexError
-        s, doc = _ghz4_parallel()
-        doc["placement"] = [0, 1]
-        back = schedule_from_json(json.dumps(doc), s.circuit)
-        assert "c" in {v.rule for v in validate_schedule(back, back.arch)}
-
-    def test_short_error_list_reported(self):
-        s, doc = _ghz4_parallel()
-        doc["per_qubit_error"] = doc["per_qubit_error"][:2]
-        back = schedule_from_json(json.dumps(doc), s.circuit)
-        assert "f" in {v.rule for v in validate_schedule(back, back.arch)}
-
-    def test_header_fields(self, errp):
-        s = run("baseline", Circuit(2, (h(0),)), 2, errp)
-        doc = json.loads(schedule_to_json(s))
-        assert doc["strategy"] == "baseline"
-        assert doc["placement"] == [0, 1]
-        assert doc["arch"]["n_sites"] == 2
-        assert "l_c_nm" in doc["error_params"]
-        shuttle = next(op for op in doc["ops"] if "q" in op)
-        assert set(shuttle) == {"q", "from", "to", "t0_ns", "v_mps", "dC"}
-        gate = next(op for op in doc["ops"] if "gate" in op)
-        assert set(gate) == {"gate", "zone", "t0_ns", "dur_ns"}
-
-
-class TestValidator:
-    def _mk(self, n, ops, per_qubit_error=None, total=None, final=None, errp=None):
-        errp = errp or ErrorModelParams()
-        folded = [0.0] * n
-        for op in ops:
-            if isinstance(op, ShuttleOp):
-                folded[op.qubit] += op.delta_c
-        return Schedule(
-            strategy="handmade",
-            circuit=Circuit(n, ()),
-            arch=arch(n),
-            error_params=errp,
-            initial_sites=tuple(range(n)),
-            ops=tuple(ops),
-            total_time=total if total is not None else max((op.end for op in ops), default=0.0),
-            per_qubit_error=tuple(per_qubit_error or folded),
-            final_sites=tuple(final or range(n)),
-        )
-
-    def _shuttle(self, q, src, dst, start, v=10.0, errp=None):
-        errp = errp or ErrorModelParams()
-        d = distance(src, dst, arch(8))
-        return ShuttleOp(q, src, dst, start, v, d / v, phase_error(v, d, errp))
-
-    def test_clean_mapper_output_passes(self, errp):
-        for strategy in STRATEGIES:
-            c = decompose(generate(BenchmarkSpec(family="ghz", n=5, seed=0)))
-            run(strategy, c, 5, errp)  # asserts empty violation list
-
-    def test_valid_schedules_validate_clean(self):
-        for s in _valid_schedules():
-            assert validate_schedule(s, s.arch) == oracle_validate_schedule(s, s.arch) == [], s.strategy
-
-    def test_zone_capacity_violation(self):
-        ops = [
-            self._shuttle(0, Location.site(0), Location.zone(2), 0.0),
-            self._shuttle(1, Location.site(1), Location.zone(2), 0.0),
-            self._shuttle(2, Location.site(2), Location.zone(2), 0.0),
-        ]
-        s = self._mk(8, ops)
-        rules = {v.rule for v in validate_schedule(s, arch(8))}
-        assert "b" in rules
-
-    def test_crossing_violation(self):
-        ops = [
-            self._shuttle(0, Location.site(0), Location.zone(3), 0.0),
-            self._shuttle(1, Location.site(3), Location.zone(0), 0.0),
-            self._shuttle(0, Location.zone(3), Location.site(0), 1e-6),
-            self._shuttle(1, Location.zone(0), Location.site(1), 1e-6),
-        ]
-        s = self._mk(8, ops, final=[0, 1] + list(range(2, 8)))
-        rules = {v.rule for v in validate_schedule(s, arch(8))}
-        assert "d" in rules
-
-    def test_site_capacity_violation(self):
-        ops = [self._shuttle(0, Location.site(0), Location.zone(0), 0.0),
-               self._shuttle(0, Location.zone(0), Location.site(1), 1e-6)]
-        s = self._mk(8, ops, final=[1] + list(range(1, 8)))
-        rules = {v.rule for v in validate_schedule(s, arch(8))}
-        assert "c" in rules  # site 1 already parked qubit 1
-
-    def test_stranded_qubit_violation(self):
-        ops = [self._shuttle(0, Location.site(0), Location.zone(0), 0.0)]
-        s = self._mk(8, ops)
-        rules = {v.rule for v in validate_schedule(s, arch(8))}
-        assert "e" in rules
-
-    def test_error_fold_violation(self, errp):
-        s = run("baseline", Circuit(2, (h(0),)), 2, errp)
-        tampered = Schedule(
-            strategy=s.strategy, circuit=s.circuit, arch=s.arch,
-            error_params=s.error_params, initial_sites=s.initial_sites,
-            ops=s.ops, total_time=s.total_time,
-            per_qubit_error=(0.0, 0.0), final_sites=s.final_sites,
-        )
-        rules = {v.rule for v in validate_schedule(tampered, s.arch)}
-        assert "f" in rules
-
-    def test_total_time_violation(self, errp):
-        s = run("baseline", Circuit(2, (h(0),)), 2, errp)
-        tampered = Schedule(
-            strategy=s.strategy, circuit=s.circuit, arch=s.arch,
-            error_params=s.error_params, initial_sites=s.initial_sites,
-            ops=s.ops, total_time=s.total_time * 2,
-            per_qubit_error=s.per_qubit_error, final_sites=s.final_sites,
-        )
-        rules = {v.rule for v in validate_schedule(tampered, s.arch)}
-        assert "g" in rules
-
-    def test_gate_without_operands_present(self, errp):
-        c = Circuit(2, (h(0),))
-        gate_only = Schedule(
-            strategy="handmade", circuit=c, arch=arch(2),
-            error_params=errp, initial_sites=(0, 1),
-            ops=(GateOp(0, 0, 0.0, 20e-9),),
-            total_time=20e-9, per_qubit_error=(0.0, 0.0), final_sites=(0, 1),
-        )
-        rules = {v.rule for v in validate_schedule(gate_only, arch(2))}
-        assert "a" in rules
-
-
-# Mutation corpus: valid schedules of every strategy, each broken in one of
-# the ways below. A mutation takes (schedule, i, j) with arbitrary
-# nonnegative i and j and reduces them modulo whatever it indexes.
-def _replace_op(s, k, **changes):
-    ops = list(s.ops)
-    ops[k] = dataclasses.replace(ops[k], **changes)
-    return dataclasses.replace(s, ops=ops)
-
-
-def _nth(s, kind, i):
-    """Index into ``s.ops`` of the (i mod count)-th op of ``kind``."""
-    picks = [k for k, op in enumerate(s.ops) if isinstance(op, kind)]
-    return picks[i % len(picks)]
-
-
-def _shift_start(s, i, j):
-    # shifts from 100 ns down to the validator's 1e-15 s tolerance
-    dt = (-1e-7, -1e-9, -1e-15, 1e-15, 1e-9, 1e-7)[j % 6]
-    k = i % len(s.ops)
-    return _replace_op(s, k, start=list(s.ops)[k].start + dt)
-
-
-def _stretch(s, i, j):
-    # a longer or shorter op: late arrivals, early departures, long gates
-    k = i % len(s.ops)
-    return _replace_op(s, k, duration=list(s.ops)[k].duration * (0.5, 2.0, 10.0)[j % 3])
-
-
-def _swap_destinations(s, i, j):
-    # both destinations are read before either is written, so they exchange
-    a, b = _nth(s, ShuttleOp, i), _nth(s, ShuttleOp, j)
-    ops = list(s.ops)
-    return _replace_op(_replace_op(s, a, dst=ops[b].dst), b, dst=ops[a].dst)
-
-
-def _drop(s, i, j):
-    # counted from the end, so i = 0 drops the last return shuttle
-    ops = list(s.ops)
-    k = len(ops) - 1 - i % len(ops)
-    return dataclasses.replace(s, ops=ops[:k] + ops[k + 1 :])
-
-
-def _duplicate(s, i, j):
-    ops = list(s.ops)
-    k = j % (len(ops) + 1)
-    return dataclasses.replace(s, ops=ops[:k] + [ops[i % len(ops)]] + ops[k:])
-
-
-def _inject_crossing(s, i, j):
-    """After the last op, two parked qubits at least two sites apart swap
-    sides through each other's zones and come back the same way."""
-    n = s.circuit.num_qubits
-    qa = i % n
-    far = [q for q in range(n) if abs(s.final_sites[q] - s.final_sites[qa]) >= 2]
-    if not far:
-        return s
-    qb = far[j % len(far)]
-    sa, sb = s.final_sites[qa], s.final_sites[qb]
-    v = s.arch.default_velocity
-
-    def move(q, src, dst, start):
-        d = distance(src, dst, s.arch)
-        return ShuttleOp(q, src, dst, start, v, d / v, phase_error(v, d, s.error_params))
-
-    t0, t1 = s.total_time, s.total_time + 1e-6
-    added = (
-        move(qa, Location.site(sa), Location.zone(sb), t0),
-        move(qb, Location.site(sb), Location.zone(sa), t0),
-        move(qa, Location.zone(sb), Location.site(sa), t1),
-        move(qb, Location.zone(sa), Location.site(sb), t1),
-    )
-    return dataclasses.replace(s, ops=[*s.ops, *added])
-
-
-def _bad_qubit(s, i, j):
-    n = s.circuit.num_qubits
-    return _replace_op(s, _nth(s, ShuttleOp, i), qubit=(n, n + 3, -1)[j % 3])
-
-
-def _bad_zone(s, i, j):
-    n = s.circuit.num_qubits
-    if j % 2:
-        return _replace_op(s, _nth(s, GateOp, i), zone=(n, -1)[j // 2 % 2])
-    # a shuttle into a zone that does not exist: both validators raise
-    return _replace_op(s, _nth(s, ShuttleOp, i), dst=Location.zone(n))
-
-
-def _bad_gate_index(s, i, j):
-    count = len(s.circuit.gates)
-    return _replace_op(s, _nth(s, GateOp, i), gate_index=(count, -1, count + 5)[j % 3])
-
-
-MUTATIONS = {
-    "shift_start": _shift_start,
-    "stretch": _stretch,
-    "swap_destinations": _swap_destinations,
-    "drop": _drop,
-    "duplicate": _duplicate,
-    "inject_crossing": _inject_crossing,
-    "bad_qubit": _bad_qubit,
-    "bad_zone": _bad_zone,
-    "bad_gate_index": _bad_gate_index,
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _valid_schedules():
-    """One valid schedule per strategy and circuit, random placement."""
-    out = []
-    for family in ("qaoa", "random"):
-        sc = slice_circuit(decompose(generate(BenchmarkSpec(family=family, n=6, seed=1))))
-        for strategy in STRATEGIES:
-            s = map_strategy(strategy, sc, arch(6), random_placement(6, 1), ErrorModelParams())
-            out.append(s)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _mutation_corpus():
-    """(label, schedule): every valid schedule, then each mutation applied
-    at three spread-out positions."""
-    corpus = []
-    for base in _valid_schedules():
-        corpus.append((base.strategy, base))
-        for name, mutate in MUTATIONS.items():
-            for i, j in ((0, 1), (37, 4), (101, 11)):
-                corpus.append((f"{base.strategy}/{name}/{i},{j}", mutate(base, i, j)))
-    return tuple(corpus)
-
-
-def _outcome(validate, s):
-    """The violation list, or the type of the exception raised instead."""
-    try:
-        return validate(s, s.arch)
-    except Exception as exc:  # the exception type is part of the contract
-        return type(exc)
-
-
-def _reloaded(s):
-    """``s`` read back through its JSON form, or None where the form cannot
-    be read back (an out-of-range location)."""
-    try:
-        return schedule_from_json(schedule_to_json(s), s.circuit)
-    except ValueError:
-        return None
-
-
-def _handmade_schedules():
-    """(label, schedule, what the oracle must give: an exception type, a
-    rule it reports, or None for no violation) for inputs the mutation
-    corpus does not reach, on four sites, mostly with four qubits and a
-    one-qubit and a two-qubit gate."""
-    spec, errp = arch(4), ErrorModelParams()
-    circuit = Circuit(4, (h(0), cz(1, 2)))
-    site, zone = Location.site, Location.zone
-
-    def move(q, src, dst, start, **changes):
-        d = distance(src, dst, spec)
-        op = ShuttleOp(q, src, dst, start, 10.0, d / 10.0, phase_error(10.0, d, errp))
-        return dataclasses.replace(op, **changes)
-
-    def schedule(*ops, initial=(0, 1, 2, 3), circuit=circuit):
-        n = circuit.num_qubits
-        folded = [0.0] * n
-        for op in ops:
-            if isinstance(op, ShuttleOp) and 0 <= op.qubit < n:
-                folded[op.qubit] += op.delta_c
-        return Schedule(
-            strategy="handmade", circuit=circuit, arch=spec, error_params=errp,
-            initial_sites=initial[:n], ops=ops, total_time=max((op.end for op in ops), default=0.0),
-            per_qubit_error=tuple(folded), final_sites=tuple(range(n)),
-        )
-
-    out_and_back = (move(0, site(0), zone(0), 0.0), move(0, zone(0), site(0), 1e-6))
-    return [
-        ("zero-distance shuttle", schedule(ShuttleOp(0, site(0), site(0), 0.0, 10.0, 0.0, 0.0)), "op"),
-        ("velocity 0 on a move", schedule(move(0, site(0), zone(0), 0.0, velocity=0.0)), ValueError),
-        (
-            "negative velocity, zero distance",
-            schedule(ShuttleOp(1, zone(1), zone(1), 0.0, -5.0, 0.0, 0.0)),
-            "op",
-        ),
-        (
-            # phase_error overflows at the first velocity and divides by zero
-            # at the second; the first shuttle in op order raises
-            "two velocities phase_error cannot evaluate",
-            schedule(
-                move(0, site(0), zone(0), 0.0, velocity=1e200),
-                move(1, site(1), zone(1), 0.0, velocity=1e-200),
-            ),
-            OverflowError,
-        ),
-        ("zone n", schedule(ShuttleOp(0, site(0), zone(4), 0.0, 10.0, 1e-7, 0.0)), ValueError),
-        ("duplicate initial site", schedule(*out_and_back, initial=(0, 0, 2, 3)), "c"),
-        (
-            "zero and negative durations",
-            schedule(
-                move(0, site(0), zone(0), 0.0, duration=0.0),
-                move(1, site(1), zone(0), 0.0, duration=-1e-7),
-                GateOp(0, 0, 1e-7, 0.0),
-                GateOp(1, 0, 1e-7, -20 * NS),
-                move(0, zone(0), site(0), 1e-6),
-                move(1, zone(0), site(1), 1e-6),
-            ),
-            "op",
-        ),
-        (
-            "three enter one zone at once",
-            schedule(
-                *(move(q, site(q), zone(1), 0.0) for q in range(3)),
-                *(move(q, zone(1), site(q), 1e-6) for q in range(3)),
-            ),
-            "b",
-        ),
-        (
-            "gate index out of range",
-            schedule(*out_and_back, GateOp(2, 0, 1e-7, 20 * NS), GateOp(-1, 0, 1e-7, 20 * NS)),
-            "a",
-        ),
-        (
-            # zones are reported before sites, though site 0's first stay
-            # comes first
-            "a full zone and a doubly used site",
-            schedule(
-                *(move(q, site(s), zone(2), 0.0) for q, s in ((1, 0), (2, 2), (3, 3))),
-                *(move(q, zone(2), site(s), 1e-6) for q, s in ((1, 0), (2, 2), (3, 3))),
-                initial=(0, 0, 2, 3),
-            ),
-            "b",
-        ),
-        (
-            # the move of negative duration arrives at zone 0 before the
-            # first stay there, and it is the earlier stay that covers the gate
-            "a gate covered by the stay of earlier arrival",
-            schedule(
-                move(0, site(0), zone(0), 0.0, duration=2 * US),
-                move(0, zone(0), site(0), 2.5 * US),
-                move(0, site(0), zone(0), 3 * US, duration=-2 * US),
-                move(0, zone(0), site(0), 6 * US),
-                GateOp(0, 0, 2.2 * US, 0.5 * US),
-            ),
-            "op",
-        ),
-        (
-            # qubit 1 jumps over qubit 0 within _EPS_T, too briefly to test
-            "a crossing shorter than _EPS_T",
-            schedule(
-                move(0, site(0), zone(1), 0.0),
-                move(1, site(1), zone(0), 0.15 * US, duration=1e-16),
-                move(0, zone(1), site(0), 1 * US),
-                move(1, zone(0), site(1), 1 * US),
-            ),
-            "op",
-        ),
-        (
-            # both moves arrive at 1e-7 s; a gate starting, or a move leaving,
-            # exactly _EPS_T before the arrival is in time
-            "a gate and a departure exactly _EPS_T early",
-            schedule(
-                move(0, site(0), zone(0), 0.0),
-                GateOp(0, 0, 1e-7 - 1e-15, 20 * NS),
-                move(0, zone(0), site(0), 1.2e-7),
-                move(1, site(1), zone(0), 0.0),
-                move(1, zone(0), site(1), 1e-7 - 1e-15),
-            ),
-            None,
-        ),
-        (
-            # four sites for a two-qubit circuit: qubit 0's stay in zone 2
-            # must not stand for qubit 1 in zone 0
-            "more sites than qubits, operand elsewhere",
-            schedule(
-                move(0, site(0), zone(2), 0.0),
-                GateOp(0, 0, 1 * US, 20 * NS),
-                move(0, zone(2), site(0), 2 * US),
-                circuit=Circuit(2, (h(1),)),
-            ),
-            "a",
-        ),
-        (
-            # a gate in zone 3 of four, past the qubit count, with its operand there
-            "more sites than qubits, operand in a zone past the qubit count",
-            schedule(
-                move(1, site(1), zone(3), 0.0),
-                GateOp(0, 3, 1 * US, 20 * NS),
-                move(1, zone(3), site(1), 2 * US),
-                circuit=Circuit(2, (h(1),)),
-            ),
-            None,
-        ),
-    ]
-
-
-class TestValidatorMatchesOracle:
-    """The validator returns exactly the reference oracle's violations, in
-    order, or raises the oracle's exception type."""
-
-    def test_corpus(self):
-        for label, s in _mutation_corpus():
-            for schedule in (s, _reloaded(s)):
-                if schedule is None:
-                    continue
-                want = _outcome(oracle_validate_schedule, schedule)
-                assert _outcome(validate_schedule, schedule) == want, label
-
-    def test_corpus_breaks_every_rule(self):
-        # the corpus is only a check if the oracle finds each kind of fault
-        # in it, and raises on some of it
-        rules, raised = set(), 0
-        for _, s in _mutation_corpus():
-            got = _outcome(oracle_validate_schedule, s)
-            if isinstance(got, type):
-                raised += 1
-            else:
-                rules.update(v.rule for v in got)
-        assert rules >= {"op", "a", "c", "d", "e", "f", "g"}
-        assert raised > 0
-
-    def test_swap_destinations_exchanges_two(self):
-        # the mutation once gave op b the destination op a had just taken
-        # from it, so only op a changed
-        s = _valid_schedules()[0]
-        a, b = _nth(s, ShuttleOp, 0), _nth(s, ShuttleOp, 1)
-        before, after = list(s.ops), list(_swap_destinations(s, 0, 1).ops)
-        assert before[a].dst != before[b].dst
-        assert [k for k, (x, y) in enumerate(zip(before, after)) if x != y] == [a, b]
-        assert (after[a].dst, after[b].dst) == (before[b].dst, before[a].dst)
-
-    def test_stays_out_of_time_order(self):
-        # qubit 0 reaches zone 0 three times; a slow second move arrives
-        # after the third, so its stays there are out of time order, and only
-        # the third covers the gate
-        site, zone = Location.site(0), Location.zone(0)
-        moves = [
-            (site, zone, 0.5, 0.5), (zone, site, 1.5, 0.1), (site, zone, 1.7, 8.3),
-            (zone, site, 2.0, 0.1), (site, zone, 2.2, 0.3), (zone, site, 5.0, 0.1),
-        ]
-        ops = [ShuttleOp(0, a, b, t * US, 10.0, d * US, 0.0) for a, b, t, d in moves]
-        s = Schedule(
-            strategy="handmade", circuit=Circuit(2, (h(0),)), arch=arch(2),
-            error_params=ErrorModelParams(), initial_sites=(0, 1),
-            ops=(*ops, GateOp(0, 0, 3.0 * US, 20 * NS)),
-            total_time=10 * US, per_qubit_error=(0.0, 0.0), final_sites=(0, 1),
-        )
-        want = oracle_validate_schedule(s, s.arch)
-        assert "a" not in {v.rule for v in want}
-        assert validate_schedule(s, s.arch) == want
-
-    def test_handmade(self):
-        for label, s, expected in _handmade_schedules():
-            want = _outcome(oracle_validate_schedule, s)
-            if isinstance(expected, type):
-                assert want is expected, label
-            else:
-                assert want == [] if expected is None else expected in {v.rule for v in want}, label
-            for schedule in (s, _reloaded(s)):
-                if schedule is not None:
-                    assert _outcome(validate_schedule, schedule) == _outcome(
-                        oracle_validate_schedule, schedule
-                    ), label
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        base=st.integers(0, 9),
-        steps=st.lists(
-            st.tuples(
-                st.sampled_from(sorted(MUTATIONS)),
-                st.integers(0, 2**16),
-                st.integers(0, 2**16),
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-    )
-    def test_random_mutations(self, base, steps):
-        s = _valid_schedules()[base]
-        for name, i, j in steps:
-            s = MUTATIONS[name](s, i, j)
-        for schedule in (s, _reloaded(s)):
-            if schedule is not None:
-                want = _outcome(oracle_validate_schedule, schedule)
-                assert _outcome(validate_schedule, schedule) == want
-
-
-# Rule (d) near its skip bound: moves set against a leading one on buses
-# from the default 2 um pitch to 2 km, where a position's ulp passes 1e-12
-# and two moves of one slope can read as crossing.
-_PITCHES = (2 * US, 1.0, 10.0, 2e4, 2e6)
-_VELOCITIES = (10.0, 7.3, 3.7)
-
-
-def _code_location(code):
-    return Location.zone(code // 2) if code % 2 else Location.site(code // 2)
-
-
-def _bus_schedule(spec, ops):
-    """Moves of distinct qubits 0..3 on ``spec``, from sites 0..3, with the
-    error fold and makespan they give."""
-    folded = [0.0] * 4
-    for op in ops:
-        folded[op.qubit] += op.delta_c
-    return Schedule(
-        strategy="handmade", circuit=Circuit(4, ()), arch=spec, error_params=ErrorModelParams(),
-        initial_sites=(0, 1, 2, 3), ops=tuple(ops), total_time=max(op.end for op in ops),
-        per_qubit_error=tuple(folded), final_sites=(0, 1, 2, 3),
-    )
-
-
-def _bus_move(spec, q, src, dst, start, v, nudge=0):
-    """A move at ``v`` whose duration is ``nudge`` ulps off distance / v."""
-    d = distance(src, dst, spec)
-    dur = d / v
-    for _ in range(abs(nudge)):
-        dur = math.nextafter(dur, math.copysign(math.inf, nudge))
-    return ShuttleOp(q, src, dst, start, v, dur, phase_error(v, d, ErrorModelParams()))
-
-
-def _lockstep(spec, q, leader, via, nudge=0, lag=0.0):
-    """A move at the leader's velocity from ``via`` on its path to its
-    destination, leaving ``lag`` seconds after the leader passes: with no
-    lag, one exact position in exact arithmetic; one slope, or ``nudge``
-    ulps of duration off it."""
-    pa, pc = position(leader.src, spec), position(via, spec)
-    start = leader.start + abs(pc - pa) / leader.velocity + lag
-    return _bus_move(spec, q, via, leader.dst, start, leader.velocity, nudge)
-
-
-@st.composite
-def _moves_against_a_leader(draw):
-    """A leading move and one to three others: in any direction at any
-    velocity, back along its path, in lockstep with it, a few ulps of slope
-    off it, or starting or ending within a few _EPS_T of its end or start."""
-    pitch = draw(st.sampled_from(_PITCHES))
-    spec = ArchitectureSpec(n_sites=8, site_pitch=pitch, zone_offset=pitch / 2)
-    code = st.integers(0, 15)
-    a = draw(code)
-    b = draw(code.filter(lambda c: c != a))
-    src, dst = _code_location(a), _code_location(b)
-    v = draw(st.sampled_from(_VELOCITIES))
-    leader = _bus_move(spec, 0, src, dst, draw(st.floats(0, 3)) * pitch / v, v)
-    ops = [leader]
-    for q in range(1, draw(st.integers(2, 4))):
-        kind = draw(st.sampled_from(("any", "opposite", "lockstep", "ulp", "touch")))
-        frac = draw(st.floats(-1, 1.5))
-        v = draw(st.sampled_from(_VELOCITIES))
-        c = draw(code)
-        other = _code_location(draw(code.filter(lambda x: x != c)))
-        if kind == "any":  # any direction, any velocity
-            op = _bus_move(spec, q, _code_location(c), other, leader.start + frac * leader.duration, v)
-        elif kind == "opposite":
-            op = _bus_move(spec, q, dst, src, leader.start + frac * leader.duration, v)
-        elif kind in ("lockstep", "ulp"):  # "ulp": slopes a few ulps apart
-            between = [x for x in range(16) if min(a, b) < x < max(a, b)] or [a]
-            via = _code_location(draw(st.sampled_from(between)))
-            nudge = draw(st.sampled_from((-4096, -2, -1, 1, 2, 4096))) if kind == "ulp" else 0
-            lag = draw(st.sampled_from((0.0, 3e-12, -3e-12))) / leader.velocity  # 3 pm behind or ahead
-            op = _lockstep(spec, q, leader, via, nudge, lag)
-        else:  # starting, or ending, within a few _EPS_T of the leader's end or start
-            op = _bus_move(spec, q, _code_location(c), other, 0.0, v)
-            k = draw(st.sampled_from((-2, -1, 0, 1, 2)))
-            start = leader.end + k * 1e-15 if draw(st.booleans()) else leader.start + k * 1e-15 - op.duration
-            op = dataclasses.replace(op, start=start)
-        ops.append(op)
-    return _bus_schedule(spec, ops)
-
-
-class TestCrossingsNearTheBound:
-    """Rule (d) skips only pairs whose computed gap cannot cross the 1e-12
-    guard, and gives the oracle's list wherever the bound does not hold."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(s=_moves_against_a_leader())
-    def test_moves_against_a_leader(self, s):
-        for schedule in (s, _reloaded(s)):
-            if schedule is not None:
-                assert _outcome(validate_schedule, schedule) == _outcome(oracle_validate_schedule, schedule)
-
-    @pytest.mark.parametrize(
-        "pitch, leader, via, nudge, lag",
-        [
-            # one slope to the bit and, in exact arithmetic, one position: on
-            # a 150 km bus the rounding of the positions alone reads as a
-            # crossing, so the bound must fail and the pair be tested
-            (2e4, (Location.zone(2), Location.site(0), 26.65880457380435, 3.7), Location.zone(0), 0, 0.0),
-            # on a 75 m bus, slopes 4096 ulps apart drift through a 3 pm lag
-            (10.0, (Location.zone(3), Location.zone(6), 2.8307428854833936, 10.0), Location.site(4), -4096, 3e-13),
-        ],
-    )
-    def test_lockstep_moves_that_cross(self, pitch, leader, via, nudge, lag):
-        spec = ArchitectureSpec(n_sites=8, site_pitch=pitch, zone_offset=pitch / 2)
-        leader = _bus_move(spec, 0, *leader)
-        follower = _lockstep(spec, 1, leader, via, nudge, lag)
-        slopes = [(position(op.dst, spec) - position(op.src, spec)) / op.duration for op in (leader, follower)]
-        assert (slopes[0] == slopes[1]) is (nudge == 0)
-        s = _bus_schedule(spec, [leader, follower])
-        want = oracle_validate_schedule(s, spec)
-        assert "d" in {v.rule for v in want}
-        assert validate_schedule(s, spec) == want
-
-    def test_a_phase_of_one_slope_tests_no_pair(self, monkeypatch):
-        # 2,000 qubits leave for their zones at once and come back: about
-        # 4 million overlapping pairs, all of one slope out and one back
-        n = 2000
-        spec, errp = arch(n), ErrorModelParams()
-        out = [_bus_move(spec, q, Location.site(q), Location.zone(q), 0.0, 10.0) for q in range(n)]
-        back = [_bus_move(spec, q, Location.zone(q), Location.site(q), 1 * US, 10.0) for q in range(n)]
-        dc = out[0].delta_c + back[0].delta_c
-        s = Schedule(
-            strategy="handmade", circuit=Circuit(n, ()), arch=spec, error_params=errp,
-            initial_sites=tuple(range(n)), ops=tuple(out + back), total_time=back[0].end,
-            per_qubit_error=(dc,) * n, final_sites=tuple(range(n)),
-        )
-        expanded = []
-        ragged = validate_module._ragged
-
-        def counted(rows, first, counts):
-            expanded.append(int(counts.sum()))
-            return ragged(rows, first, counts)
-
-        monkeypatch.setattr(validate_module, "_ragged", counted)
-        assert validate_schedule(s, spec) == []
-        assert expanded and sum(expanded) == 0
-
-
-class TestScheduleOps:
-    """``Schedule.ops`` holds the ops as columns: it has a length, iterates
-    as op objects and equals the columns of the same ops; the validator,
-    ``summarize`` and the writer read the columns of whatever ops the
-    schedule was given."""
-
-    def test_columns_iterate_as_the_same_ops(self):
-        schedules = _valid_schedules()
-        for s, other in zip(schedules, schedules[1:]):
-            ops = list(s.ops)
-            assert {type(op) for op in ops} == {ShuttleOp, GateOp}
-            assert len(s.ops) == len(ops)
-            rebuilt = dataclasses.replace(s, ops=iter(ops))
-            assert type(rebuilt.ops) is ScheduleOps and rebuilt.ops is not s.ops
-            assert rebuilt.ops == s.ops != other.ops and rebuilt == s
-            assert list(rebuilt.ops) == ops
-            shuttles, gates = len(s.ops.shuttles.qubit), len(s.ops.gates.gate_index)
-            assert repr(s.ops) == f"<ScheduleOps: {shuttles} shuttles, {gates} gates>"
-
-    def test_no_tuple_emulation(self):
-        s = _valid_schedules()[0]
-        ops = tuple(s.ops)
-        assert not isinstance(s.ops, collections.abc.Sequence)
-        assert s.ops != ops and ops != s.ops
-        for use in (lambda: s.ops[0], lambda: s.ops[1:], lambda: s.ops + ops, lambda: ops + s.ops,
-                    lambda: hash(s.ops), lambda: hash(s)):
-            with pytest.raises(TypeError):
-                use()
-
-    @pytest.mark.parametrize(
-        "change, error",
-        [
-            ({"qubit": 1.5}, TypeError),
-            ({"start": "0"}, TypeError),
-            ({"src": (0, "storage")}, TypeError),
-            ({"qubit": 2**63}, OverflowError),
-            # NaN once validated clean, and the writer then wrote a bare NaN
-            # that the reader rejects
-            ({"start": math.nan}, ValueError),
-            ({"velocity": math.inf}, ValueError),
-            ({"delta_c": -math.inf}, ValueError),
-            ({"total_time": math.nan}, ValueError),
-            ({"per_qubit_error": (0.0,) * 5 + (math.nan,)}, ValueError),
-            ({"initial_sites": (True, 1, 2, 3, 4, 5)}, TypeError),
-            ({"final_sites": (0.0, 1, 2, 3, 4, 5)}, TypeError),
-            ({"final_sites": (2**64, 1, 2, 3, 4, 5)}, OverflowError),
-        ],
-    )
-    def test_fields_the_columns_cannot_hold_rejected(self, change, error):
-        s = _valid_schedules()[0]
-        with pytest.raises(error):
-            if change.keys() <= {field.name for field in dataclasses.fields(Schedule)}:
-                dataclasses.replace(s, **change)
-            else:
-                _replace_op(s, _nth(s, ShuttleOp, 0), **change)
-        with pytest.raises(TypeError):
-            dataclasses.replace(s, ops=(*s.ops, "not an op"))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        family=st.sampled_from(FAMILIES),
-        n=st.integers(2, 9),
-        seed=st.integers(0, 3),
-        strategy=st.sampled_from(STRATEGIES),
-        placement=st.sampled_from(("spectral", "random", "identity")),
-    )
-    def test_consumers_match_the_op_by_op_reference(self, family, n, seed, strategy, placement):
-        sc = slice_circuit(decompose(generate(BenchmarkSpec(family=family, n=n, seed=seed))))
-        if placement == "spectral":
-            pl = spectral_placement(build_interaction_graph(sc))
-        else:
-            pl = random_placement(n, seed) if placement == "random" else Placement.identity(n)
-        s = map_strategy(strategy, sc, arch(n), pl, ErrorModelParams())
-        rebuilt = dataclasses.replace(s, ops=tuple(s.ops))
-        text = schedule_to_json(s)
-        assert text == oracle_schedule_to_json(s) == schedule_to_json(rebuilt)
-        report = summarize(s)
-        assert report == summarize(rebuilt)
-        counts = (report.n_shuttles, report.total_distance, report.n_gates_1q, report.n_gates_2q)
-        assert counts == oracle_summary_counts(s)
-        assert validate_schedule(s, s.arch) == validate_schedule(rebuilt, s.arch) == []
-
-    def test_writer_matches_the_reference_on_broken_schedules(self):
-        # out-of-range qubits, zones and gate indices, shifted times
-        for label, s in _mutation_corpus():
-            assert schedule_to_json(s) == oracle_schedule_to_json(s), label
-
-    def test_edited_ops_are_read_not_the_mapped_ones(self):
-        s = _valid_schedules()[2]
-        # the last return shuttle dropped: its qubit ends in a zone (rule e)
-        edited = _drop(s, 0, 0)
-        assert validate_schedule(s, s.arch) == []
-        want = oracle_validate_schedule(edited, s.arch)
-        assert "e" in {v.rule for v in want} and validate_schedule(edited, s.arch) == want
-        assert summarize(edited).n_shuttles == summarize(s).n_shuttles - 1
-        assert schedule_to_json(edited) == oracle_schedule_to_json(edited) != schedule_to_json(s)
-
-
-_TIMES = (
-    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5e-12, 1.5e-12, 2.5e-12, -2.5e-12,
-    1.0000005e-6, 1.7e299, 1.8e299, 1e300, -1e300,
-)
-_INT64 = (-(2**63), -1, 0, 1, 2**63 - 1)
-
-
-def _writer_floats():
-    # edge values, any finite float, and the half-way points of the 1 ps grid
-    half_ps = st.integers(-(10**12), 10**12).map(lambda k: (k + 0.5) * 1e-12)
-    return st.one_of(st.sampled_from(_TIMES), st.floats(allow_nan=False, allow_infinity=False), half_ps)
-
-
-def _writer_ints():
-    return st.one_of(st.sampled_from(_INT64), st.integers(-(2**63), 2**63 - 1))
-
-
-@st.composite
-def _handmade_columns(draw):
-    """A schedule of hand-built op columns: any 64-bit qubit, gate, zone and
-    location code (negative indices too) and any finite float, with only
-    shuttles, only gates, both or no ops."""
-    f, i = _writer_floats(), _writer_ints()
-    shuttle = st.tuples(i, i, i, f, f, f, f).map(lambda row: ("s", row))
-    gate = st.tuples(i, i, f, f).map(lambda row: ("g", row))
-    kinds = draw(st.sampled_from(((shuttle, gate), (shuttle,), (gate,), ())))
-    rows = draw(st.lists(st.one_of(*kinds), max_size=8)) if kinds else []
-    ops = ScheduleOps.from_rows(
-        "".join(kind for kind, _ in rows),
-        [row for kind, row in rows if kind == "s"],
-        [row for kind, row in rows if kind == "g"],
-    )
-    return Schedule(
-        strategy="handmade", circuit=Circuit(2, ()), arch=arch(2), error_params=ErrorModelParams(),
-        initial_sites=(0, 1), ops=ops, total_time=draw(f), per_qubit_error=(draw(f), draw(f)),
-        final_sites=(0, 1),
-    )
-
-
-def _written(write, s):
-    """The JSON text, or ValueError if the writer raises it."""
-    try:
-        return write(s)
-    except ValueError:
-        return ValueError
-
-
-class TestWriter:
-    """``schedule_to_json`` writes what the dict-per-op reference writes,
-    and raises ValueError where that would not be JSON."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(s=_handmade_columns())
-    def test_handmade_columns_match_the_reference(self, s):
-        assert _written(schedule_to_json, s) == _written(oracle_schedule_to_json, s)
-
-    @pytest.mark.parametrize(
-        "field, edit",
-        [
-            ("t0_ns", lambda s: _replace_op(s, _nth(s, ShuttleOp, 3), start=1e300)),
-            ("t0_ns", lambda s: _replace_op(s, _nth(s, GateOp, 0), start=-1e300)),
-            ("dur_ns", lambda s: _replace_op(s, _nth(s, GateOp, 1), duration=1e300)),
-            ("total_time_ns", lambda s: dataclasses.replace(s, total_time=1e300)),
-        ],
-    )
-    def test_time_too_large_for_ns_raises(self, field, edit):
-        # 1e300 s is finite, but not in ns: the writer once wrote Infinity,
-        # which schedule_from_json rejects
-        s = edit(_valid_schedules()[0])
-        with pytest.raises(ValueError, match=field):
-            schedule_to_json(s)
-        with pytest.raises(ValueError):
-            oracle_schedule_to_json(s)
-
-
-def _ns_edges():
-    """Times where the picosecond kernel must hand over to ``_ns_json`` or
-    must match it exactly: half-ps ties, signed zeros, subnormals, either
-    side of 2**43 ns, and where ns stop being finite."""
-    ties = [(k + 0.5) * 1e-12 for k in (0, 1, 2, -3, 12345, 10**9, 2**40)]
-    edge = 2.0**43 * 1e-9
-    around = [float(x) for x in np.nextafter(edge, [0.0, np.inf])] + [edge, edge * (1 - 1e-12), edge * (1 + 1e-12)]
-    tiny = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310]
-    return ties + around + [-x for x in around] + tiny + [0.5e-12, 1.0000005e-6, 1e3, 1.7e299]
-
-
-def _texts_or_error(fn, values, name):
-    try:
-        return fn(values, name)
-    except ValueError as exc:
-        return ValueError, str(exc)
-
-
-class TestTimeTexts:
-    """``_ns_texts`` writes each time as ``_ns_json`` does, by integer ps."""
-
-    def _scalar(self, values, name):
-        return [_ns_json(x, name) for x in values.tolist()]
-
-    def _kernel(self, values, name):
-        return _ns_texts(values, name).tolist()
-
-    @pytest.mark.parametrize("value", _ns_edges())
-    def test_edges_match_the_scalar_path(self, value):
-        values = np.array([value, 1e-6])
-        assert self._kernel(values, "t0_ns") == self._scalar(values, "t0_ns")
-
-    @settings(max_examples=300, deadline=None)
-    @given(values=st.lists(st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.floats(-1e4, 1e4),
-        st.integers(-(10**15), 10**15).map(lambda k: k * 1e-12),
-        st.integers(-(10**15), 10**15).map(lambda k: (k + 0.5) * 1e-12),
-    ), max_size=20))
-    def test_any_time_matches_the_scalar_path(self, values):
-        values = np.array(values, dtype=np.float64)
-        want = _texts_or_error(self._scalar, values, "dur_ns")
-        assert _texts_or_error(self._kernel, values, "dur_ns") == want
-
-    @pytest.mark.parametrize("value", [1.8e299, -1.8e299, 1e300, 1.7976931348623157e308])
-    @pytest.mark.parametrize("name", ["t0_ns", "dur_ns"])
-    def test_too_large_raises_naming_the_field(self, value, name):
-        # ns * 1000 overflows here; pyproject makes a RuntimeWarning an error
-        with pytest.raises(ValueError, match=name):
-            _ns_texts(np.array([1e-6, value]), name)
-
-    @pytest.mark.parametrize("strategy", ["baseline", "swap_return"])
-    def test_peak_memory_of_one_join(self, strategy):
-        # the op array, the header and the tail are joined once: the peak
-        # above entry is the text and the fragments that make it, not three
-        # copies of the text
-        sc = slice_circuit(decompose(generate(BenchmarkSpec(family="qaoa", n=24, seed=0))))
-        s = map_strategy(strategy, sc, arch(24), Placement.identity(24), ErrorModelParams())
-        schedule_to_json(s)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            text = schedule_to_json(s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(text) > 300_000
-        assert peak - before <= 2.5 * len(text)
