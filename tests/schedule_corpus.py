@@ -1,13 +1,18 @@
+"""Helpers the mapper, validator and schedule suites share: small gates,
+the hand-made schedule and move builders, and the mutation corpus, which is
+built once per session."""
+
 import dataclasses
 import functools
+import math
 
 from spinbus.architecture import ArchitectureSpec, Location, distance
-from spinbus.circuit import Gate, GateKind, decompose, slice_circuit
+from spinbus.circuit import Circuit, Gate, GateKind, decompose, slice_circuit
 from spinbus.error_model import ErrorModelParams, phase_error
 from spinbus.benchgen import BenchmarkSpec, generate
 from spinbus.mapper import STRATEGIES, map_strategy
 from spinbus.placement import Placement, random_placement
-from spinbus.schedule import GateOp, ShuttleOp
+from spinbus.schedule import GateOp, Schedule, ShuttleOp
 from spinbus.validate import validate_schedule
 
 US = 1e-6
@@ -32,6 +37,37 @@ def run(strategy, circuit, n, errp, placement=None, **kwargs):
     s = map_strategy(strategy, sc, arch(n), placement, errp, **kwargs)
     assert validate_schedule(s, arch(n)) == []
     return s
+
+
+def shuttle(spec, q, src, dst, start, v=10.0, nudge=0, errp=None, **changes):
+    """A move of qubit ``q`` at ``v`` with its phase error, lasting
+    distance / v or ``nudge`` ulps off it; ``changes`` then replace fields."""
+    d = distance(src, dst, spec)
+    duration = d / v
+    for _ in range(abs(nudge)):
+        duration = math.nextafter(duration, math.copysign(math.inf, nudge))
+    op = ShuttleOp(q, src, dst, start, v, duration, phase_error(v, d, errp or ErrorModelParams()))
+    return dataclasses.replace(op, **changes)
+
+
+def handmade_schedule(*ops, spec, circuit=None, initial=None, final=None, strategy="handmade"):
+    """``ops`` on ``spec`` as a schedule of ``circuit``, by default one with a
+    qubit per site and no gates. Qubit q starts and ends on site q unless
+    ``initial`` or ``final`` say otherwise; its error is the fold of its
+    shuttles' phase errors (a qubit the circuit lacks gets none), and the
+    makespan is the last op's end."""
+    if circuit is None:
+        circuit = Circuit(spec.n_sites, ())
+    n = circuit.num_qubits
+    folded = [0.0] * n
+    for op in ops:
+        if isinstance(op, ShuttleOp) and 0 <= op.qubit < n:
+            folded[op.qubit] += op.delta_c
+    return Schedule(
+        strategy=strategy, circuit=circuit, arch=spec, error_params=ErrorModelParams(),
+        initial_sites=tuple(initial or range(n)), ops=ops, total_time=max((op.end for op in ops), default=0.0),
+        per_qubit_error=tuple(folded), final_sites=tuple(final or range(n)),
+    )
 
 
 # Mutation corpus: valid schedules of every strategy, each broken in one of
@@ -92,12 +128,7 @@ def _inject_crossing(s, i, j):
         return s
     qb = far[j % len(far)]
     sa, sb = s.final_sites[qa], s.final_sites[qb]
-    v = s.arch.default_velocity
-
-    def move(q, src, dst, start):
-        d = distance(src, dst, s.arch)
-        return ShuttleOp(q, src, dst, start, v, d / v, phase_error(v, d, s.error_params))
-
+    move = functools.partial(shuttle, s.arch, v=s.arch.default_velocity, errp=s.error_params)
     t0, t1 = s.total_time, s.total_time + 1e-6
     added = (
         move(qa, Location.site(sa), Location.zone(sb), t0),

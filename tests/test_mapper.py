@@ -27,10 +27,10 @@ from spinbus.placement import (
     spectral_placement,
 )
 from spinbus.rng import SplitMix64
-from spinbus.schedule import GateOp, Schedule, ScheduleOps, ShuttleOp, schedule_to_json
+from spinbus.schedule import GateOp, ScheduleOps, ShuttleOp, schedule_to_json
 from spinbus.validate import validate_schedule
 from oracles import _schedulable, oracle_map, oracle_schedule_to_json, oracle_summary_counts
-from schedule_corpus import NS, US, arch, cz, h, run
+from schedule_corpus import NS, US, arch, cz, h, handmade_schedule, run
 from validator_oracle import oracle_validate_schedule
 
 
@@ -612,15 +612,10 @@ class TestPerCircuitData:
             assert validate_schedule(got, got.arch) == validate_schedule(want, want.arch) == []
             assert summarize(got) == summarize(want)
 
-    def test_two_operand_barrier_named_by_a_gate_op(self, errp):
+    def test_two_operand_barrier_named_by_a_gate_op(self):
         c = Circuit(3, (h(0), Gate(GateKind.BARRIER, (0, 1)), cz(1, 2)))
         assert not c.two_qubit[1] and c.barrier[1] and not c.measure[1]
-        s = Schedule(
-            strategy="handmade", circuit=c, arch=arch(3),
-            error_params=errp, initial_sites=(0, 1, 2),
-            ops=(GateOp(1, 1, 0.0, 20e-9),),
-            total_time=20e-9, per_qubit_error=(0.0, 0.0, 0.0), final_sites=(0, 1, 2),
-        )
+        s = handmade_schedule(GateOp(1, 1, 0.0, 20e-9), spec=arch(3), circuit=c)
         report = summarize(s)
         assert (report.n_gates_1q, report.n_gates_2q) == (1, 0)
         assert oracle_summary_counts(s)[2:] == (1, 0)

@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from spinbus.architecture import ArchitectureSpec, Location, distance
+from spinbus.architecture import ArchitectureSpec, Location
 from spinbus.circuit import Circuit, Gate, GateKind, decompose, slice_circuit
-from spinbus.error_model import ErrorModelParams, phase_error
 from spinbus.benchgen import BenchmarkSpec, generate
 from spinbus.mapper import STRATEGIES, map_strategy
 from spinbus.metrics import (
@@ -19,61 +18,24 @@ from spinbus.metrics import (
     summarize,
 )
 from spinbus.placement import Placement
-from spinbus.schedule import GateOp, Schedule, ShuttleOp, schedule_to_json
+from spinbus.schedule import GateOp, schedule_to_json
+
+from schedule_corpus import arch, handmade_schedule, shuttle
 
 GOLDEN_SUM = 9.931956096912723e-05  # phase error of one 3 um shuttle at 10 m/s
 
 
-@pytest.fixture(scope="module")
-def errp():
-    return ErrorModelParams()
-
-
-def empty_schedule(n, errp):
-    return Schedule(
-        strategy="baseline",
-        circuit=Circuit(n, ()),
-        arch=ArchitectureSpec(n_sites=n),
-        error_params=errp,
-        initial_sites=tuple(range(n)),
-        ops=(),
-        total_time=0.0,
-        per_qubit_error=(0.0,) * n,
-        final_sites=tuple(range(n)),
-    )
-
-
-def single_shuttle_schedule(errp):
-    arch = ArchitectureSpec(n_sites=4)
-    src, dst = Location.site(2), Location.zone(3)
-    d = distance(src, dst, arch)
-    dc = phase_error(10.0, d, errp)
-    op = ShuttleOp(2, src, dst, 0.0, 10.0, d / 10.0, dc)
-    errors = [0.0] * 4
-    errors[2] = dc
-    return Schedule(
-        strategy="single",
-        circuit=Circuit(4, ()),
-        arch=arch,
-        error_params=errp,
-        initial_sites=(0, 1, 2, 3),
-        ops=(op,),
-        total_time=op.end,
-        per_qubit_error=tuple(errors),
-        final_sites=(0, 1, 2, 3),
-    )
-
-
-def test_empty_schedule_all_zero(errp):
-    r = summarize(empty_schedule(5, errp))
+def test_empty_schedule_all_zero():
+    r = summarize(handmade_schedule(spec=arch(5), strategy="baseline"))
     assert r.total_time == 0.0
     assert r.mean_error == 0.0 and r.std_error == 0.0
     assert r.n_shuttles == 0 and r.total_distance == 0.0
     assert r.n_gates_1q == 0 and r.n_gates_2q == 0
 
 
-def test_single_shuttle_golden(errp):
-    r = summarize(single_shuttle_schedule(errp))
+def test_single_shuttle_golden():
+    op = shuttle(arch(4), 2, Location.site(2), Location.zone(3), 0.0)
+    r = summarize(handmade_schedule(op, spec=arch(4), strategy="single"))
     assert r.total_time == pytest.approx(0.3e-6)
     assert r.n_shuttles == 1
     assert r.total_distance == pytest.approx(3e-6)
@@ -199,8 +161,8 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare(reports)
 
-    def test_zero_denominator_yields_marker(self, errp):
-        empty = summarize(empty_schedule(4, errp))
+    def test_zero_denominator_yields_marker(self):
+        empty = summarize(handmade_schedule(spec=arch(4), strategy="baseline"))
         rows = compare([empty])
         assert rows[0].time_ratio is None
         assert rows[0].error_ratio is None
@@ -224,8 +186,8 @@ class TestCompare:
             assert ratio == pytest.approx(base[tag], rel=1e-9)
 
 
-def test_csv_contract(errp):
-    reports = [summarize(empty_schedule(4, errp))]
+def test_csv_contract():
+    reports = [summarize(handmade_schedule(spec=arch(4), strategy="baseline"))]
     text = reports_to_csv(reports)
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
@@ -235,8 +197,9 @@ def test_csv_contract(errp):
     assert len(fields) == 6
 
 
-def test_json_mirror_parses(errp):
-    reports = [summarize(single_shuttle_schedule(errp))]
+def test_json_mirror_parses():
+    op = shuttle(arch(4), 2, Location.site(2), Location.zone(3), 0.0)
+    reports = [summarize(handmade_schedule(op, spec=arch(4), strategy="single"))]
     doc = json.loads(reports_to_json(reports))
     assert doc[0]["strategy"] == "single"
     assert doc[0]["n_shuttles"] == 1

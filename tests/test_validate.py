@@ -1,48 +1,26 @@
 import dataclasses
-import math
+import functools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbus.architecture import ArchitectureSpec, Location, distance, position
+from spinbus.architecture import ArchitectureSpec, Location, position
 from spinbus.circuit import Circuit, decompose
-from spinbus.error_model import ErrorModelParams, phase_error
+from spinbus.error_model import ErrorModelParams
 from spinbus.benchgen import BenchmarkSpec, generate
 from spinbus.mapper import STRATEGIES
 from spinbus.schedule import GateOp, Schedule, ShuttleOp, schedule_from_json, schedule_to_json
 import spinbus.validate as validate_module
 from spinbus.validate import validate_schedule
 from schedule_corpus import (
-    MUTATIONS, NS, US, _mutation_corpus, _nth, _swap_destinations, _valid_schedules, arch, cz, h, run,
+    MUTATIONS, NS, US, _mutation_corpus, _nth, _swap_destinations, _valid_schedules, arch, cz, h,
+    handmade_schedule, run, shuttle,
 )
 from validator_oracle import oracle_validate_schedule
 
 
 class TestValidator:
-    def _mk(self, n, ops, per_qubit_error=None, total=None, final=None, errp=None):
-        errp = errp or ErrorModelParams()
-        folded = [0.0] * n
-        for op in ops:
-            if isinstance(op, ShuttleOp):
-                folded[op.qubit] += op.delta_c
-        return Schedule(
-            strategy="handmade",
-            circuit=Circuit(n, ()),
-            arch=arch(n),
-            error_params=errp,
-            initial_sites=tuple(range(n)),
-            ops=tuple(ops),
-            total_time=total if total is not None else max((op.end for op in ops), default=0.0),
-            per_qubit_error=tuple(per_qubit_error or folded),
-            final_sites=tuple(final or range(n)),
-        )
-
-    def _shuttle(self, q, src, dst, start, v=10.0, errp=None):
-        errp = errp or ErrorModelParams()
-        d = distance(src, dst, arch(8))
-        return ShuttleOp(q, src, dst, start, v, d / v, phase_error(v, d, errp))
-
     def test_clean_mapper_output_passes(self, errp):
         for strategy in STRATEGIES:
             c = decompose(generate(BenchmarkSpec(family="ghz", n=5, seed=0)))
@@ -54,68 +32,52 @@ class TestValidator:
 
     def test_zone_capacity_violation(self):
         ops = [
-            self._shuttle(0, Location.site(0), Location.zone(2), 0.0),
-            self._shuttle(1, Location.site(1), Location.zone(2), 0.0),
-            self._shuttle(2, Location.site(2), Location.zone(2), 0.0),
+            shuttle(arch(8), 0, Location.site(0), Location.zone(2), 0.0),
+            shuttle(arch(8), 1, Location.site(1), Location.zone(2), 0.0),
+            shuttle(arch(8), 2, Location.site(2), Location.zone(2), 0.0),
         ]
-        s = self._mk(8, ops)
+        s = handmade_schedule(*ops, spec=arch(8))
         rules = {v.rule for v in validate_schedule(s, arch(8))}
         assert "b" in rules
 
     def test_crossing_violation(self):
         ops = [
-            self._shuttle(0, Location.site(0), Location.zone(3), 0.0),
-            self._shuttle(1, Location.site(3), Location.zone(0), 0.0),
-            self._shuttle(0, Location.zone(3), Location.site(0), 1e-6),
-            self._shuttle(1, Location.zone(0), Location.site(1), 1e-6),
+            shuttle(arch(8), 0, Location.site(0), Location.zone(3), 0.0),
+            shuttle(arch(8), 1, Location.site(3), Location.zone(0), 0.0),
+            shuttle(arch(8), 0, Location.zone(3), Location.site(0), 1e-6),
+            shuttle(arch(8), 1, Location.zone(0), Location.site(1), 1e-6),
         ]
-        s = self._mk(8, ops, final=[0, 1] + list(range(2, 8)))
+        s = handmade_schedule(*ops, spec=arch(8), final=[0, 1] + list(range(2, 8)))
         rules = {v.rule for v in validate_schedule(s, arch(8))}
         assert "d" in rules
 
     def test_site_capacity_violation(self):
-        ops = [self._shuttle(0, Location.site(0), Location.zone(0), 0.0),
-               self._shuttle(0, Location.zone(0), Location.site(1), 1e-6)]
-        s = self._mk(8, ops, final=[1] + list(range(1, 8)))
+        ops = [shuttle(arch(8), 0, Location.site(0), Location.zone(0), 0.0),
+               shuttle(arch(8), 0, Location.zone(0), Location.site(1), 1e-6)]
+        s = handmade_schedule(*ops, spec=arch(8), final=[1] + list(range(1, 8)))
         rules = {v.rule for v in validate_schedule(s, arch(8))}
         assert "c" in rules  # site 1 already parked qubit 1
 
     def test_stranded_qubit_violation(self):
-        ops = [self._shuttle(0, Location.site(0), Location.zone(0), 0.0)]
-        s = self._mk(8, ops)
+        ops = [shuttle(arch(8), 0, Location.site(0), Location.zone(0), 0.0)]
+        s = handmade_schedule(*ops, spec=arch(8))
         rules = {v.rule for v in validate_schedule(s, arch(8))}
         assert "e" in rules
 
     def test_error_fold_violation(self, errp):
         s = run("baseline", Circuit(2, (h(0),)), 2, errp)
-        tampered = Schedule(
-            strategy=s.strategy, circuit=s.circuit, arch=s.arch,
-            error_params=s.error_params, initial_sites=s.initial_sites,
-            ops=s.ops, total_time=s.total_time,
-            per_qubit_error=(0.0, 0.0), final_sites=s.final_sites,
-        )
+        tampered = dataclasses.replace(s, per_qubit_error=(0.0, 0.0))
         rules = {v.rule for v in validate_schedule(tampered, s.arch)}
         assert "f" in rules
 
     def test_total_time_violation(self, errp):
         s = run("baseline", Circuit(2, (h(0),)), 2, errp)
-        tampered = Schedule(
-            strategy=s.strategy, circuit=s.circuit, arch=s.arch,
-            error_params=s.error_params, initial_sites=s.initial_sites,
-            ops=s.ops, total_time=s.total_time * 2,
-            per_qubit_error=s.per_qubit_error, final_sites=s.final_sites,
-        )
+        tampered = dataclasses.replace(s, total_time=s.total_time * 2)
         rules = {v.rule for v in validate_schedule(tampered, s.arch)}
         assert "g" in rules
 
-    def test_gate_without_operands_present(self, errp):
-        c = Circuit(2, (h(0),))
-        gate_only = Schedule(
-            strategy="handmade", circuit=c, arch=arch(2),
-            error_params=errp, initial_sites=(0, 1),
-            ops=(GateOp(0, 0, 0.0, 20e-9),),
-            total_time=20e-9, per_qubit_error=(0.0, 0.0), final_sites=(0, 1),
-        )
+    def test_gate_without_operands_present(self):
+        gate_only = handmade_schedule(GateOp(0, 0, 0.0, 20e-9), spec=arch(2), circuit=Circuit(2, (h(0),)))
         rules = {v.rule for v in validate_schedule(gate_only, arch(2))}
         assert "a" in rules
 
@@ -142,26 +104,12 @@ def _handmade_schedules():
     rule it reports, or None for no violation) for inputs the mutation
     corpus does not reach, on four sites, mostly with four qubits and a
     one-qubit and a two-qubit gate."""
-    spec, errp = arch(4), ErrorModelParams()
+    spec = arch(4)
     circuit = Circuit(4, (h(0), cz(1, 2)))
     site, zone = Location.site, Location.zone
 
-    def move(q, src, dst, start, **changes):
-        d = distance(src, dst, spec)
-        op = ShuttleOp(q, src, dst, start, 10.0, d / 10.0, phase_error(10.0, d, errp))
-        return dataclasses.replace(op, **changes)
-
-    def schedule(*ops, initial=(0, 1, 2, 3), circuit=circuit):
-        n = circuit.num_qubits
-        folded = [0.0] * n
-        for op in ops:
-            if isinstance(op, ShuttleOp) and 0 <= op.qubit < n:
-                folded[op.qubit] += op.delta_c
-        return Schedule(
-            strategy="handmade", circuit=circuit, arch=spec, error_params=errp,
-            initial_sites=initial[:n], ops=ops, total_time=max((op.end for op in ops), default=0.0),
-            per_qubit_error=tuple(folded), final_sites=tuple(range(n)),
-        )
+    move = functools.partial(shuttle, spec)
+    schedule = functools.partial(handmade_schedule, spec=spec, circuit=circuit)
 
     out_and_back = (move(0, site(0), zone(0), 0.0), move(0, zone(0), site(0), 1e-6))
     return [
@@ -328,12 +276,7 @@ class TestValidatorMatchesOracle:
             (zone, site, 2.0, 0.1), (site, zone, 2.2, 0.3), (zone, site, 5.0, 0.1),
         ]
         ops = [ShuttleOp(0, a, b, t * US, 10.0, d * US, 0.0) for a, b, t, d in moves]
-        s = Schedule(
-            strategy="handmade", circuit=Circuit(2, (h(0),)), arch=arch(2),
-            error_params=ErrorModelParams(), initial_sites=(0, 1),
-            ops=(*ops, GateOp(0, 0, 3.0 * US, 20 * NS)),
-            total_time=10 * US, per_qubit_error=(0.0, 0.0), final_sites=(0, 1),
-        )
+        s = handmade_schedule(*ops, GateOp(0, 0, 3.0 * US, 20 * NS), spec=arch(2), circuit=Circuit(2, (h(0),)))
         want = oracle_validate_schedule(s, s.arch)
         assert "a" not in {v.rule for v in want}
         assert validate_schedule(s, s.arch) == want
@@ -385,28 +328,6 @@ def _code_location(code):
     return Location.zone(code // 2) if code % 2 else Location.site(code // 2)
 
 
-def _bus_schedule(spec, ops):
-    """Moves of distinct qubits 0..3 on ``spec``, from sites 0..3, with the
-    error fold and makespan they give."""
-    folded = [0.0] * 4
-    for op in ops:
-        folded[op.qubit] += op.delta_c
-    return Schedule(
-        strategy="handmade", circuit=Circuit(4, ()), arch=spec, error_params=ErrorModelParams(),
-        initial_sites=(0, 1, 2, 3), ops=tuple(ops), total_time=max(op.end for op in ops),
-        per_qubit_error=tuple(folded), final_sites=(0, 1, 2, 3),
-    )
-
-
-def _bus_move(spec, q, src, dst, start, v, nudge=0):
-    """A move at ``v`` whose duration is ``nudge`` ulps off distance / v."""
-    d = distance(src, dst, spec)
-    dur = d / v
-    for _ in range(abs(nudge)):
-        dur = math.nextafter(dur, math.copysign(math.inf, nudge))
-    return ShuttleOp(q, src, dst, start, v, dur, phase_error(v, d, ErrorModelParams()))
-
-
 def _lockstep(spec, q, leader, via, nudge=0, lag=0.0):
     """A move at the leader's velocity from ``via`` on its path to its
     destination, leaving ``lag`` seconds after the leader passes: with no
@@ -414,7 +335,7 @@ def _lockstep(spec, q, leader, via, nudge=0, lag=0.0):
     ulps of duration off it."""
     pa, pc = position(leader.src, spec), position(via, spec)
     start = leader.start + abs(pc - pa) / leader.velocity + lag
-    return _bus_move(spec, q, via, leader.dst, start, leader.velocity, nudge)
+    return shuttle(spec, q, via, leader.dst, start, leader.velocity, nudge)
 
 
 @st.composite
@@ -429,7 +350,7 @@ def _moves_against_a_leader(draw):
     b = draw(code.filter(lambda c: c != a))
     src, dst = _code_location(a), _code_location(b)
     v = draw(st.sampled_from(_VELOCITIES))
-    leader = _bus_move(spec, 0, src, dst, draw(st.floats(0, 3)) * pitch / v, v)
+    leader = shuttle(spec, 0, src, dst, draw(st.floats(0, 3)) * pitch / v, v)
     ops = [leader]
     for q in range(1, draw(st.integers(2, 4))):
         kind = draw(st.sampled_from(("any", "opposite", "lockstep", "ulp", "touch")))
@@ -438,9 +359,9 @@ def _moves_against_a_leader(draw):
         c = draw(code)
         other = _code_location(draw(code.filter(lambda x: x != c)))
         if kind == "any":  # any direction, any velocity
-            op = _bus_move(spec, q, _code_location(c), other, leader.start + frac * leader.duration, v)
+            op = shuttle(spec, q, _code_location(c), other, leader.start + frac * leader.duration, v)
         elif kind == "opposite":
-            op = _bus_move(spec, q, dst, src, leader.start + frac * leader.duration, v)
+            op = shuttle(spec, q, dst, src, leader.start + frac * leader.duration, v)
         elif kind in ("lockstep", "ulp"):  # "ulp": slopes a few ulps apart
             between = [x for x in range(16) if min(a, b) < x < max(a, b)] or [a]
             via = _code_location(draw(st.sampled_from(between)))
@@ -448,12 +369,12 @@ def _moves_against_a_leader(draw):
             lag = draw(st.sampled_from((0.0, 3e-12, -3e-12))) / leader.velocity  # 3 pm behind or ahead
             op = _lockstep(spec, q, leader, via, nudge, lag)
         else:  # starting, or ending, within a few _EPS_T of the leader's end or start
-            op = _bus_move(spec, q, _code_location(c), other, 0.0, v)
+            op = shuttle(spec, q, _code_location(c), other, 0.0, v)
             k = draw(st.sampled_from((-2, -1, 0, 1, 2)))
             start = leader.end + k * 1e-15 if draw(st.booleans()) else leader.start + k * 1e-15 - op.duration
             op = dataclasses.replace(op, start=start)
         ops.append(op)
-    return _bus_schedule(spec, ops)
+    return handmade_schedule(*ops, spec=spec, circuit=Circuit(4, ()))
 
 
 class TestCrossingsNearTheBound:
@@ -480,11 +401,11 @@ class TestCrossingsNearTheBound:
     )
     def test_lockstep_moves_that_cross(self, pitch, leader, via, nudge, lag):
         spec = ArchitectureSpec(n_sites=8, site_pitch=pitch, zone_offset=pitch / 2)
-        leader = _bus_move(spec, 0, *leader)
+        leader = shuttle(spec, 0, *leader)
         follower = _lockstep(spec, 1, leader, via, nudge, lag)
         slopes = [(position(op.dst, spec) - position(op.src, spec)) / op.duration for op in (leader, follower)]
         assert (slopes[0] == slopes[1]) is (nudge == 0)
-        s = _bus_schedule(spec, [leader, follower])
+        s = handmade_schedule(leader, follower, spec=spec, circuit=Circuit(4, ()))
         want = oracle_validate_schedule(s, spec)
         assert "d" in {v.rule for v in want}
         assert validate_schedule(s, spec) == want
@@ -494,8 +415,8 @@ class TestCrossingsNearTheBound:
         # 4 million overlapping pairs, all of one slope out and one back
         n = 2000
         spec, errp = arch(n), ErrorModelParams()
-        out = [_bus_move(spec, q, Location.site(q), Location.zone(q), 0.0, 10.0) for q in range(n)]
-        back = [_bus_move(spec, q, Location.zone(q), Location.site(q), 1 * US, 10.0) for q in range(n)]
+        out = [shuttle(spec, q, Location.site(q), Location.zone(q), 0.0, 10.0) for q in range(n)]
+        back = [shuttle(spec, q, Location.zone(q), Location.site(q), 1 * US, 10.0) for q in range(n)]
         dc = out[0].delta_c + back[0].delta_c
         s = Schedule(
             strategy="handmade", circuit=Circuit(n, ()), arch=spec, error_params=errp,
