@@ -53,14 +53,18 @@ _MAX_NESTING = 100  # of unary minus and parentheses in one angle expression
 
 _Tok = tuple[str, str, int]  # kind, text, offset
 
+# The blanks and comments before a token or a statement. A comment ends
+# only at a line end or at the end of the text, so a regex that fails after
+# it cannot backtrack into the comment and match text written there.
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*(?![^\n]))*"
+
 # One match per token: the blanks and comments before it, then one named
 # group. ``bad`` takes the rest of the text from the first character that
 # starts no token, so it can only be the last match; ``\Z`` matches the end
-# after trailing blanks. Since some alternative always matches, the engine
-# never backtracks into the skipped prefix.
+# after trailing blanks.
 _TOKEN = re.compile(
-    r"""(?:[ \t\r\n]+|//[^\n]*)*
-    (?:(?P<id>[A-Za-z_]\w*)
+    _SKIP
+    + r"""(?:(?P<id>[A-Za-z_]\w*)
       |(?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)
       |"(?P<str>[^"]*)"
       |(?P<sym>->|==|[()\[\]{},;+\-*/])
@@ -76,8 +80,8 @@ _TOKEN = re.compile(
 # tokens the token parser would. A statement it does not match, or one that
 # ``_Parser._gate_statement`` declines, goes to the token parser.
 _GATE_STATEMENT = re.compile(
-    r"""(?:[ \t\r\n]+|//[^\n]*)*
-    ([a-z]+)\b[ \t]*
+    _SKIP
+    + r"""([a-z]+)\b[ \t]*
     (?:\([ \t]*(-?)[ \t]*((?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)[ \t]*\)[ \t]*)?
     ([A-Za-z_]\w*)[ \t]*\[[ \t]*(\d+)[ \t]*\]
     (?:[ \t]*,[ \t]*([A-Za-z_]\w*)[ \t]*\[[ \t]*(\d+)[ \t]*\])?

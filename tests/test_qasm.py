@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
@@ -288,7 +288,8 @@ _FREE_TEXT = st.lists(
 @given(
     st.one_of(
         _FREE_TEXT,
-        st.lists(st.one_of(_STATEMENTS, _FREE_TEXT), max_size=6).map(
+        # a statement may be commented out, and a comment runs to the line end
+        st.lists(st.one_of(_STATEMENTS, _STATEMENTS.map("// {}".format), _FREE_TEXT), max_size=6).map(
             lambda body: "OPENQASM 2.0; qreg q[3]; creg c[3]; " + " ".join(body)
         ),
         # the same statements with non-ASCII text in a trailing comment
@@ -297,6 +298,7 @@ _FREE_TEXT = st.lists(
         ),
     )
 )
+@example("OPENQASM 2.0; qreg q[3]; creg c[3]; // h q[0];")
 def test_parse_matches_oracle(text):
     expected, got = _outcome(oracle_parse_qasm, text), _outcome(parse_qasm, text)
     flat = _SKIPPED.sub(lambda m: m[0].replace("\n", " ") if m[0][0] == '"' else m[0], text)
@@ -309,6 +311,25 @@ def test_parse_matches_oracle(text):
     assert (got[0], got[1], got[4]) == (expected[0], expected[1], expected[4])
     flat_error = _outcome(oracle_parse_qasm, flat)
     assert _offset(text, *got[2:4]) == _offset(flat, *flat_error[2:4])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "OPENQASM 2.0;\nqreg q[2];\nh q[0];\n// x q[1];\n",
+        "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nh q[0];\n// t q[1];\nmeasure q -> c;\n",
+        "OPENQASM 2.0;\nqreg q[2];\n// h q[1];\nrz(pi/2) q[0];\n",
+        "OPENQASM 2.0;\nqreg q[2];\nbarrier q; // then h q[1];\nh q;\n",
+        "OPENQASM 2.0; qreg q[3]; creg c[3]; // h q[0];",
+        'OPENQASM 2.0;\r\ninclude "qelib1.inc";\r\nqreg q[3];\r\n// broadcast, then an expression angle\r\n'
+        "// x q[2];\r\nh q;\r\nrz(-(pi/4)*2) q[1];\r\n",
+    ],
+    ids=["last-line", "before-measure", "before-rz-expression", "after-barrier", "trailing", "crlf"],
+)
+def test_gate_in_a_comment_is_not_compiled(text):
+    # the statement regex once backtracked into a comment before a statement
+    # it could not take, and read the gate written in the comment
+    assert _outcome(parse_qasm, text) == _outcome(oracle_parse_qasm, text)
 
 
 # gate statements in the shapes the parser's statement regex takes, and in
