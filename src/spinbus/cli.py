@@ -235,9 +235,14 @@ def _write_text(path: Path, text: str) -> None:
 
 def _check_writable(path: Path) -> None:
     """Open ``path`` for appending and close it, so an unwritable output file
-    fails before any mapping; append mode leaves an existing file intact."""
+    fails before any mapping; append mode leaves an existing file intact, and
+    a file the check creates is removed, so a run that fails later leaves
+    none behind."""
+    existed = path.is_symlink() or path.exists()
     try:
         path.open("a", encoding="utf-8").close()
+        if not existed:
+            path.unlink()
     except OSError as exc:
         raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
 

@@ -357,6 +357,26 @@ class TestSweep:
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["bench", "--n", 1], "bench.csv"),
+        (["sweep", "--n-max", 70], "sweep.csv"),
+        (["bench", "--runs", 0, "--n", 4, "--families", "ghz"], "bench.csv"),
+    ],
+    ids=["bench-n-1", "sweep-n-max-70", "bench-runs-0"],
+)
+def test_failed_run_leaves_no_output(tmp_path, argv, name):
+    # the writability check once created the CSV, and these errors, found
+    # only when the lazy cases are first read, left it empty
+    assert run_cli(*argv, "--out", tmp_path / "new") == 2
+    assert not (tmp_path / "new" / name).exists()
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / name).write_bytes(b"kept\r\n")
+    assert run_cli(*argv, "--out", tmp_path / "old") == 2
+    assert (tmp_path / "old" / name).read_bytes() == b"kept\r\n"
+
+
 class TestQubitCountRange:
     """Qubit counts outside the generators' [2, 64], and registers outside
     [2, MAX_QUBITS], are configuration errors."""
