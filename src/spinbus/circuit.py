@@ -57,11 +57,8 @@ class GateKind(Enum):
 
     # Members are singletons, so identity hashing agrees with equality; it
     # runs in C, where Enum's own __hash__ is Python code run on every set
-    # or dict lookup (NATIVE_KINDS, DECOMPOSITION, Gate's hash).
+    # or dict lookup (DECOMPOSITION, Gate's hash).
     __hash__ = object.__hash__
-
-
-NATIVE_KINDS = frozenset({GateKind.RX, GateKind.RZ, GateKind.H, GateKind.CZ})
 
 
 #: Every kind, by its code: a circuit's ``kind`` column holds indices into it.

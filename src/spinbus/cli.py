@@ -23,7 +23,9 @@ from .benchgen import FAMILIES, BenchmarkSpec, generate
 from .circuit import Circuit, decompose, slice_circuit
 from .error_model import V_BRACKET, ErrorModelParams, optimal_velocity, phase_error
 from .mapper import STRATEGIES, STRATEGY_FLAGS, map_strategy
-from .metrics import compare, left_sum, mean_std, reports_to_csv, reports_to_json, summarize
+from .metrics import (
+    REPORT_COLUMNS, cell, compare, csv_text, left_sum, mean_std, ratio, reports_to_csv, reports_to_json, summarize,
+)
 from .placement import (
     Placement,
     build_interaction_graph,
@@ -36,7 +38,8 @@ from .validate import validate_schedule
 
 PLACEMENT_MODES = ("spectral", "random", "identity")
 
-BENCH_HEADER = "family,strategy,placement,seed,total_time_ns,mean_dC,std_dC"
+_BENCH_REPORT_KEYS = ("total_time_ns", "mean_dC", "std_dC")
+BENCH_HEADER = ",".join(("family", "strategy", "placement", "seed", *_BENCH_REPORT_KEYS))
 SWEEP_HEADER = "family,n,depth,strategy,time_ratio,error_ratio"
 COMPARE_HEADER = "strategy,time_ratio,error_ratio"
 
@@ -99,10 +102,6 @@ class ConfigError(Exception):
 
 class ValidationFailure(Exception):
     pass
-
-
-def _fmt(x: float | None) -> str:
-    return "" if x is None else repr(x)
 
 
 def _load_json_file(path: str, what: str) -> dict:
@@ -284,40 +283,48 @@ def _placements(
         return [("spectral", None, spectral_placement(build_interaction_graph(sliced)))]
     if mode == "identity":
         return [("identity", None, Placement.identity(n))]
-    if runs < 1:
-        raise ConfigError("--runs must be >= 1")
     return [("random", seed + i, random_placement(n, seed + i)) for i in range(runs)]
 
 
 def _run_matrix(cases, modes, strategies, args, errp, measure_duration=None):
-    """Map, validate and summarize every case x placement x strategy.
+    """Check, then map, validate and summarize every case x placement x strategy.
 
-    A case is ``(tag, sliced, arch)``. Yields ``(tag, mode, seed, strategy,
-    schedule, report)`` lazily and drops its own reference to each schedule
-    before mapping the next, so a consumer that drops it too keeps at most
-    one schedule alive (the peak memory of a long compile).
+    A case is ``(tag, sliced, arch)``. The call itself runs ``_check_model``
+    on every case and checks ``--runs``, so a ConfigError comes before the
+    caller creates anything. It returns a generator of ``(tag, mode, seed,
+    strategy, schedule, report)`` that maps lazily and drops its own
+    reference to each schedule before mapping the next, so a consumer that
+    drops it too keeps at most one schedule alive (the peak memory of a
+    long compile).
     """
-    for tag, sliced, arch in cases:
+    for _, sliced, arch in cases:
         _check_model(arch, errp, strategies, sliced, measure_duration)
-        placements = [
-            row
-            for mode in modes
-            for row in _placements(mode, sliced, arch.n_sites, args.seed, args.runs)
-        ]
-        for mode, seed, placement in placements:
-            for strategy in strategies:
-                schedule = map_strategy(
-                    strategy, sliced, arch, placement, errp, measure_duration
-                )
-                violations = validate_schedule(schedule, arch)
-                if violations:
-                    lines = "; ".join(f"[{v.rule}] {v.message}" for v in violations[:5])
-                    raise ValidationFailure(
-                        f"{strategy}: schedule failed validation "
-                        f"({len(violations)} issues): {lines}"
+    if "random" in modes and args.runs < 1:
+        raise ConfigError("--runs must be >= 1")
+
+    def mapped():
+        for tag, sliced, arch in cases:
+            placements = [
+                row
+                for mode in modes
+                for row in _placements(mode, sliced, arch.n_sites, args.seed, args.runs)
+            ]
+            for mode, seed, placement in placements:
+                for strategy in strategies:
+                    schedule = map_strategy(
+                        strategy, sliced, arch, placement, errp, measure_duration
                     )
-                yield tag, mode, seed, strategy, schedule, summarize(schedule)
-                del schedule  # not held while the next one is mapped
+                    violations = validate_schedule(schedule, arch)
+                    if violations:
+                        lines = "; ".join(f"[{v.rule}] {v.message}" for v in violations[:5])
+                        raise ValidationFailure(
+                            f"{strategy}: schedule failed validation "
+                            f"({len(violations)} issues): {lines}"
+                        )
+                    yield tag, mode, seed, strategy, schedule, summarize(schedule)
+                    del schedule  # not held while the next one is mapped
+
+    return mapped()
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -332,15 +339,14 @@ def cmd_compile(args: argparse.Namespace) -> int:
     formats = {f.strip() for f in args.format.split(",")} - {""}
     if not formats or not formats <= {"json", "csv"}:
         raise ConfigError(f"--format wants json,csv subsets, got {args.format!r}")
-
-    out_dir = _out_dir(args.out)
-
-    per_placement: dict[str, list] = {}
-    per_strategy: dict[str, list] = {s: [] for s in strategies}
     cases = [(None, sliced, arch)]
     matrix = _run_matrix(
         cases, [args.placement], strategies, args, errp, measure_duration
     )
+    out_dir = _out_dir(args.out)
+
+    per_placement: dict[str, list] = {}
+    per_strategy: dict[str, list] = {s: [] for s in strategies}
     for _, mode, seed, strategy, schedule, report in matrix:
         ptag = mode if seed is None else f"{mode}_s{seed}"
         if "json" in formats:
@@ -356,16 +362,12 @@ def cmd_compile(args: argparse.Namespace) -> int:
         if "json" in formats:
             _write_text(out_dir / f"reports__{ptag}.json", reports_to_json(reports))
         if len(reports) == len(STRATEGIES) and "csv" in formats:
-            rows = [COMPARE_HEADER]
-            for ratios in compare(reports):
-                rows.append(
-                    f"{ratios.strategy},{_fmt(ratios.time_ratio)},{_fmt(ratios.error_ratio)}"
-                )
-            _write_text(out_dir / f"compare__{ptag}.csv", "\n".join(rows) + "\n")
+            rows = [(x.strategy, x.time_ratio, x.error_ratio) for x in compare(reports)]
+            _write_text(out_dir / f"compare__{ptag}.csv", csv_text(COMPARE_HEADER, rows))
 
     for strategy in strategies:
         reports = per_strategy[strategy]
-        times = [r.total_time * 1e9 for r in reports]
+        times = [REPORT_COLUMNS["total_time_ns"](r) for r in reports]
         errors = [r.mean_error for r in reports]
         if len(reports) == 1:
             print(
@@ -393,11 +395,11 @@ def _parse_families(text: str) -> list[str]:
     return families
 
 
-def _family_cases(families: list[str], sizes, args: argparse.Namespace):
-    """One case per size x family; the tag is (family, n, depth) as strings.
+def _family_cases(families: list[str], sizes, args: argparse.Namespace) -> list:
+    """One case per size x family; the tag is (family, n, depth).
 
     Every size is checked before the first circuit is built, so an
-    out-of-range size fails before anything is mapped.
+    out-of-range size fails before anything is built or mapped.
     """
     archs = {n: _build_arch(n, args.arch_config) for n in sizes}
     specs = [
@@ -407,36 +409,28 @@ def _family_cases(families: list[str], sizes, args: argparse.Namespace):
         for n in sizes
         for family in families
     ]
-    for spec in specs:
-        sliced = slice_circuit(decompose(generate(spec)))
-        yield (spec.family, str(spec.n), str(sliced.depth)), sliced, archs[spec.n]
+    slices = [slice_circuit(decompose(generate(spec))) for spec in specs]
+    return [((spec.family, spec.n, sc.depth), sc, archs[spec.n]) for spec, sc in zip(specs, slices)]
 
 
 def _write_rows(out_dir: Path, name: str, header: str, rows: list[tuple]) -> None:
-    text = "\n".join([header] + [",".join(r) for r in sorted(rows)]) + "\n"
-    _write_text(out_dir / name, text)
+    # sorted as written: a seed of None as "", a number by its text
+    cells = sorted([cell(value) for value in row] for row in rows)
+    _write_text(out_dir / name, csv_text(header, cells))
     print(f"{name.split('.')[0]}: {len(rows)} rows -> {out_dir / name}")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cases = _family_cases(_parse_families(args.families), [args.n], args)
+    families = _parse_families(args.families)
     errp = _build_errp(args.error_config)
+    cases = _family_cases(families, [args.n], args)
+    matrix = _run_matrix(cases, ("spectral", "random"), STRATEGIES, args, errp)
     out_dir = _out_dir(args.out)
     _check_writable(out_dir / "bench.csv")
 
     rows = [
-        (
-            tag[0],
-            strategy,
-            mode,
-            "" if seed is None else str(seed),
-            repr(report.total_time * 1e9),
-            repr(report.mean_error),
-            repr(report.std_error),
-        )
-        for tag, mode, seed, strategy, _, report in _run_matrix(
-            cases, ("spectral", "random"), STRATEGIES, args, errp
-        )
+        (tag[0], strategy, mode, seed, *(REPORT_COLUMNS[key](report) for key in _BENCH_REPORT_KEYS))
+        for tag, mode, seed, strategy, _, report in matrix
     ]
     _write_rows(out_dir, "bench.csv", BENCH_HEADER, rows)
     return 0
@@ -447,13 +441,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not (2 <= args.n_min <= args.n_max and args.n_step >= 1):
         raise ConfigError("need 2 <= n-min <= n-max and n-step >= 1")
     sizes = range(args.n_min, args.n_max + 1, args.n_step)
-    cases = _family_cases(families, sizes, args)
     errp = _build_errp(args.error_config)
+    cases = _family_cases(families, sizes, args)
+    matrix = _run_matrix(cases, ("spectral", "random"), STRATEGIES, args, errp)
     out_dir = _out_dir(args.out)
     _check_writable(out_dir / "sweep.csv")
 
     spectral, randoms = {}, {}
-    matrix = _run_matrix(cases, ("spectral", "random"), STRATEGIES, args, errp)
     for tag, mode, _, strategy, _, report in matrix:
         if mode == "spectral":
             spectral[tag, strategy] = report
@@ -465,9 +459,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rand = randoms[tag, strategy]
         rand_time = left_sum(r.total_time for r in rand) / len(rand)
         rand_err = left_sum(r.mean_error for r in rand) / len(rand)
-        time_ratio = None if base.total_time == 0.0 else rand_time / base.total_time
-        error_ratio = None if base.mean_error == 0.0 else rand_err / base.mean_error
-        rows.append((*tag, strategy, _fmt(time_ratio), _fmt(error_ratio)))
+        rows.append((*tag, strategy, ratio(rand_time, base.total_time), ratio(rand_err, base.mean_error)))
     _write_rows(out_dir, "sweep.csv", SWEEP_HEADER, rows)
     return 0
 

@@ -5,20 +5,22 @@ execution time, per-qubit dephasing with mean and population std over all
 architecture qubits, idle ones included) plus shuttle counts and distance.
 Ratios against a baseline report use baseline/strategy, so bigger is
 better.
+
+This module owns the report tables' format: the report columns and their
+units (``REPORT_COLUMNS``), the rule that writes a CSV cell (``cell``) and
+the rule for a ratio over zero (``ratio``).
 """
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .architecture import decode_locations
 from .schedule import Schedule
-
-CSV_HEADER = "strategy,total_time_ns,mean_dC,std_dC,n_shuttles,total_distance_um"
-
 
 @dataclass(frozen=True)
 class CompilationReport:
@@ -31,6 +33,40 @@ class CompilationReport:
     total_distance: float
     n_gates_1q: int
     n_gates_2q: int
+
+
+# key -> a report's value in the key's unit, one entry per report column in
+# CSV order; the CSV holds the first six, the JSON all of them.
+REPORT_COLUMNS = {
+    "strategy": lambda r: r.strategy,
+    "total_time_ns": lambda r: r.total_time * 1e9,
+    "mean_dC": lambda r: r.mean_error,
+    "std_dC": lambda r: r.std_error,
+    "n_shuttles": lambda r: r.n_shuttles,
+    "total_distance_um": lambda r: r.total_distance * 1e6,
+    "n_gates_1q": lambda r: r.n_gates_1q,
+    "n_gates_2q": lambda r: r.n_gates_2q,
+    "qubit_errors": lambda r: r.qubit_errors,
+}
+CSV_HEADER = ",".join(tuple(REPORT_COLUMNS)[:6])
+_CSV_VALUES = tuple(REPORT_COLUMNS.values())[:6]
+
+
+def cell(value) -> str:
+    """One CSV cell: text as it is, None empty, a number by ``repr``."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else repr(value)
+
+
+def csv_text(header: str, rows: Iterable) -> str:
+    """``header``, then one line of cells per row."""
+    return "".join([header + "\n", *(",".join(map(cell, row)) + "\n" for row in rows)])
+
+
+def ratio(num: float, den: float) -> float | None:
+    """``num / den``, or None where ``den`` is zero and the ratio undefined."""
+    return None if den == 0.0 else num / den
 
 
 def left_sum(values) -> float:
@@ -104,10 +140,6 @@ def compare(reports: list[CompilationReport]) -> list[StrategyRatios]:
     if "baseline" not in by_tag:
         raise ValueError("no baseline report among reports")
     base = by_tag["baseline"]
-
-    def ratio(num: float, den: float) -> float | None:
-        return None if den == 0.0 else num / den
-
     return [
         StrategyRatios(
             strategy=r.strategy,
@@ -118,40 +150,10 @@ def compare(reports: list[CompilationReport]) -> list[StrategyRatios]:
     ]
 
 
-def report_csv_row(r: CompilationReport) -> str:
-    return ",".join(
-        (
-            r.strategy,
-            repr(r.total_time * 1e9),
-            repr(r.mean_error),
-            repr(r.std_error),
-            str(r.n_shuttles),
-            repr(r.total_distance * 1e6),
-        )
-    )
-
-
 def reports_to_csv(reports: list[CompilationReport]) -> str:
-    lines = [CSV_HEADER]
-    lines += [report_csv_row(r) for r in reports]
-    return "\n".join(lines) + "\n"
-
-
-def report_to_dict(r: CompilationReport) -> dict:
-    return {
-        "strategy": r.strategy,
-        "total_time_ns": r.total_time * 1e9,
-        "mean_dC": r.mean_error,
-        "std_dC": r.std_error,
-        "n_shuttles": r.n_shuttles,
-        "total_distance_um": r.total_distance * 1e6,
-        "n_gates_1q": r.n_gates_1q,
-        "n_gates_2q": r.n_gates_2q,
-        "qubit_errors": list(r.qubit_errors),
-    }
+    return csv_text(CSV_HEADER, ([value(r) for value in _CSV_VALUES] for r in reports))
 
 
 def reports_to_json(reports: list[CompilationReport]) -> str:
-    return json.dumps(
-        [report_to_dict(r) for r in reports], sort_keys=True, separators=(",", ":")
-    ) + "\n"
+    rows = [{key: value(r) for key, value in REPORT_COLUMNS.items()} for r in reports]
+    return json.dumps(rows, sort_keys=True, separators=(",", ":")) + "\n"

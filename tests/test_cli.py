@@ -64,6 +64,17 @@ class TestCompile:
         stdout = capsys.readouterr().out
         assert stdout.count("total_time_ns=") == len(STRATEGIES)
 
+    def test_undefined_ratios_are_empty_cells(self, tmp_path):
+        # a lone barrier is never scheduled, so every schedule takes no time
+        # and no error, and every ratio divides by zero
+        qasm = tmp_path / "fence.qasm"
+        qasm.write_text("OPENQASM 2.0; qreg q[2]; barrier q;")
+        assert run_cli("compile", "--input", qasm, "--out", tmp_path / "out") == 0
+        assert (tmp_path / "out" / "compare__spectral.csv").read_bytes() == (
+            b"strategy,time_ratio,error_ratio\n"
+            b"baseline,,\nparallel,,\nmin_return,,\ntunable_velocity,,\nswap_return,,\n"
+        )
+
     def test_qasm_input(self, tmp_path):
         qasm = tmp_path / "ghz.qasm"
         qasm.write_text(GHZ_QASM)
@@ -358,19 +369,27 @@ class TestSweep:
 
 
 @pytest.mark.parametrize(
-    "argv, name",
+    "argv, name, error_config",
     [
-        (["bench", "--n", 1], "bench.csv"),
-        (["sweep", "--n-max", 70], "sweep.csv"),
-        (["bench", "--runs", 0, "--n", 4, "--families", "ghz"], "bench.csv"),
+        (["bench", "--n", 1], "bench.csv", None),
+        (["sweep", "--n-max", 70], "sweep.csv", None),
+        (["bench", "--runs", 0, "--n", 4, "--families", "ghz"], "bench.csv", None),
+        (["compile", "--gen", "ghz", "--n", 4, "--placement", "random", "--runs", 0], "reports__random_s0.csv", None),
+        # the overflow bound of _check_model
+        (["compile", "--gen", "ghz", "--n", 4], "reports__spectral.csv", {"l_c_nm": 1e300}),
     ],
-    ids=["bench-n-1", "sweep-n-max-70", "bench-runs-0"],
+    ids=["bench-n-1", "sweep-n-max-70", "bench-runs-0", "compile-runs-0", "compile-overflow"],
 )
-def test_failed_run_leaves_no_output(tmp_path, argv, name):
-    # the writability check once created the CSV, and these errors, found
-    # only when the lazy cases are first read, left it empty
+def test_failed_run_leaves_no_output(tmp_path, capsys, argv, name, error_config):
+    # these errors were once found only when the lazy cases were first
+    # read, after the output directory (and the CSV) had been created
+    if error_config is not None:
+        (tmp_path / "errors.json").write_text(json.dumps(error_config))
+        argv = [*argv, "--error-config", tmp_path / "errors.json"]
     assert run_cli(*argv, "--out", tmp_path / "new") == 2
-    assert not (tmp_path / "new" / name).exists()
+    assert not (tmp_path / "new").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     (tmp_path / "old").mkdir()
     (tmp_path / "old" / name).write_bytes(b"kept\r\n")
     assert run_cli(*argv, "--out", tmp_path / "old") == 2

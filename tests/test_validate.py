@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from spinbus.architecture import ArchitectureSpec, Location, position
 from spinbus.circuit import Circuit, decompose
-from spinbus.error_model import ErrorModelParams
 from spinbus.benchgen import BenchmarkSpec, generate
 from spinbus.mapper import STRATEGIES
-from spinbus.schedule import GateOp, Schedule, ShuttleOp, schedule_from_json, schedule_to_json
+from spinbus.schedule import GateOp, ShuttleOp, schedule_from_json, schedule_to_json
 import spinbus.validate as validate_module
 from spinbus.validate import validate_schedule
 from schedule_corpus import (
@@ -414,15 +413,10 @@ class TestCrossingsNearTheBound:
         # 2,000 qubits leave for their zones at once and come back: about
         # 4 million overlapping pairs, all of one slope out and one back
         n = 2000
-        spec, errp = arch(n), ErrorModelParams()
+        spec = arch(n)
         out = [shuttle(spec, q, Location.site(q), Location.zone(q), 0.0, 10.0) for q in range(n)]
         back = [shuttle(spec, q, Location.zone(q), Location.site(q), 1 * US, 10.0) for q in range(n)]
-        dc = out[0].delta_c + back[0].delta_c
-        s = Schedule(
-            strategy="handmade", circuit=Circuit(n, ()), arch=spec, error_params=errp,
-            initial_sites=tuple(range(n)), ops=tuple(out + back), total_time=back[0].end,
-            per_qubit_error=(dc,) * n, final_sites=tuple(range(n)),
-        )
+        s = handmade_schedule(*out, *back, spec=spec)
         expanded = []
         ragged = validate_module._ragged
 
