@@ -295,7 +295,10 @@ def _run_matrix(cases, modes, strategies, args, errp, measure_duration=None):
     strategy, schedule, report)`` that maps lazily and drops its own
     reference to each schedule before mapping the next, so a consumer that
     drops it too keeps at most one schedule alive (the peak memory of a
-    long compile).
+    long compile). Besides it, the mapper's memo of its dynamic pass 1 keeps
+    the last walk's columns alive, one entry only; mapping each placement's
+    strategies in ``STRATEGIES`` order lets ``tunable_velocity`` reuse the
+    walk ``min_return`` just made.
     """
     for _, sliced, arch in cases:
         _check_model(arch, errp, strategies, sliced, measure_duration)

@@ -50,7 +50,12 @@ descending order to its zones, right to left. No dynamic strategy is
 sequential, so each zone is max(i, j): never left of its operands'
 sites, and distinct within a layer. The free sites right of a zone
 therefore went to zones dealt before it, and each occupant gets the
-rightmost free site left of its zone. Pass 2 (``_timed_ops``) times
+rightmost free site left of its zone. The walk reads only the circuit,
+the architecture, the placement, ``swap_returns`` and whether measurements
+are scheduled, never ``tunable``, so it is memoised on exactly those, one
+entry deep: mapped one after the other, as ``STRATEGIES`` orders them,
+``min_return`` and ``tunable_velocity`` share one walk per (circuit,
+placement), and ``swap_return`` walks again. Pass 2 (``_timed_ops``) times
 every move at once as numpy columns: distances, each phase's longest
 move and velocity, durations, ``phase_error`` once per distinct velocity
 over an array of its distances, the episode clock as a left fold, and
@@ -59,6 +64,7 @@ the op-by-op scalar arithmetic.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -131,29 +137,29 @@ def map_strategy(
             raise TypeError(f"measure_duration must be a number of seconds, got {measure_duration!r}")
         if not 0 <= measure_duration < math.inf:
             raise ValueError(f"measure_duration must be finite and >= 0, got {measure_duration!r}")
-    # the scheduled gates: a barrier never, a measure only with a measure_duration
-    scheduled = ~c.barrier if measure_duration is not None else ~(c.barrier | c.measure)
-    gate_index, layer = _episodes(sc, scheduled, sequential)
-    n_gates = np.bincount(layer)  # episodes per layer
+    measured = measure_duration is not None
     if dynamic_return:
-        moves, zone, final_sites = _walk_layers(sc, spec, placement, gate_index, n_gates, swap_returns)
+        moves, episodes, final_sites = _walk_layers(sc, spec, placement, swap_returns, measured)
     else:
-        moves, zone = _static_moves(sc, placement, gate_index, layer, sequential)
+        moves, episodes = _static_moves(sc, placement, sequential, measured)
         final_sites = placement.perm
     gate_time = np.where(c.two_qubit, spec.t_2q, spec.t_1q).astype(np.float64)
     gate_time[c.measure] = measure_duration or 0.0  # unscheduled without one
-    ops, total_time, err = _timed_ops(moves, (n_gates, gate_index, zone), gate_time, spec, errp, tunable)
+    ops, total_time, err = _timed_ops(moves, episodes, gate_time, spec, errp, tunable)
     return Schedule(
         strategy=strategy, circuit=c, arch=spec, error_params=errp, initial_sites=placement.perm,
         ops=ops, total_time=total_time, per_qubit_error=err, final_sites=final_sites,
     )
 
 
-def _episodes(sc: SlicedCircuit, scheduled, sequential: bool):
-    """The episodes of ``sc``'s ``scheduled`` gates, as columns: each
-    episode's gate index and layer, in layer order. Under ``sequential``
-    every scheduled gate is a layer of its own, in circuit order; otherwise
-    the layers are ``sc.gate_layers``' scheduled gates, empty layers dropped."""
+def _episodes(sc: SlicedCircuit, sequential: bool, measured: bool):
+    """The episodes of ``sc``'s scheduled gates, as columns: each episode's
+    gate index and layer, in layer order. A barrier is never scheduled, a
+    measurement only if ``measured``. Under ``sequential`` every scheduled
+    gate is a layer of its own, in circuit order; otherwise the layers are
+    ``sc.gate_layers``' scheduled gates, empty layers dropped."""
+    c = sc.circuit
+    scheduled = ~c.barrier if measured else ~(c.barrier | c.measure)
     if sequential:
         gate_index = np.flatnonzero(scheduled)
         return gate_index, np.arange(len(gate_index))
@@ -162,11 +168,12 @@ def _episodes(sc: SlicedCircuit, scheduled, sequential: bool):
     return gate_index[keep], np.unique(layer[keep], return_inverse=True)[1]
 
 
-def _static_moves(sc: SlicedCircuit, placement: Placement, gate_index, layer, sequential: bool):
+def _static_moves(sc: SlicedCircuit, placement: Placement, sequential: bool, measured: bool):
     """Pass 1 without ``dynamic_return``, as column arithmetic: every qubit
     returns to its own site, so each zone follows from the placement and
     the gate's operands, and each return phase repeats its out phase.
-    Returns ``_timed_ops``' move columns and each episode's zone."""
+    Returns ``_timed_ops``' move and episode columns."""
+    gate_index, layer = _episodes(sc, sequential, measured)
     row, q = sc.circuit.operands_of(gate_index)
     sites = np.array(placement.perm, dtype=np.int64)
     first, end = (np.searchsorted(row, np.arange(len(gate_index)), side=side) for side in ("left", "right"))
@@ -177,14 +184,22 @@ def _static_moves(sc: SlicedCircuit, placement: Placement, gate_index, layer, se
         np.repeat(np.bincount(move_layer), 2), np.concatenate([2 * move_layer, 2 * move_layer + 1]),
         np.tile(q, 2), np.tile(sites[q], 2), np.tile(zone[row], 2),
     )
-    return moves, zone
+    return moves, (np.bincount(layer), gate_index, zone)
 
 
-def _walk_layers(sc: SlicedCircuit, spec: ArchitectureSpec, placement: Placement, gate_index, n_gates, swap_returns):
-    """Pass 1 with ``dynamic_return``, in Python: walk the episodes' layers
-    (``n_gates`` episodes each), keeping one site and position per qubit,
-    and deal each layer's vacated sites out as its return sites. Returns
-    ``_timed_ops``' move columns, each episode's zone and the final sites."""
+@functools.lru_cache(maxsize=1)
+def _walk_layers(sc: SlicedCircuit, spec: ArchitectureSpec, placement: Placement, swap_returns: bool, measured: bool):
+    """Pass 1 with ``dynamic_return``, in Python: walk the episodes' layers,
+    keeping one site and position per qubit, and deal each layer's vacated
+    sites out as its return sites. Returns ``_timed_ops``' move and episode
+    columns, read-only, and the final sites.
+
+    The walk reads nothing but its arguments, so it is memoised on them
+    (``sc`` by identity): ``tunable_velocity``, mapped right after
+    ``min_return``, reuses its walk. One entry only: the last walk's columns
+    stay alive until the next call with other arguments."""
+    gate_index, layer = _episodes(sc, False, measured)
+    n_gates = np.bincount(layer)  # episodes per layer
     offsets, qubits = sc.circuit.offsets.tolist(), sc.circuit.qubits.tolist()
     gates = [(k, tuple(qubits[offsets[k]:offsets[k + 1]])) for k in gate_index.tolist()]
     ends = np.cumsum(n_gates).tolist()
@@ -226,7 +241,10 @@ def _walk_layers(sc: SlicedCircuit, spec: ArchitectureSpec, placement: Placement
     n_moves = np.fromiter(map(len, phases), np.int64, len(phases))
     q, s, z = np.fromiter(_flat(_flat(phases)), np.int64, 3 * int(n_moves.sum())).reshape(-1, 3).T
     moves = (n_moves, np.repeat(np.arange(len(phases)), n_moves), q, s, z)
-    return moves, np.fromiter(zones, np.int64, len(zones)), tuple(sites)
+    episodes = (n_gates, gate_index, np.fromiter(zones, np.int64, len(zones)))
+    for col in moves + episodes:
+        col.flags.writeable = False
+    return moves, episodes, tuple(sites)
 
 
 def _timed_ops(

@@ -39,7 +39,10 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     (e) every qubit ends parked in storage
     (f) stored per-qubit errors match a fold over the shuttle ops
     (g) total_time is the latest op end
-    plus internal shuttle-op consistency (duration, delta_c, chaining).
+    plus internal shuttle-op consistency (duration, delta_c, chaining) and
+    gate-op durations: a one-qubit gate lasts ``spec.t_1q`` and a two-qubit
+    gate ``spec.t_2q``, and every measurement one shared duration, finite
+    and >= 0.
 
     One pass over the op columns: each rule is a boolean mask over the
     shuttle or gate rows, and a ``Violation`` is formatted only for a
@@ -48,8 +51,9 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     velocity over an array of its distances. Rule (d) tests only pairs of
     moves that overlap in time and have different slopes, or whose rounding
     a bound cannot rule out (see ``_crossings``), so a phase of k
-    simultaneous shuttles at one velocity costs O(k). The list holds, in this order: the shuttle
-    checks (distance, duration, delta_c) by op; the placement check;
+    simultaneous shuttles at one velocity costs O(k). The list holds, in
+    this order: the shuttle checks (distance, duration, delta_c) by op; the
+    gate-op durations by op; the placement check;
     unknown qubits by op; each qubit's chain (departure site, then time) in
     qubit order; (a) by gate op and operand; (b), then (c), by location in
     the order of first occupancy; (d) by move in (start, op) order; (e) and
@@ -60,7 +64,7 @@ def validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violation]:
     distance (``position`` and ``shuttle_time`` reject them), and whatever
     ``phase_error`` raises on a velocity it cannot evaluate. An
     ``initial_sites`` shorter than the qubit count ends the list after the
-    shuttle checks and the placement check, since a qubit without a start
+    op checks and the placement check, since a qubit without a start
     site has no chain to follow.
     """
     with np.errstate(all="ignore"):  # masked-out rows may hold any value
@@ -93,6 +97,7 @@ def _violations(s: Schedule, spec: ArchitectureSpec):
     src_zone, src_idx, p0, src_ok = decode_locations(sh.src, spec)
     dst_zone, dst_idx, p1, dst_ok = decode_locations(sh.dst, spec)
     yield from _shuttle_checks(s, spec, np.abs(p0 - p1), src_ok & dst_ok, op_index)
+    yield from _gate_durations(s, spec, op_index)
     if sorted(s.initial_sites) != list(range(n)):
         yield Violation("c", None, "initial placement is not a bijection")
         if len(s.initial_sites) < n:
@@ -161,6 +166,28 @@ def _shuttle_checks(s: Schedule, spec: ArchitectureSpec, dist, on_bus, op_index)
             yield Violation("op", idx, f"duration {dur.item(r)} != {want_dur.item(r)}")
         if bad_dc[r]:
             yield Violation("op", idx, f"delta_c {dc.item(r)} != {want_dc.item(r)}")
+
+
+def _gate_durations(s: Schedule, spec: ArchitectureSpec, op_index):
+    """Gate-op durations, by gate op: a one-qubit gate lasts ``spec.t_1q``
+    and a two-qubit gate ``spec.t_2q``, bit for bit, as the mapper copies
+    them; every measurement lasts the duration of the first one in op
+    order, finite and >= 0. An unknown gate index is rule (a)'s, and a
+    barrier, which has no duration, is skipped."""
+    c, gt = s.circuit, s.ops.gates
+    rows = np.flatnonzero((gt.gate_index >= 0) & (gt.gate_index < c.num_gates))
+    k, dur = gt.gate_index[rows], gt.duration[rows]
+    measure = c.measure[k]
+    want = np.where(c.two_qubit[k], spec.t_2q, spec.t_1q)
+    want[measure] = dur[measure][:1]  # none to set without a measurement
+    off = ~c.barrier[k] & (dur != want)
+    unbounded = measure & ~((dur >= 0) & (dur < np.inf))
+    for r in np.flatnonzero(off | unbounded).tolist():
+        idx, d, noun = op_index("g")[rows.item(r)], dur.item(r), "measurement" if measure[r] else "gate"
+        if unbounded[r]:
+            yield Violation("op", idx, f"measurement duration {d} is not finite and >= 0")
+        if off[r]:
+            yield Violation("op", idx, f"{noun} duration {d} != {want.item(r)}")
 
 
 def _chains(s: Schedule, known, src, dst, op_index):

@@ -157,6 +157,13 @@ def _bad_gate_index(s, i, j):
     return _replace_op(s, _nth(s, GateOp, i), gate_index=(count, -1, count + 5)[j % 3])
 
 
+def _gate_duration(s, i, j):
+    # negated, none, 1 ps, or one ulp longer than the mapper's
+    k = _nth(s, GateOp, i)
+    d = list(s.ops)[k].duration
+    return _replace_op(s, k, duration=(-d, 0.0, 1e-12, math.nextafter(d, math.inf))[j % 4])
+
+
 MUTATIONS = {
     "shift_start": _shift_start,
     "stretch": _stretch,
@@ -167,6 +174,7 @@ MUTATIONS = {
     "bad_qubit": _bad_qubit,
     "bad_zone": _bad_zone,
     "bad_gate_index": _bad_gate_index,
+    "gate_duration": _gate_duration,
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbus.architecture import Location, distance, position
+from spinbus.architecture import ArchitectureSpec, Location, distance, position
 from spinbus.circuit import (
     Circuit,
     Gate,
@@ -18,7 +18,7 @@ from spinbus.circuit import (
 )
 from spinbus.error_model import ErrorModelParams, optimal_velocity
 from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
-from spinbus.mapper import STRATEGIES, STRATEGY_FLAGS, _episodes, map_strategy
+from spinbus.mapper import STRATEGIES, STRATEGY_FLAGS, _episodes, _walk_layers, map_strategy
 from spinbus.metrics import summarize
 from spinbus.placement import (
     Placement,
@@ -533,7 +533,7 @@ class TestEpisodes:
             scheduled = np.array([_schedulable(g, measure_duration) for g in gates], dtype=bool)
             layers = [(k,) for k in range(len(gates))] if sequential else sc.layers
             kept = [ks for ks in ([k for k in layer if scheduled[k]] for layer in layers) if ks]
-            gate_index, layer = _episodes(sc, scheduled, sequential)
+            gate_index, layer = _episodes(sc, sequential, measure_duration is not None)
             assert gate_index.tolist() == [k for ks in kept for k in ks]
             assert layer.tolist() == [idx for idx, ks in enumerate(kept) for _ in ks]
 
@@ -689,3 +689,65 @@ class TestReturnSites:
                 for strategy in STRATEGIES:
                     s = map_strategy(strategy, sc, arch16, random_placement(16, seed), errp)
                     assert validate_schedule(s, arch16) == []
+
+
+class TestWalkMemo:
+    """The dynamic strategies' pass 1 is memoised on what it reads (the
+    circuit, the architecture, the placement, ``swap_returns`` and whether
+    measurements are scheduled); a call must never get another key's walk."""
+
+    def test_interleaved_calls_match_the_op_by_op_mapper(self):
+        n = 8
+        circuits = [
+            slice_circuit(_with_measured_tail(decompose(generate(BenchmarkSpec(family=family, n=n, seed=1)))))
+            for family in ("qaoa", "qft")
+        ]
+        placements = (random_placement(n, 3), random_placement(n, 4))
+        specs = (arch(n), ArchitectureSpec(n_sites=n, site_pitch=3 * US))
+        assert placements[0] != placements[1]
+        rng = SplitMix64(5)
+        # a Gray-code walk over the key's parts: each setting differs from
+        # the one before in one part, so a key without it reuses a stale walk
+        for step in range(16):
+            code = step ^ (step >> 1)
+            sc, pl, spec = circuits[code & 1], placements[code >> 1 & 1], specs[code >> 3 & 1]
+            measure_duration = 50 * NS if code & 4 else None
+            order = list(STRATEGIES)
+            rng.shuffle(order)
+            for strategy in order:
+                args = (sc, spec, pl, ErrorModelParams())
+                ref = oracle_map(*args, strategy, STRATEGY_FLAGS[strategy], measure_duration)
+                _same_schedule(map_strategy(strategy, *args, measure_duration), ref)
+
+    def test_the_walk_is_read_only(self, errp):
+        sc = slice_circuit(decompose(generate(BenchmarkSpec(family="qft", n=5, seed=0))))
+        moves, episodes, _ = _walk_layers(sc, arch(5), Placement.identity(5), False, False)
+        assert not any(col.flags.writeable for col in moves + episodes)
+
+
+def _routing(s):
+    """Where ``s`` moves every qubit and runs every gate, without times."""
+    sh, gt = s.ops.shuttles, s.ops.gates
+    columns = (sh.qubit, sh.src, sh.dst, gt.gate_index, gt.zone)
+    return s.ops.order, *(col.tolist() for col in columns), s.final_sites
+
+
+def test_tunable_velocity_moves_as_min_return_does(bench16, errp):
+    """``tunable_velocity`` reuses ``min_return``'s pass 1 because its walk
+    never reads ``tunable``: on criterion 7's corpus, walked afresh for each,
+    the two route every qubit and gate alike."""
+    cases = [
+        (sc, spec, pl)
+        for spec, sc, _ in bench16.values()
+        for pl in (spectral_placement(build_interaction_graph(sc)), random_placement(16, 0))
+    ]
+    for trial in range(200):
+        n = 4 + SplitMix64(7777 + trial).randbelow(13)
+        sc = slice_circuit(decompose(generate(BenchmarkSpec(family="random", n=n, seed=trial))))
+        cases.append((sc, arch(n), random_placement(n, trial)))
+    for sc, spec, pl in cases:
+        routes = []
+        for strategy in ("min_return", "tunable_velocity"):
+            _walk_layers.cache_clear()
+            routes.append(_routing(map_strategy(strategy, sc, spec, pl, errp)))
+        assert routes[0] == routes[1]

@@ -1,15 +1,19 @@
 import dataclasses
 import functools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinbus.architecture import ArchitectureSpec, Location, position
-from spinbus.circuit import Circuit, decompose
+from spinbus.circuit import Circuit, Gate, GateKind, decompose, slice_circuit
 from spinbus.benchgen import BenchmarkSpec, generate
-from spinbus.mapper import STRATEGIES
-from spinbus.schedule import GateOp, ShuttleOp, schedule_from_json, schedule_to_json
+from spinbus.error_model import ErrorModelParams
+from spinbus.mapper import STRATEGIES, map_strategy
+from spinbus.placement import Placement
+from spinbus.schedule import GateOp, ScheduleOps, ShuttleOp, schedule_from_json, schedule_to_json
 import spinbus.validate as validate_module
 from spinbus.validate import validate_schedule
 from schedule_corpus import (
@@ -314,6 +318,66 @@ class TestValidatorMatchesOracle:
             if schedule is not None:
                 want = _outcome(oracle_validate_schedule, schedule)
                 assert _outcome(validate_schedule, schedule) == want
+
+
+def _with_gate_durations(s, durations):
+    """``s`` with its gate ops lasting ``durations``, in op order."""
+    gates = s.ops.gates._replace(duration=np.array(durations, dtype=np.float64))
+    return dataclasses.replace(s, ops=ScheduleOps(s.ops.order, s.ops.shuttles, gates))
+
+
+class TestGateDurations:
+    """A gate op lasts its kind's time, bit for bit, and every measurement
+    one shared duration >= 0; each of these once validated to []."""
+
+    @staticmethod
+    def _parallel(circuit, measure_duration=None):
+        n = circuit.num_qubits
+        return map_strategy("parallel", slice_circuit(circuit), arch(n), Placement.identity(n), ErrorModelParams(),
+                            measure_duration)
+
+    def _check(self, s, durations, flagged):
+        """``s`` with ``durations`` breaks the rule at the ``flagged`` gate
+        ops (indices among the gate ops), alike in both validators."""
+        bad = _with_gate_durations(s, durations)
+        gate_ops = [k for k, kind in enumerate(s.ops.order) if kind == "g"]
+        violations = validate_schedule(bad, bad.arch)
+        assert violations == oracle_validate_schedule(bad, bad.arch)
+        assert {v.op_index for v in violations if v.rule == "op"} == {gate_ops[g] for g in flagged}
+        assert validate_schedule(s, s.arch) == []
+
+    def test_one_and_two_qubit_gates(self):
+        s = self._parallel(Circuit(3, (h(0), cz(1, 2))))
+        assert s.ops.gates.duration.tolist() == [20 * NS, 45 * NS]
+        self._check(s, [-20 * NS, -45 * NS], [0, 1])  # negated
+        self._check(s, [1e-12, 1e-12], [0, 1])
+        self._check(s, [0.0, 45 * NS], [0])  # H lasting 0
+        self._check(s, [20 * NS, 1e-12], [1])  # CZ lasting 1 ps
+        self._check(s, [20 * NS, math.nextafter(45 * NS, 1.0)], [1])  # bit for bit
+
+    def test_measurements_share_one_duration(self):
+        # one layer, whose gate phase the CZ sets: a measurement lasting up
+        # to 45 ns ends before its qubit leaves, so rule (a) cannot see it
+        measure = [Gate(GateKind.MEASURE, (q,)) for q in (2, 3)]
+        s = self._parallel(Circuit(5, (cz(0, 1), *measure, h(4))), 10 * NS)
+        assert s.ops.gates.duration.tolist() == [45 * NS, 10 * NS, 10 * NS, 20 * NS]
+        self._check(s, [45 * NS, 10 * NS, 30 * NS, 20 * NS], [2])  # one longer
+        self._check(s, [45 * NS, 30 * NS, 10 * NS, 20 * NS], [2])  # the first one longer
+        self._check(s, [45 * NS, -10 * NS, -10 * NS, 20 * NS], [1, 2])  # negated
+        self._check(s, [45 * NS, 0.0, 0.0, 20 * NS], [])  # any one duration >= 0
+        bad = _with_gate_durations(s, [45 * NS, -10 * NS, 10 * NS, 20 * NS])
+        assert [v.message for v in validate_schedule(bad, bad.arch)] == [
+            f"measurement duration {-10 * NS} is not finite and >= 0",
+            f"measurement duration {10 * NS} != {-10 * NS}",
+        ]
+
+    def test_unknown_gates_and_barriers_are_skipped(self):
+        # rule (a) alone reports an unknown gate index; a barrier has no duration
+        c = Circuit(3, (h(0), Gate(GateKind.BARRIER, (0, 1)), cz(1, 2)))
+        s = handmade_schedule(GateOp(1, 1, 0.0, 1.0), GateOp(7, 0, 0.0, -1.0), spec=arch(3), circuit=c)
+        violations = validate_schedule(s, s.arch)
+        assert [v.rule for v in violations] == ["a", "a", "a"]
+        assert violations == oracle_validate_schedule(s, s.arch)
 
 
 # Rule (d) near its skip bound: moves set against a leading one on buses

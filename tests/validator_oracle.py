@@ -1,7 +1,8 @@
 """Reference oracle for ``spinbus.validate.validate_schedule``.
 
 This is the straightforward validator the library shipped before its
-validator was made near-linear, kept word for word (only renamed). It
+validator was made near-linear, kept word for word (only renamed), with
+the gate-op duration rule added since, written the same plain way. It
 rescans every operand's whole timeline for rule (a) and re-derives every
 position for rule (d), so it is slow, but it is the definition the fast
 validator must match: the same ``Violation`` list in the same order, or
@@ -10,6 +11,7 @@ the same exception type. Tests only; ``src/`` has one validator.
 from __future__ import annotations
 
 from spinbus.architecture import ArchitectureSpec, Location, distance, position, shuttle_time
+from spinbus.circuit import GateKind
 from spinbus.error_model import phase_error
 from spinbus.schedule import GateOp, Schedule, ShuttleOp
 from spinbus.validate import Violation
@@ -27,7 +29,10 @@ def oracle_validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violat
     (e) every qubit ends parked in storage
     (f) stored per-qubit errors match a fold over the shuttle ops
     (g) total_time is the latest op end
-    plus internal shuttle-op consistency (duration, delta_c, chaining).
+    plus internal shuttle-op consistency (duration, delta_c, chaining) and
+    gate-op durations: a one-qubit gate lasts ``spec.t_1q`` and a two-qubit
+    gate ``spec.t_2q``, and every measurement one shared duration, finite
+    and >= 0.
     """
     out: list[Violation] = []
     n = s.circuit.num_qubits
@@ -52,6 +57,24 @@ def oracle_validate_schedule(s: Schedule, spec: ArchitectureSpec) -> list[Violat
         want_dc = phase_error(op.velocity, dist, s.error_params)
         if op.delta_c != want_dc:
             out.append(Violation("op", idx, f"delta_c {op.delta_c} != {want_dc}"))
+
+    # gate-op durations; an unknown gate index is rule (a)'s, and a barrier
+    # has no duration
+    known = [(idx, op, s.circuit.gates[op.gate_index]) for idx, op in gates
+             if 0 <= op.gate_index < len(s.circuit.gates)]
+    measured = [op.duration for _, op, gate in known if gate.kind is GateKind.MEASURE]
+    for idx, op, gate in known:
+        if gate.kind is GateKind.BARRIER:
+            continue
+        if gate.kind is GateKind.MEASURE:
+            if not 0 <= op.duration < float("inf"):
+                out.append(Violation("op", idx, f"measurement duration {op.duration} is not finite and >= 0"))
+            if op.duration != measured[0]:
+                out.append(Violation("op", idx, f"measurement duration {op.duration} != {measured[0]}"))
+            continue
+        want = spec.t_2q if gate.is_two_qubit else spec.t_1q
+        if op.duration != want:
+            out.append(Violation("op", idx, f"gate duration {op.duration} != {want}"))
 
     # per-qubit motion chains and presence timelines
     timelines: dict[int, list[tuple[Location, float, float]]] = {}
