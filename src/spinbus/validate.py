@@ -223,14 +223,14 @@ def _chains(s: Schedule, known, src, dst, op_index):
 def _coverage(s: Schedule, stays: _Stays, op_index):
     """(a) An operand is covered if one of its stays at the gate's zone
     begins by the gate's start (+ _EPS_T) and ends no earlier than the
-    gate's end (- _EPS_T). Zone stays sorted by (qubit, zone; arrival)
-    carry the running latest departure within each (qubit, zone); one
-    searchsorted finds each operand's last stay there begun in time. A
-    (qubit, zone) group is ``qubit * k + rank``, with the zone's rank among
-    the k distinct zones of the stays (after a -1 that is no stay's zone),
-    so keys stay exact whatever ``n_sites`` is; a gate at a zone no qubit
-    visits finds no group. A leading stay of group -1 that covers nothing
-    gives every search a landing place."""
+    gate's end (- _EPS_T). The zone stays and the operands, each operand at
+    its gate's zone and start + _EPS_T, form one stream sorted by (qubit,
+    zone, time), a stay before an operand at equal times. So the stays
+    before an operand in its (qubit, zone) group are those begun in time,
+    and a running maximum of departure ranks, lifted per group, gives it
+    their latest departure. An operand ranks 0, below every stay, and
+    that rank reads NaN, which covers no gate: an operand with no stay
+    before it is not covered, even by a gate whose end overflows to -inf."""
     gt = s.ops.gates
     gate_index, g_zone, g_start = gt.gate_index, gt.zone, gt.start
     g_known = (gate_index >= 0) & (gate_index < s.circuit.num_gates)
@@ -238,23 +238,16 @@ def _coverage(s: Schedule, stays: _Stays, op_index):
     og, oq = s.circuit.operands_of(gate_index[rows])
     og = rows[og]  # each operand's gate row
     zs = np.flatnonzero(stays.zone)
-    zones = np.sort(np.append(-1, stays.index[zs]))
-    zones = zones[np.append(True, zones[1:] != zones[:-1])]
-    k = len(zones)
-    group = np.concatenate([[-1], stays.qubit[zs] * k + np.searchsorted(zones, stays.index[zs])])
-    arrive = np.concatenate([[0.0], stays.arrive[zs]])
-    depart = np.concatenate([[-np.inf], stays.depart[zs]])
-    order = np.lexsort((arrive, group))
-    group, arrive, depart = group[order], arrive[order], depart[order]
-    departs, rank = np.unique(depart, return_inverse=True)
-    lift = np.cumsum(np.append(True, group[1:] != group[:-1])) * len(departs)
-    latest = departs[np.maximum.accumulate(rank + lift) - lift]
-    oz = g_zone[og]
-    zr = np.minimum(np.searchsorted(zones, oz), k - 1)
-    visited = zones[zr] == oz
-    want = np.where(visited, oq * k + zr, -1)
-    hit = np.searchsorted(group + 1j * arrive, want + 1j * (g_start[og] + _EPS_T), side="right") - 1
-    covered = visited & (group[hit] == want) & (g_start[og] + gt.duration[og] <= latest[hit] + _EPS_T)
+    departs, rank = np.unique(stays.depart[zs], return_inverse=True)
+    rank = np.concatenate([rank + 1, np.zeros(len(og), dtype=rank.dtype)])
+    qubit, zone = np.concatenate([stays.qubit[zs], oq]), np.concatenate([stays.index[zs], g_zone[og]])
+    order = np.lexsort((rank == 0, np.concatenate([stays.arrive[zs], g_start[og] + _EPS_T]), zone, qubit))
+    qubit, zone, rank = qubit[order], zone[order], rank[order]
+    head = np.concatenate([[True], (qubit[1:] != qubit[:-1]) | (zone[1:] != zone[:-1])])
+    lift = np.cumsum(head) * (len(departs) + 1)
+    latest = np.empty(len(order))
+    latest[order] = np.concatenate([[np.nan], departs])[np.maximum.accumulate(rank + lift) - lift]
+    covered = g_start[og] + gt.duration[og] <= latest[len(zs):] + _EPS_T
     missing = np.flatnonzero(~covered)
     misses = [(r, -1) for r in np.flatnonzero(~g_known).tolist()]
     for r, p in sorted(misses + list(zip(og[missing].tolist(), missing.tolist()))):

@@ -164,6 +164,17 @@ def _gate_duration(s, i, j):
     return _replace_op(s, k, duration=(-d, 0.0, 1e-12, math.nextafter(d, math.inf))[j % 4])
 
 
+def _swap_final(s, i, j):
+    # two different entries of final_sites exchanged: still a bijection, but
+    # not the sites the ops leave the qubits on
+    n = len(s.final_sites)
+    a = i % n
+    b = (a + 1 + j % (n - 1)) % n
+    final = list(s.final_sites)
+    final[a], final[b] = final[b], final[a]
+    return dataclasses.replace(s, final_sites=tuple(final))
+
+
 MUTATIONS = {
     "shift_start": _shift_start,
     "stretch": _stretch,
@@ -175,6 +186,7 @@ MUTATIONS = {
     "bad_zone": _bad_zone,
     "bad_gate_index": _bad_gate_index,
     "gate_duration": _gate_duration,
+    "swap_final": _swap_final,
 }
 
 

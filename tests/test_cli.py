@@ -396,6 +396,24 @@ def test_failed_run_leaves_no_output(tmp_path, capsys, argv, name, error_config)
     assert (tmp_path / "old" / name).read_bytes() == b"kept\r\n"
 
 
+@pytest.mark.parametrize(
+    "option, text, message",
+    [
+        ("--config", "{", "is not valid JSON"),
+        # L_s / d_bar overflows, so the longest move has an infinite error
+        ("--error-config", '{"d_bar_nm": 1e-311}', "the error model is not finite over the longest move"),
+    ],
+    ids=["config-not-json", "error-model-not-finite"],
+)
+def test_config_error_leaves_no_output(tmp_path, capsys, option, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run_cli("compile", "--gen", "ghz", "--n", 4, option, cfg, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestQubitCountRange:
     """Qubit counts outside the generators' [2, 64], and registers outside
     [2, MAX_QUBITS], are configuration errors."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spinbus.benchgen import FAMILIES, BenchmarkSpec, generate
 from spinbus.circuit import Circuit, Gate, GateKind
 from spinbus.qasm import (
+    _MAX_NESTING,
     GATE_TABLE,
     QasmError,
     QasmSyntaxError,
@@ -330,6 +331,28 @@ def test_gate_in_a_comment_is_not_compiled(text):
     # the statement regex once backtracked into a comment before a statement
     # it could not take, and read the gate written in the comment
     assert _outcome(parse_qasm, text) == _outcome(oracle_parse_qasm, text)
+
+
+def test_bit_index_equal_to_the_register_size_is_out_of_range():
+    text = "OPENQASM 2.0; qreg q[2]; creg c[2]; measure q[0] -> c[{}];"
+    with pytest.raises(QasmSyntaxError, match="bit index 2 out of range"):
+        parse_qasm(text.format(2))
+    for index in (1, 2):
+        assert _outcome(parse_qasm, text.format(index)) == _outcome(oracle_parse_qasm, text.format(index))
+    assert parse_qasm(text.format(1)).gates[0].qubits == (0,)
+
+
+def test_nesting_bound_after_a_closed_sibling():
+    # a closed sub-expression gives its depth back, one level per close, so
+    # the next one may nest to the bound and no deeper
+    def text(depth):
+        return "qreg q[1]; rz((1)+" + "(" * depth + "1" + ")" * depth + ") q[0];"
+
+    assert parse_qasm(text(_MAX_NESTING)).gates[0].angle == 2.0
+    with pytest.raises(QasmSyntaxError, match="expression nested too deeply"):
+        parse_qasm(text(_MAX_NESTING + 1))
+    for depth in (_MAX_NESTING, _MAX_NESTING + 1):
+        assert _outcome(parse_qasm, text(depth)) == _outcome(oracle_parse_qasm, text(depth))
 
 
 # gate statements in the shapes the parser's statement regex takes, and in

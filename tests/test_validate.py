@@ -15,7 +15,7 @@ from spinbus.mapper import STRATEGIES, map_strategy
 from spinbus.placement import Placement
 from spinbus.schedule import GateOp, ScheduleOps, ShuttleOp, schedule_from_json, schedule_to_json
 import spinbus.validate as validate_module
-from spinbus.validate import validate_schedule
+from spinbus.validate import Violation, validate_schedule
 from schedule_corpus import (
     MUTATIONS, NS, US, _mutation_corpus, _nth, _swap_destinations, _valid_schedules, arch, cz, h,
     handmade_schedule, run, shuttle,
@@ -72,6 +72,25 @@ class TestValidator:
         tampered = dataclasses.replace(s, per_qubit_error=(0.0, 0.0))
         rules = {v.rule for v in validate_schedule(tampered, s.arch)}
         assert "f" in rules
+
+    def test_error_fold_tolerance_below_1(self, errp):
+        # below 1 the tolerance is 1e-15, not 2e-15 and not relative to 2
+        s = run("baseline", Circuit(2, (h(0),)), 2, errp)
+        folded = s.per_qubit_error[0]
+        tampered = dataclasses.replace(s, per_qubit_error=(folded + 1.5e-15, *s.per_qubit_error[1:]))
+        assert 1e-15 < tampered.per_qubit_error[0] - folded < 2e-15 and tampered.per_qubit_error[0] < 1
+        violations = validate_schedule(tampered, s.arch)
+        assert [v.rule for v in violations] == ["f"]
+        assert violations == oracle_validate_schedule(tampered, s.arch)
+
+    def test_corpus_reaches_final_sites_mismatch(self):
+        # swapping two final sites keeps them a bijection, so only the
+        # comparison with the ops' last sites can catch it
+        want = [Violation("e", None, "final_sites does not match op history")]
+        swapped = [s for label, s in _mutation_corpus() if "/swap_final/" in label]
+        assert swapped
+        for s in swapped:
+            assert validate_schedule(s, s.arch) == oracle_validate_schedule(s, s.arch) == want
 
     def test_total_time_violation(self, errp):
         s = run("baseline", Circuit(2, (h(0),)), 2, errp)
@@ -318,6 +337,109 @@ class TestValidatorMatchesOracle:
             if schedule is not None:
                 want = _outcome(oracle_validate_schedule, schedule)
                 assert _outcome(validate_schedule, schedule) == want
+
+
+def _coverage_cases():
+    """(label, schedule, the gate ops rule (a) flags, by op index) for the
+    inputs that stress rule (a)'s one sorted stream of zone stays and
+    operands: on four sites, with an H on qubit 0 and a CZ on qubits 1, 2."""
+    spec, eps = arch(4), validate_module._EPS_T
+    site, zone = Location.site, Location.zone
+    move = functools.partial(shuttle, spec)
+    schedule = functools.partial(handmade_schedule, spec=spec, circuit=Circuit(4, (h(0), cz(1, 2))))
+    # qubit 0 in zone 1 from 0.3 to 1 us, and nowhere else
+    in_zone_1 = (move(0, site(0), zone(1), 0.0), move(0, zone(1), site(0), 1 * US))
+
+    # qubit 0 reaches zone 0 exactly _EPS_T after one H starts, and more
+    # than _EPS_T after another that starts one ulp earlier
+    arrive = move(0, site(0), zone(0), 0.0)
+    h_start = arrive.end - eps
+    assert h_start + eps == arrive.end and math.nextafter(h_start, 0.0) + eps < arrive.end
+
+    # the CZ starts exactly _EPS_T before qubit 2 arrives and ends exactly
+    # _EPS_T after qubit 1 departs, or one ulp later
+    q2_in = move(2, site(2), zone(1), 0.2 * US)
+    cz_start = q2_in.end - eps
+    cz_end = GateOp(1, 1, cz_start, spec.t_2q).end
+    q1_out = move(1, zone(1), site(1), cz_end - eps)
+    cz_late = math.nextafter(cz_end, 1.0) - cz_start  # ends one ulp later
+    assert cz_start + eps == q2_in.end and q1_out.start + eps == cz_end < cz_start + cz_late
+
+    return [
+        (
+            # qubit 0 visits zone 1 twice, then zone 0, a lower zone, until 10 us
+            "one zone visited twice, the gate in the second visit",
+            schedule(
+                move(0, site(0), zone(1), 0.0), move(0, zone(1), site(0), 1 * US),
+                move(0, site(0), zone(1), 2 * US), move(0, zone(1), site(0), 3 * US),
+                move(0, site(0), zone(0), 4 * US), move(0, zone(0), site(0), 10 * US),
+                GateOp(0, 1, 2.5 * US, 20 * NS), GateOp(0, 1, 1.5 * US, 20 * NS),
+            ),
+            [7],
+        ),
+        (
+            # a move of negative duration takes qubit 0 from zone 1 back to
+            # zone 0 at 0.05 us: its stays there, 0.1-0.5 us and 0.05-6 us,
+            # overlap, and the later arrival does not cover the gate at 1 us;
+            # its stay in zone 1, 0.7-0.8 us, does not cover the gate there
+            "overlapping stays after a move of negative duration",
+            schedule(
+                move(0, site(0), zone(0), 0.0), move(0, zone(0), zone(1), 0.5 * US),
+                move(0, zone(1), zone(0), 0.8 * US, duration=-0.75 * US), move(0, zone(0), site(0), 6 * US),
+                GateOp(0, 0, 1 * US, 20 * NS), GateOp(0, 1, 1 * US, 20 * NS),
+            ),
+            [5],
+        ),
+        (
+            "gates of duration 0, in a stay and at time 0 with no stay",
+            schedule(*in_zone_1, GateOp(0, 1, 0.5 * US, 0.0), GateOp(0, 0, 0.0, 0.0)),
+            [3],
+        ),
+        (
+            "a gate starting exactly _EPS_T before its operand arrives, and one an ulp earlier",
+            schedule(
+                arrive, GateOp(0, 0, h_start, 20 * NS), GateOp(0, 0, math.nextafter(h_start, 0.0), 20 * NS),
+                move(0, zone(0), site(0), 1 * US),
+            ),
+            [2],
+        ),
+        (
+            "a CZ from exactly _EPS_T before one operand arrives to _EPS_T after the other departs",
+            schedule(
+                move(1, site(1), zone(1), 0.0), q2_in, GateOp(1, 1, cz_start, spec.t_2q),
+                GateOp(1, 1, cz_start, cz_late), q1_out,
+                move(2, zone(1), site(2), 1 * US),
+            ),
+            [3],
+        ),
+        ("an operand at a zone no qubit visits", schedule(*in_zone_1, GateOp(0, 2, 0.5 * US, 20 * NS)), [2]),
+        (
+            "gate zones -1 and 2^62",
+            schedule(*in_zone_1, GateOp(0, -1, 0.0, 0.0), GateOp(0, 2**62, 0.5 * US, 20 * NS)),
+            [2, 3],
+        ),
+        (
+            # a gate at -1e308 s lasting -1e308 s ends at -inf
+            "a gate whose end overflows to -inf",
+            schedule(*in_zone_1, GateOp(0, 1, -1e308, -1e308)),
+            [2],
+        ),
+    ]
+
+
+class TestCoverage:
+    """Rule (a) sorts zone stays and gate operands into one stream by
+    (qubit, zone, time), a stay first at equal times, and gives each
+    operand the latest departure before it in its (qubit, zone) group."""
+
+    @pytest.mark.parametrize("case", _coverage_cases(), ids=lambda case: case[0])
+    def test_matches_oracle(self, case):
+        _, s, flagged = case
+        want = oracle_validate_schedule(s, s.arch)
+        assert [v.op_index for v in want if v.rule == "a"] == flagged
+        for schedule in (s, _reloaded(s)):
+            if schedule is not None:
+                assert _outcome(validate_schedule, schedule) == _outcome(oracle_validate_schedule, schedule)
 
 
 def _with_gate_durations(s, durations):
